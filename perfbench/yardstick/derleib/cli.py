@@ -1,0 +1,305 @@
+"""Command-line front end.
+
+Subcommands:
+
+  check         parse a definition file, classify it, report the genus
+  derive        dimensions and canonical bases of Der / Inn / AIDer
+  analyze       series, centers, Killing rank, radical, nilradical, Levi
+  catalog       emit a catalog family as a definition document
+  verify-paper  run the registry of documented claims and report results
+
+Exit codes: 0 success, 1 refuted claims (or invalid algebra for check),
+2 usage errors, 3 internal invariant violations.  Identical invocations
+produce byte-identical output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from fractions import Fraction
+
+from . import __version__, claims, dsl
+from .algebra import Algebra
+from .catalog import FAMILIES, FamilySpec, GROUPED, INTERLEAVED
+from .derivations import GenusError, almost_inner_genus1, der_algebra, \
+    inner_derivations
+from .dsl import Report
+from .exactlin import QI, Subspace, format_scalar, parse_scalar
+from .liestruct import InternalInvariantError, NotLie, structure_report
+
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
+
+
+def _parse_a(text: str):
+    s = parse_scalar(text, QI)
+    return s.re if not s.im else s
+
+
+def _load_algebra(args) -> tuple[str, Algebra]:
+    if getattr(args, "file", None):
+        with open(args.file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        doc = dsl.parse(text)
+        return doc.name, dsl.to_algebra(doc)
+    spec = FamilySpec(family=args.family, n=args.n,
+                      a=_parse_a(args.a) if args.a is not None else None,
+                      b=Fraction(args.b) if args.b is not None else None,
+                      order=args.order)
+    return spec.name(), spec.build()
+
+
+def _add_algebra_args(p):
+    p.add_argument("file", nargs="?", help="algebra definition file")
+    p.add_argument("--family", choices=FAMILIES, help="catalog family")
+    p.add_argument("--n", type=int, help="family size parameter")
+    p.add_argument("--a", help="scalar parameter (exact syntax, e.g. 1/2 or 1+1i)")
+    p.add_argument("--b", help="imaginary part for realify-heisenberg")
+    p.add_argument("--order", choices=(GROUPED, INTERLEAVED), default=GROUPED)
+
+
+def _check_algebra_args(args, parser):
+    if bool(args.file) == bool(args.family):
+        parser.error("give exactly one of FILE or --family")
+    if args.family and args.n is None:
+        parser.error("--family requires --n")
+
+
+def _fmt_vec(v) -> str:
+    return "[" + ", ".join(format_scalar(x) for x in v) + "]"
+
+
+def _print_subspace(title: str, sub: Subspace, out):
+    out.write("%s (dim %d):\n" % (title, sub.dim))
+    for row in sub.basis:
+        out.write("  %s\n" % _fmt_vec(row))
+
+
+def _kind_line(alg: Algebra) -> str:
+    k = alg.kind
+    return ("left=%s right=%s symmetric=%s lie=%s"
+            % tuple("yes" if f else "no"
+                    for f in (k.left_leibniz, k.right_leibniz, k.symmetric, k.lie)))
+
+
+def cmd_check(args, out) -> int:
+    name, alg = _load_algebra(args)
+    k = alg.kind
+    comm = alg.product_space(alg.full_space(), alg.full_space())
+    nilp, ncls = alg.is_nilpotent()
+    out.write("algebra %s: dim %d over %s\n" % (name, alg.dim, alg.field))
+    out.write("classify: %s\n" % _kind_line(alg))
+    out.write("dim [L,L] = %d (genus %d)\n" % (comm.dim, comm.dim))
+    out.write("nilpotent: %s (class %d)\n" % ("yes" if nilp else "no", ncls))
+    if not (k.left_leibniz or k.right_leibniz):
+        out.write("not a Leibniz algebra (neither identity holds)\n")
+        return 1
+    return 0
+
+
+def cmd_derive(args, out) -> int:
+    name, alg = _load_algebra(args)
+    der = der_algebra(alg)
+    inn = inner_derivations(alg) if alg.kind.left_leibniz else None
+    try:
+        aid = almost_inner_genus1(alg)
+    except GenusError:
+        aid = None
+    if args.json:
+        analysis = {
+            "algebra": name,
+            "dim": alg.dim,
+            "field": alg.field,
+            "der_dim": der.dim,
+            "inn_dim": inn.dim if inn else None,
+            "aider_dim": aid.dim if aid else None,
+            "der_basis": [[format_scalar(x) for x in row]
+                          for row in der.subspace.basis],
+        }
+        report = Report(version=__version__, input=name, analyses=(analysis,))
+        out.write(dsl.report_json(report))
+        return 0
+    out.write("algebra %s: dim %d over %s\n" % (name, alg.dim, alg.field))
+    out.write("classify: %s\n" % _kind_line(alg))
+    out.write("dim Der = %d\n" % der.dim)
+    if inn is not None:
+        out.write("dim Inn = %d\n" % inn.dim)
+    else:
+        out.write("Inn skipped (not a left Leibniz algebra)\n")
+    if aid is not None:
+        out.write("dim AIDer = %d\n" % aid.dim)
+    else:
+        out.write("AIDer skipped (commutator ideal is not one-dimensional)\n")
+    for label, mla in (("Der", der), ("Inn", inn), ("AIDer", aid)):
+        if mla is None:
+            continue
+        out.write("%s basis matrices:\n" % label)
+        for m in mla.basis:
+            out.write(m.pretty() + "\n\n")
+    if args.table:
+        struct = der.structure
+        out.write("induced bracket table on the canonical Der basis:\n")
+        for (i, j), terms in sorted(struct._pairs.items()):
+            rhs = " + ".join(
+                ("%s %s" % (format_scalar(cf), struct.labels[k]))
+                if cf != 1 else struct.labels[k]
+                for k, cf in terms)
+            out.write("[%s,%s] = %s\n" % (struct.labels[i], struct.labels[j], rhs))
+    return 0
+
+
+def _parse_levi(text: str, alg: Algebra) -> Subspace:
+    vecs = []
+    for part in text.split(";"):
+        coords = [parse_scalar(tok, alg.field) for tok in part.split(",")]
+        if len(coords) != alg.dim:
+            raise ValueError("Levi vector has %d coordinates, need %d"
+                             % (len(coords), alg.dim))
+        vecs.append(tuple(coords))
+    return Subspace.span(vecs, alg.dim, alg.field)
+
+
+def cmd_analyze(args, out) -> int:
+    name, alg = _load_algebra(args)
+    if args.der:
+        alg = der_algebra(alg).structure
+        name += " derivation algebra"
+    out.write("algebra %s: dim %d over %s\n" % (name, alg.dim, alg.field))
+    out.write("classify: %s\n" % _kind_line(alg))
+    lower = alg.series("lower_central")
+    derived = alg.series("derived")
+    out.write("lower central dims: %s\n" % (tuple(t.dim for t in lower),))
+    out.write("derived dims: %s\n" % (tuple(t.dim for t in derived),))
+    left, right, center = alg.centers()
+    out.write("centers: left %d, right %d, two-sided %d\n"
+              % (left.dim, right.dim, center.dim))
+    if not alg.kind.lie:
+        out.write("Lie-specific analysis skipped (not a Lie algebra)\n")
+        return 0
+    levi = _parse_levi(args.levi, alg) if args.levi else None
+    rep = structure_report(alg, levi)
+    out.write("Killing rank: %d\n" % rep.killing_rank)
+    _print_subspace("radical", rep.radical, out)
+    _print_subspace("nilradical", rep.nilradical, out)
+    if rep.levi is not None:
+        out.write("Levi candidate: %s\n" % rep.levi)
+    return 0
+
+
+def cmd_catalog(args, out) -> int:
+    spec = FamilySpec(family=args.family, n=args.n,
+                      a=_parse_a(args.a) if args.a is not None else None,
+                      b=Fraction(args.b) if args.b is not None else None,
+                      order=args.order)
+    alg = spec.build()
+    doc = dsl.from_algebra("%s_%d" % (args.family.replace("-", "_"), args.n), alg)
+    out.write(dsl.serialize(doc))
+    return 0
+
+
+def cmd_verify(args, out) -> int:
+    a_values = (tuple(_parse_a(tok) for tok in args.a.split(","))
+                if args.a else claims.DEFAULT_A)
+    only = set(args.claim) if args.claim else None
+    report = claims.run_all(nmax=args.nmax, a_values=a_values,
+                            seed=args.seed, only=only)
+    if args.json:
+        out.write(dsl.report_json(report, timing=args.timing))
+    else:
+        counts = {}
+        for c in report.claims:
+            counts[c["status"]] = counts.get(c["status"], 0) + 1
+            line = "%-9s %-4s %s" % (c["status"], c["id"],
+                                     _fmt_params(c["params"]))
+            if c["status"] in ("refuted", "discrepancy"):
+                line += "\n  expected: %s\n  actual:   %s" % (c["expected"],
+                                                              c["actual"])
+            out.write(line + "\n")
+        out.write("totals: %s\n" % ", ".join(
+            "%s %d" % (k, counts[k]) for k in sorted(counts)))
+    bad = [c for c in report.claims if c["status"] == "refuted"]
+    if args.strict:
+        bad += [c for c in report.claims if c["status"] == "discrepancy"]
+    return 1 if bad else 0
+
+
+def _fmt_params(params: dict) -> str:
+    return " ".join("%s=%s" % (k, v) for k, v in sorted(params.items()))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="derleib",
+        description="exact derivation algebras of nilpotent Leibniz algebras")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="parse and classify an algebra")
+    _add_algebra_args(p)
+
+    p = sub.add_parser("derive", help="compute Der / Inn / AIDer")
+    _add_algebra_args(p)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--table", action="store_true",
+                   help="print the induced bracket table of Der")
+
+    p = sub.add_parser("analyze", help="structural analysis")
+    _add_algebra_args(p)
+    p.add_argument("--der", action="store_true",
+                   help="analyze the derivation algebra of the input "
+                        "instead of the input itself")
+    p.add_argument("--levi", help="claimed Levi complement: 'v1;v2;...', "
+                                  "each vector comma-separated coordinates "
+                                  "in the analyzed algebra's basis")
+
+    p = sub.add_parser("catalog", help="emit a family as a definition document")
+    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--a")
+    p.add_argument("--b")
+    p.add_argument("--order", choices=(GROUPED, INTERLEAVED), default=GROUPED)
+
+    p = sub.add_parser("verify-paper",
+                       help="re-verify the documented claim registry")
+    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--a", help="comma-separated parameter list")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--claim", action="append", help="claim id filter")
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--timing", action="store_true",
+                   help="include elapsed times in JSON output")
+    p.add_argument("--strict", action="store_true",
+                   help="flagged discrepancies also fail the run")
+    return parser
+
+
+def main(argv=None, out=None) -> int:
+    out = out or sys.stdout
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        if args.command in ("check", "derive", "analyze"):
+            _check_algebra_args(args, parser)
+        if args.command == "check":
+            return cmd_check(args, out)
+        if args.command == "derive":
+            return cmd_derive(args, out)
+        if args.command == "analyze":
+            return cmd_analyze(args, out)
+        if args.command == "catalog":
+            return cmd_catalog(args, out)
+        if args.command == "verify-paper":
+            return cmd_verify(args, out)
+        parser.error("unknown command")
+    except InternalInvariantError as exc:
+        sys.stderr.write("internal invariant violation: %s\n" % exc)
+        return INTERNAL_ERROR
+    except (OSError, ValueError, NotLie) as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return USAGE_ERROR
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,266 @@
+"""Derivation Lie algebras: Der(L), Inn(L) and the almost inner derivations.
+
+Der(L) is the exact nullspace of the linear system collecting the derivation
+identity over all basis pairs.  The result is wrapped as a
+:class:`MatrixLieAlgebra`: a canonical matrix basis (under row-major
+flattening), the flattened subspace, and the induced abstract Lie algebra,
+with closure under commutators verified during construction.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from random import Random
+from typing import Iterable, Optional, Sequence
+
+from .algebra import Algebra
+from .exactlin import (
+    Fraction,
+    GaussRat,
+    Mat,
+    QI,
+    ShapeMismatch,
+    Subspace,
+    kernel_from_rows,
+    scalar_zero,
+    solve,
+)
+
+
+class ClosureError(ValueError):
+    """A matrix family that was expected to close under commutators does not."""
+
+
+def commutator(a: Mat, b: Mat) -> Mat:
+    return a * b - b * a
+
+
+def is_derivation(d: Mat, alg: Algebra) -> bool:
+    """Check d([x,y]) = [d(x),y] + [x,d(y)] on all basis pairs (sufficient
+    by bilinearity)."""
+    dim = alg.dim
+    if d.rows != dim or d.cols != dim:
+        raise ShapeMismatch("matrix is %dx%d, algebra dimension is %d"
+                            % (d.rows, d.cols, dim))
+    cols = [d.col(j) for j in range(dim)]
+    for i in range(dim):
+        ei = alg.basis_vector(i)
+        for j in range(dim):
+            ej = alg.basis_vector(j)
+            lhs = d.apply(alg.bracket(ei, ej))
+            r1 = alg.bracket(cols[i], ej)
+            r2 = alg.bracket(ei, cols[j])
+            if any(a - b - c for a, b, c in zip(lhs, r1, r2)):
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class MatrixLieAlgebra:
+    """A Lie algebra of d x d matrices with echelon-canonical basis."""
+
+    ambient_dim: int  # matrices are ambient_dim x ambient_dim
+    field: str
+    basis: tuple  # tuple[Mat], canonical under flattening
+    subspace: Subspace  # flattened, canonical
+    structure: Algebra  # induced structure constants on `basis`
+    closure_verified: bool
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @classmethod
+    def from_matrices(cls, mats: Iterable[Mat], ambient_dim: int,
+                      field: str) -> "MatrixLieAlgebra":
+        sub = Subspace.span((m.flatten() for m in mats),
+                            ambient_dim * ambient_dim, field)
+        basis = tuple(Mat.unflatten(row, ambient_dim, ambient_dim, field)
+                      for row in sub.basis)
+        structure = _induced_structure(basis, sub, field)
+        return cls(ambient_dim, field, basis, sub, structure, True)
+
+    def contains(self, d: Mat) -> bool:
+        return self.subspace.contains(d.flatten())
+
+    def coords(self, d: Mat) -> Optional[tuple]:
+        return self.subspace.coords(d.flatten())
+
+    def coords_span(self, mats: Sequence[Mat]) -> Optional[Subspace]:
+        """Span of the given matrices in basis coordinates; None if one of
+        them falls outside the algebra."""
+        vs = []
+        for m in mats:
+            cs = self.coords(m)
+            if cs is None:
+                return None
+            vs.append(cs)
+        return Subspace.span(vs, self.dim, self.field)
+
+
+def _induced_structure(basis: Sequence[Mat], sub: Subspace, field: str) -> Algebra:
+    labels = ["m%d" % (k + 1) for k in range(len(basis))]
+    brackets = {}
+    for s in range(len(basis)):
+        for t in range(len(basis)):
+            if s == t:
+                continue
+            comm = commutator(basis[s], basis[t])
+            cs = sub.coords(comm.flatten())
+            if cs is None:
+                raise ClosureError("commutator of basis elements %d, %d "
+                                   "escapes the span" % (s, t))
+            terms = [(k, cf) for k, cf in enumerate(cs) if cf]
+            if terms:
+                brackets[(s, t)] = terms
+    return Algebra.from_brackets(field, labels, brackets)
+
+
+def induced_structure(mla: MatrixLieAlgebra) -> Algebra:
+    """The abstract Lie algebra carried by a verified matrix family."""
+    if not mla.closure_verified:
+        raise ClosureError("closure not verified")
+    return mla.structure
+
+
+@lru_cache(maxsize=None)
+def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
+    """Der(L) as the nullspace over the d^2 matrix unknowns (row-major).
+
+    The equation for the basis pair (i, j) in output coordinate m is
+    sum_k c[i][j][k] D[m][k] - sum_p c[p][j][m] D[p][i]
+    - sum_q c[i][q][m] D[q][j] = 0; rows are assembled in (i, j, m) order.
+    """
+    d = alg.dim
+    pairs = alg._pairs
+    by_second = alg._by_second
+    by_first = alg._by_first
+    rows = []
+    for i in range(d):
+        bf = by_first[i]
+        for j in range(d):
+            terms_ij = pairs.get((i, j), ())
+            bs = by_second[j]
+            if terms_ij:
+                ms: Iterable[int] = range(d)
+            else:
+                ms = sorted(set(bs) | set(bf))
+            for m in ms:
+                row = {}
+                for k, cf in terms_ij:
+                    idx = m * d + k
+                    row[idx] = row.get(idx, 0) + cf
+                for p, cf in bs.get(m, ()):
+                    idx = p * d + i
+                    row[idx] = row.get(idx, 0) - cf
+                for q, cf in bf.get(m, ()):
+                    idx = q * d + j
+                    row[idx] = row.get(idx, 0) - cf
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    kernel = kernel_from_rows(rows, d * d, alg.field)
+    mats = [Mat.unflatten(v, d, d, alg.field) for v in kernel.basis]
+    return MatrixLieAlgebra.from_matrices(mats, d, alg.field)
+
+
+@lru_cache(maxsize=None)
+def inner_derivations(alg: Algebra) -> MatrixLieAlgebra:
+    """Span of the left multiplication maps; requires a left Leibniz algebra."""
+    if not alg.kind.left_leibniz:
+        raise ValueError("inner derivations need a left Leibniz algebra")
+    ads = [alg.adjoint(alg.basis_vector(i), "left") for i in range(alg.dim)]
+    return MatrixLieAlgebra.from_matrices(ads, alg.dim, alg.field)
+
+
+class GenusError(ValueError):
+    """Raised when an exact genus-1 computation is applied off-domain."""
+
+
+@lru_cache(maxsize=None)
+def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
+    """Almost inner derivations of an algebra with dim [L,L] = 1, exactly.
+
+    For such an algebra the bracket span of any element is either zero or
+    the whole commutator line, so a derivation is almost inner iff its image
+    lies in the commutator line and it kills every element whose two-sided
+    bracket span vanishes (the center).
+    """
+    der = der_algebra(alg)
+    full = alg.full_space()
+    comm = alg.product_space(full, full)
+    if comm.dim != 1:
+        raise GenusError("commutator ideal has dimension %d, need 1" % comm.dim)
+    w = comm.basis[0]
+    pw = next(i for i, x in enumerate(w) if x)
+    center = alg.centers()[2]
+    d = alg.dim
+    k = der.dim
+    rows = []
+    # image inside the commutator line: reduce each column modulo w
+    for c in range(d):
+        for r in range(d):
+            row = {}
+            for t, m in enumerate(der.basis):
+                cf = m.at(r, c) - m.at(pw, c) * w[r]
+                if cf:
+                    row[t] = cf
+            if row:
+                rows.append(row)
+    # vanishing on the center
+    for v in center.basis:
+        for r in range(d):
+            row = {}
+            for t, m in enumerate(der.basis):
+                cf = sum((m.at(r, c) * v[c] for c in range(d) if v[c]),
+                         scalar_zero(alg.field))
+                if cf:
+                    row[t] = cf
+            if row:
+                rows.append(row)
+    sol = kernel_from_rows(rows, k, alg.field)
+    mats = []
+    for lam in sol.basis:
+        acc = Mat.zero(d, d, alg.field)
+        for t, cf in enumerate(lam):
+            if cf:
+                acc = acc + der.basis[t].scale(cf)
+        mats.append(acc)
+    return MatrixLieAlgebra.from_matrices(mats, d, alg.field)
+
+
+def _random_scalar(rng: Random, field: str):
+    num = rng.randint(-3, 3)
+    den = rng.choice((1, 2))
+    x = Fraction(num, den)
+    if field != QI:
+        return x
+    return GaussRat(x, Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+
+
+def almost_inner_sample(d: Mat, alg: Algebra, trials: int = 40,
+                        seed: int = 0) -> Optional[tuple]:
+    """Randomized falsifier for almost-innerness (any commutator genus).
+
+    Draws pseudorandom elements x with small rational entries and checks
+    that d(x) lies in the two-sided bracket span of x.  Returns the first
+    failing x as a witness, or None when all trials pass.  A pass is
+    evidence, not a proof.
+    """
+    if not is_derivation(d, alg):
+        raise ValueError("input is not a derivation")
+    rng = Random(seed)
+    dim = alg.dim
+    for _ in range(trials):
+        x = tuple(_random_scalar(rng, alg.field) for _ in range(dim))
+        cols = []
+        for j in range(dim):
+            ej = alg.basis_vector(j)
+            cols.append(alg.bracket(ej, x))
+            cols.append(alg.bracket(x, ej))
+        m = Mat(dim, 2 * dim, alg.field,
+                tuple(cols[c][r] for r in range(dim) for c in range(2 * dim)))
+        if solve(m, d.apply(x)) is None:
+            return x
+    return None

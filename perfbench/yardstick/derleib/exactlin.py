@@ -1,0 +1,597 @@
+"""Exact scalars and dense linear algebra over the rationals and Gaussian rationals.
+
+Everything here is exact: scalars are `fractions.Fraction` (field tag ``Q``)
+or :class:`GaussRat` (field tag ``Qi``), and all linear algebra reduces to
+row operations with exact pivots.  Values are immutable after construction,
+so every operation is safe to call concurrently.
+"""
+
+from __future__ import annotations
+
+import re as _re
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence, Union
+
+Q = "Q"
+QI = "Qi"
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+class FieldMismatch(ValueError):
+    """Raised when values from different scalar fields are combined."""
+
+
+class ShapeMismatch(ValueError):
+    """Raised on incompatible matrix/vector shapes or ambient dimensions."""
+
+
+class GaussRat:
+    """A Gaussian rational ``re + im*i`` with exact Fraction parts.
+
+    Instances are immutable by convention; arithmetic returns new values.
+    Plain ints and Fractions coerce into the real part, so generic code can
+    use literals like ``0``, ``1`` and ``-1`` with either scalar type.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussRat is immutable")
+
+    @staticmethod
+    def _parts(x):
+        if isinstance(x, GaussRat):
+            return x.re, x.im
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x), _F0
+        return None
+
+    def __add__(self, other):
+        p = self._parts(other)
+        if p is None:
+            return NotImplemented
+        return GaussRat(self.re + p[0], self.im + p[1])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        p = self._parts(other)
+        if p is None:
+            return NotImplemented
+        return GaussRat(self.re - p[0], self.im - p[1])
+
+    def __rsub__(self, other):
+        p = self._parts(other)
+        if p is None:
+            return NotImplemented
+        return GaussRat(p[0] - self.re, p[1] - self.im)
+
+    def __mul__(self, other):
+        p = self._parts(other)
+        if p is None:
+            return NotImplemented
+        a, b = self.re, self.im
+        c, d = p
+        return GaussRat(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        p = self._parts(other)
+        if p is None:
+            return NotImplemented
+        c, d = p
+        n = c * c + d * d
+        if n == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        a, b = self.re, self.im
+        return GaussRat((a * c + b * d) / n, (b * c - a * d) / n)
+
+    def __rtruediv__(self, other):
+        p = self._parts(other)
+        if p is None:
+            return NotImplemented
+        return GaussRat(p[0], p[1]) / self
+
+    def __neg__(self):
+        return GaussRat(-self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        p = self._parts(other)
+        if p is None:
+            return NotImplemented
+        return self.re == p[0] and self.im == p[1]
+
+    def __hash__(self):
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def conjugate(self):
+        return GaussRat(self.re, -self.im)
+
+    def __repr__(self):
+        return "GaussRat(%s, %s)" % (self.re, self.im)
+
+
+Scalar = Union[Fraction, GaussRat]
+
+
+def scalar_zero(field: str) -> Scalar:
+    return _F0 if field == Q else GaussRat()
+
+
+def scalar_one(field: str) -> Scalar:
+    return _F1 if field == Q else GaussRat(1)
+
+
+def coerce_scalar(x, field: str) -> Scalar:
+    """Coerce ``x`` into the given field, rejecting cross-field values."""
+    if field == Q:
+        if isinstance(x, GaussRat):
+            if x.im:
+                raise FieldMismatch("imaginary value %r in a Q context" % (x,))
+            return x.re
+        return Fraction(x)
+    if isinstance(x, GaussRat):
+        return x
+    return GaussRat(Fraction(x))
+
+
+def scalar_parts(x: Scalar) -> tuple[Fraction, Fraction]:
+    """Real and imaginary part of any scalar."""
+    if isinstance(x, GaussRat):
+        return x.re, x.im
+    return Fraction(x), _F0
+
+
+_RAT = "[+-]?[0-9]+(?:/[0-9]+)?"
+
+
+def parse_scalar(text: str, field: str = QI) -> Scalar:
+    """Parse the shared scalar syntax: ``p``, ``p/q``, ``p/q+r/si``, ``i``, ``-i``.
+
+    No whitespace is allowed inside a token.  A value with a nonzero
+    imaginary part is rejected when ``field`` is ``Q``.
+    """
+    tok = text.strip()
+    if not tok or any(ch.isspace() for ch in tok):
+        raise ValueError("malformed scalar %r" % (text,))
+    if tok.endswith("i"):
+        body = tok[:-1]
+        split = None
+        for k in range(len(body) - 1, 0, -1):
+            if body[k] in "+-" and body[k - 1] not in "+-/":
+                split = k
+                break
+        if split is None:
+            re_part, im_part = "", body
+        else:
+            re_part, im_part = body[:split], body[split:]
+        if im_part in ("", "+"):
+            im = _F1
+        elif im_part == "-":
+            im = -_F1
+        elif _re.fullmatch(_RAT, im_part):
+            im = Fraction(im_part)
+        else:
+            raise ValueError("malformed scalar %r" % (text,))
+        if re_part == "":
+            re = _F0
+        elif _re.fullmatch(_RAT, re_part):
+            re = Fraction(re_part)
+        else:
+            raise ValueError("malformed scalar %r" % (text,))
+        if field == Q and im:
+            raise FieldMismatch("imaginary scalar %r in field Q" % (text,))
+        return coerce_scalar(GaussRat(re, im), field)
+    if _re.fullmatch(_RAT, tok):
+        return coerce_scalar(Fraction(tok), field)
+    raise ValueError("malformed scalar %r" % (text,))
+
+
+def format_scalar(x: Scalar) -> str:
+    """Canonical text form; inverse of :func:`parse_scalar`."""
+    re, im = scalar_parts(x)
+    if not im:
+        return str(re)
+    if not re:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "-i"
+        return "%si" % (im,)
+    sign = "+" if im > 0 else "-"
+    return "%s%s%si" % (re, sign, abs(im))
+
+
+SparseVec = dict  # column index -> nonzero scalar
+
+
+class Echelon:
+    """Incremental row space kept in reduced row-echelon form.
+
+    Rows are sparse mappings ``{column: scalar}``.  The structure maintains
+    full reduction: each stored row has pivot coefficient one and zeros in
+    every other pivot column, so extraction yields the canonical basis of
+    the row space.
+    """
+
+    __slots__ = ("ncols", "rows")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: dict[int, SparseVec] = {}  # pivot column -> row
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec) -> SparseVec:
+        """Fully reduce ``vec`` against the stored rows (vec is not modified)."""
+        out = {c: v for c, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
+        for p in sorted(c for c in out if c in self.rows):
+            cf = out.get(p)
+            if not cf:
+                continue
+            for c, rv in self.rows[p].items():
+                d = cf * rv
+                cur = out.get(c)
+                nv = -d if cur is None else cur - d
+                if nv:
+                    out[c] = nv
+                elif cur is not None:
+                    del out[c]
+        return out
+
+    def insert(self, vec) -> bool:
+        """Add ``vec`` to the row space; returns True iff the rank grew."""
+        red = self.reduce(vec)
+        if not red:
+            return False
+        p = min(red)
+        piv = red[p]
+        row = {c: v / piv for c, v in red.items()}
+        for other in self.rows.values():
+            cf = other.get(p)
+            if not cf:
+                continue
+            for c, v in row.items():
+                d = cf * v
+                cur = other.get(c)
+                nv = -d if cur is None else cur - d
+                if nv:
+                    other[c] = nv
+                elif cur is not None:
+                    del other[c]
+        self.rows[p] = row
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
+
+    def pivot_columns(self) -> list[int]:
+        return sorted(self.rows)
+
+    def dense_rows(self, field: str) -> list[tuple]:
+        zero = scalar_zero(field)
+        out = []
+        for p in sorted(self.rows):
+            row = self.rows[p]
+            out.append(tuple(row.get(c, zero) for c in range(self.ncols)))
+        return out
+
+
+@dataclass(frozen=True)
+class Mat:
+    """Dense matrix, row-major, over a single scalar field."""
+
+    rows: int
+    cols: int
+    field: str
+    entries: tuple
+
+    @classmethod
+    def from_rows(cls, data: Sequence[Sequence], field: str = Q) -> "Mat":
+        nr = len(data)
+        nc = len(data[0]) if nr else 0
+        flat = []
+        for r in data:
+            if len(r) != nc:
+                raise ShapeMismatch("ragged rows")
+            flat.extend(coerce_scalar(x, field) for x in r)
+        return cls(nr, nc, field, tuple(flat))
+
+    @classmethod
+    def zero(cls, rows: int, cols: int, field: str = Q) -> "Mat":
+        z = scalar_zero(field)
+        return cls(rows, cols, field, (z,) * (rows * cols))
+
+    @classmethod
+    def identity(cls, n: int, field: str = Q) -> "Mat":
+        z, o = scalar_zero(field), scalar_one(field)
+        flat = [z] * (n * n)
+        for k in range(n):
+            flat[k * n + k] = o
+        return cls(n, n, field, tuple(flat))
+
+    @classmethod
+    def unit(cls, rows: int, cols: int, r: int, c: int, field: str = Q, value=1) -> "Mat":
+        z = scalar_zero(field)
+        flat = [z] * (rows * cols)
+        flat[r * cols + c] = coerce_scalar(value, field)
+        return cls(rows, cols, field, tuple(flat))
+
+    def at(self, r: int, c: int) -> Scalar:
+        return self.entries[r * self.cols + c]
+
+    def row(self, r: int) -> tuple:
+        return self.entries[r * self.cols:(r + 1) * self.cols]
+
+    def col(self, c: int) -> tuple:
+        return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
+
+    def _check(self, other: "Mat", same_shape: bool):
+        if self.field != other.field:
+            raise FieldMismatch("mixed fields %s and %s" % (self.field, other.field))
+        if same_shape and (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatch("shape mismatch")
+
+    def __add__(self, other: "Mat") -> "Mat":
+        self._check(other, True)
+        return Mat(self.rows, self.cols, self.field,
+                   tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+    def __sub__(self, other: "Mat") -> "Mat":
+        self._check(other, True)
+        return Mat(self.rows, self.cols, self.field,
+                   tuple(a - b for a, b in zip(self.entries, other.entries)))
+
+    def __neg__(self) -> "Mat":
+        return Mat(self.rows, self.cols, self.field, tuple(-a for a in self.entries))
+
+    def scale(self, s) -> "Mat":
+        s = coerce_scalar(s, self.field)
+        return Mat(self.rows, self.cols, self.field, tuple(s * a for a in self.entries))
+
+    def __mul__(self, other: "Mat") -> "Mat":
+        self._check(other, False)
+        if self.cols != other.rows:
+            raise ShapeMismatch("cannot multiply %dx%d by %dx%d"
+                                % (self.rows, self.cols, other.rows, other.cols))
+        n, m, k = self.rows, other.cols, self.cols
+        z = scalar_zero(self.field)
+        out = [z] * (n * m)
+        a, b = self.entries, other.entries
+        for r in range(n):
+            base = r * k
+            orow = r * m
+            for t in range(k):
+                av = a[base + t]
+                if not av:
+                    continue
+                bbase = t * m
+                for c in range(m):
+                    bv = b[bbase + c]
+                    if bv:
+                        out[orow + c] = out[orow + c] + av * bv
+        return Mat(n, m, self.field, tuple(out))
+
+    def apply(self, vec: Sequence) -> tuple:
+        """Matrix-vector product (columns hold images of basis vectors)."""
+        if len(vec) != self.cols:
+            raise ShapeMismatch("vector length %d != %d" % (len(vec), self.cols))
+        z = scalar_zero(self.field)
+        out = [z] * self.rows
+        for c, xv in enumerate(vec):
+            if not xv:
+                continue
+            for r in range(self.rows):
+                e = self.entries[r * self.cols + c]
+                if e:
+                    out[r] = out[r] + e * xv
+        return tuple(out)
+
+    def transpose(self) -> "Mat":
+        return Mat(self.cols, self.rows, self.field,
+                   tuple(self.entries[r * self.cols + c]
+                         for c in range(self.cols) for r in range(self.rows)))
+
+    def trace(self) -> Scalar:
+        if self.rows != self.cols:
+            raise ShapeMismatch("trace of a non-square matrix")
+        t = scalar_zero(self.field)
+        for k in range(self.rows):
+            t = t + self.entries[k * self.cols + k]
+        return t
+
+    def is_zero(self) -> bool:
+        return not any(self.entries)
+
+    def flatten(self) -> tuple:
+        """Row-major flattening; the fixed convention for matrix subspaces."""
+        return self.entries
+
+    @classmethod
+    def unflatten(cls, vec: Sequence, rows: int, cols: int, field: str) -> "Mat":
+        if len(vec) != rows * cols:
+            raise ShapeMismatch("flat length %d != %d*%d" % (len(vec), rows, cols))
+        return cls(rows, cols, field, tuple(vec))
+
+    def pretty(self) -> str:
+        cells = [[format_scalar(self.at(r, c)) for c in range(self.cols)]
+                 for r in range(self.rows)]
+        widths = [max(len(cells[r][c]) for r in range(self.rows)) if self.rows else 0
+                  for c in range(self.cols)]
+        return "\n".join(
+            "[ " + "  ".join(cells[r][c].rjust(widths[c]) for c in range(self.cols)) + " ]"
+            for r in range(self.rows))
+
+
+def rref(m: Mat) -> tuple[Mat, int]:
+    """Reduced row-echelon form of ``m`` and its rank; row space preserved."""
+    ech = Echelon(m.cols)
+    for r in range(m.rows):
+        ech.insert(m.row(r))
+    rows = ech.dense_rows(m.field)
+    rank = len(rows)
+    z = scalar_zero(m.field)
+    flat = []
+    for row in rows:
+        flat.extend(row)
+    flat.extend([z] * ((m.rows - rank) * m.cols))
+    return Mat(m.rows, m.cols, m.field, tuple(flat)), rank
+
+
+def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
+    """Canonical basis of the common kernel of sparse/dense constraint rows."""
+    ech = Echelon(ncols)
+    for r in rows:
+        ech.insert(r)
+    pivots = ech.rows
+    one = scalar_one(field)
+    out = Echelon(ncols)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = {f: one}
+        for p, row in pivots.items():
+            cf = row.get(f)
+            if cf:
+                v[p] = -cf
+        out.insert(v)
+    return Subspace(ncols, field, tuple(out.dense_rows(field)))
+
+
+def nullspace(m: Mat) -> "Subspace":
+    """Canonical basis of ``{v : m v = 0}``."""
+    return kernel_from_rows((m.row(r) for r in range(m.rows)), m.cols, m.field)
+
+
+def solve(m: Mat, b: Sequence) -> Optional[tuple]:
+    """Some solution of ``m x = b``, or None when the system is inconsistent."""
+    if len(b) != m.rows:
+        raise ShapeMismatch("rhs length %d != %d" % (len(b), m.rows))
+    ech = Echelon(m.cols + 1)
+    bcol = m.cols
+    for r in range(m.rows):
+        row = {c: v for c, v in enumerate(m.row(r)) if v}
+        bv = coerce_scalar(b[r], m.field)
+        if bv:
+            row[bcol] = bv
+        ech.insert(row)
+    if bcol in ech.rows:
+        return None
+    z = scalar_zero(m.field)
+    x = [z] * m.cols
+    for p, row in ech.rows.items():
+        x[p] = row.get(bcol, z)
+    return tuple(x)
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace of F^n stored by its canonical reduced-echelon basis.
+
+    Equal subspaces always have identical stored bases, so structural
+    equality decides subspace equality.
+    """
+
+    ambient_dim: int
+    field: str
+    basis: tuple  # tuple of ambient-length tuples, RREF, no zero rows
+
+    @classmethod
+    def span(cls, vectors: Iterable, ambient_dim: int, field: str = Q) -> "Subspace":
+        ech = Echelon(ambient_dim)
+        for v in vectors:
+            ech.insert(v)
+        return cls(ambient_dim, field, tuple(ech.dense_rows(field)))
+
+    @classmethod
+    def zero(cls, ambient_dim: int, field: str = Q) -> "Subspace":
+        return cls(ambient_dim, field, ())
+
+    @classmethod
+    def full(cls, ambient_dim: int, field: str = Q) -> "Subspace":
+        eye = Mat.identity(ambient_dim, field)
+        return cls(ambient_dim, field, tuple(eye.row(r) for r in range(ambient_dim)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def is_zero(self) -> bool:
+        return not self.basis
+
+    def _ech(self) -> Echelon:
+        ech = Echelon(self.ambient_dim)
+        for row in self.basis:
+            ech.rows[next(i for i, v in enumerate(row) if v)] = \
+                {c: v for c, v in enumerate(row) if v}
+        return ech
+
+    def _check(self, other: "Subspace"):
+        if self.field != other.field:
+            raise FieldMismatch("mixed fields")
+        if self.ambient_dim != other.ambient_dim:
+            raise ShapeMismatch("ambient dimension mismatch: %d vs %d"
+                                % (self.ambient_dim, other.ambient_dim))
+
+    def contains(self, v) -> bool:
+        """Membership of a vector, or of every basis vector of a subspace."""
+        if isinstance(v, Subspace):
+            self._check(v)
+            ech = self._ech()
+            return all(ech.contains(row) for row in v.basis)
+        if len(v) != self.ambient_dim:
+            raise ShapeMismatch("vector length %d != ambient %d"
+                                % (len(v), self.ambient_dim))
+        return self._ech().contains(v)
+
+    def sum(self, other: "Subspace") -> "Subspace":
+        self._check(other)
+        return Subspace.span(list(self.basis) + list(other.basis),
+                             self.ambient_dim, self.field)
+
+    def intersect(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: row-reduce [u|u] and [v|0]; zero left halves give U ∩ V."""
+        self._check(other)
+        n = self.ambient_dim
+        ech = Echelon(2 * n)
+        for u in self.basis:
+            row = {c: v for c, v in enumerate(u) if v}
+            row.update({c + n: v for c, v in enumerate(u) if v})
+            ech.insert(row)
+        for v in other.basis:
+            ech.insert({c: x for c, x in enumerate(v) if x})
+        inter = []
+        for p, row in ech.rows.items():
+            if p >= n:
+                inter.append({c - n: v for c, v in row.items()})
+        return Subspace.span(inter, n, self.field)
+
+    def coords(self, v) -> Optional[tuple]:
+        """Coordinates of ``v`` in the canonical basis, or None if outside."""
+        pivots = [next(i for i, x in enumerate(row) if x) for row in self.basis]
+        cs = tuple(v[p] for p in pivots)
+        z = scalar_zero(self.field)
+        residual = list(v)
+        for cf, row in zip(cs, self.basis):
+            if cf:
+                for i, x in enumerate(row):
+                    if x:
+                        residual[i] = residual[i] - cf * x
+        if any(residual):
+            return None
+        return cs
