@@ -1,9 +1,9 @@
 """Structure-constant algebras with Leibniz/Lie identity checking.
 
 An :class:`Algebra` is a finite-dimensional algebra given by basis labels
-and a structure tensor ``c[i][j][k]`` (coefficient of basis ``k`` in
-``[b_i, b_j]``).  The trilinear identities are decided exactly by exhaustive
-checks over basis triples.
+and a sparse bracket table ``{(i, j): ((k, coeff), ...)}`` listing the
+nonzero coefficients of ``b_k`` in ``[b_i, b_j]``.  The trilinear identities
+are decided exactly by exhaustive checks over basis triples.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .exactlin import (
     Mat,
     Subspace,
     ShapeMismatch,
+    axpy,
     coerce_scalar,
     kernel_from_rows,
     scalar_zero,
@@ -38,7 +39,16 @@ class AlgebraKind:
 class Algebra:
     field: str
     labels: tuple
-    c: tuple  # c[i][j][k], nested tuples, shape dim^3
+    # {(i, j): ((k, coeff), ...)}: keys sorted, k ascending, no zero coeffs;
+    # canonical, so equal algebras have equal tables
+    table: dict
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.field, self.labels, tuple(self.table.items())))
 
     @property
     def dim(self) -> int:
@@ -47,45 +57,39 @@ class Algebra:
     @classmethod
     def from_brackets(cls, field: str, labels: Sequence[str],
                       brackets: Mapping) -> "Algebra":
-        """Build from a sparse table ``{(i, j): [(k, coeff), ...]}``."""
+        """Build from a sparse table ``{(i, j): [(k, coeff), ...]}``; repeated
+        terms add up and zero sums are dropped."""
         dim = len(labels)
-        z = scalar_zero(field)
-        c = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), terms in brackets.items():
-            for k, cf in terms:
-                c[i][j][k] = c[i][j][k] + coerce_scalar(cf, field)
-        return cls(field, tuple(labels),
-                   tuple(tuple(tuple(row) for row in plane) for plane in c))
+        table = {}
+        for (i, j) in sorted(brackets):
+            row = {}
+            for k, cf in brackets[(i, j)]:
+                if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                    raise ShapeMismatch("bracket index out of range")
+                row[k] = row.get(k, 0) + coerce_scalar(cf, field)
+            terms = tuple((k, row[k]) for k in sorted(row) if row[k])
+            if terms:
+                table[(i, j)] = terms
+        return cls(field, tuple(labels), table)
 
     @classmethod
     def abelian(cls, dim: int, field: str = "Q", prefix: str = "e") -> "Algebra":
         return cls.from_brackets(field, ["%s%d" % (prefix, k + 1) for k in range(dim)], {})
 
     @cached_property
-    def _pairs(self):
-        """Nonzero structure entries: (i, j) -> ((k, coeff), ...)."""
-        out = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                terms = tuple((k, cf) for k, cf in enumerate(self.c[i][j]) if cf)
-                if terms:
-                    out[(i, j)] = terms
-        return out
-
-    @cached_property
     def _by_second(self):
-        """j -> {m: ((p, coeff), ...)} with c[p][j][m] = coeff nonzero."""
+        """j -> {m: ((p, coeff), ...)} with [b_p, b_j] having coeff at b_m."""
         out = [dict() for _ in range(self.dim)]
-        for (p, j), terms in self._pairs.items():
+        for (p, j), terms in self.table.items():
             for m, cf in terms:
                 out[j].setdefault(m, []).append((p, cf))
         return [{m: tuple(v) for m, v in d.items()} for d in out]
 
     @cached_property
     def _by_first(self):
-        """i -> {m: ((q, coeff), ...)} with c[i][q][m] = coeff nonzero."""
+        """i -> {m: ((q, coeff), ...)} with [b_i, b_q] having coeff at b_m."""
         out = [dict() for _ in range(self.dim)]
-        for (i, q), terms in self._pairs.items():
+        for (i, q), terms in self.table.items():
             for m, cf in terms:
                 out[i].setdefault(m, []).append((q, cf))
         return [{m: tuple(v) for m, v in d.items()} for d in out]
@@ -98,7 +102,7 @@ class Algebra:
             raise ShapeMismatch("vector length != algebra dimension")
         z = scalar_zero(self.field)
         out = [z] * self.dim
-        for (i, j), terms in self._pairs.items():
+        for (i, j), terms in self.table.items():
             xi = x[i]
             if not xi:
                 continue
@@ -127,88 +131,20 @@ class Algebra:
 
     # -- identity checks -------------------------------------------------
 
-    def _triple(self, pair_a, single_b):
-        """Accumulate sum over m of c[pair_a][m] * (row of pair with m)."""
-        acc = {}
-        for m, cf in pair_a:
-            for k, cf2 in self._pairs.get(single_b(m), ()):
-                v = acc.get(k)
-                nv = cf * cf2 if v is None else v + cf * cf2
-                if nv:
-                    acc[k] = nv
-                elif v is not None:
-                    del acc[k]
-        return acc
-
     @cached_property
     def kind(self) -> AlgebraKind:
-        """Flags decided exhaustively over basis triples (trilinear identities)."""
-        left = True
-        right = True
-        pairs = self._pairs
-        empty = ()
-        dim = self.dim
-        for i in range(dim):
-            for j in range(dim):
-                p_ij = pairs.get((i, j), empty)
-                for k in range(dim):
-                    p_jk = pairs.get((j, k), empty)
-                    p_ik = pairs.get((i, k), empty)
-                    if left:
-                        lhs = self._triple(p_jk, lambda m, i=i: (i, m))
-                        r1 = self._triple(p_ij, lambda m, k=k: (m, k))
-                        r2 = self._triple(p_ik, lambda m, j=j: (j, m))
-                        for t, v in r1.items():
-                            cur = lhs.get(t)
-                            nv = -v if cur is None else cur - v
-                            if nv:
-                                lhs[t] = nv
-                            elif cur is not None:
-                                del lhs[t]
-                        for t, v in r2.items():
-                            cur = lhs.get(t)
-                            nv = -v if cur is None else cur - v
-                            if nv:
-                                lhs[t] = nv
-                            elif cur is not None:
-                                del lhs[t]
-                        if lhs:
-                            left = False
-                    if right:
-                        lhs = self._triple(p_ij, lambda m, k=k: (m, k))
-                        r1 = self._triple(p_ik, lambda m, j=j: (m, j))
-                        r2 = self._triple(p_jk, lambda m, i=i: (i, m))
-                        for t, v in r1.items():
-                            cur = lhs.get(t)
-                            nv = -v if cur is None else cur - v
-                            if nv:
-                                lhs[t] = nv
-                            elif cur is not None:
-                                del lhs[t]
-                        for t, v in r2.items():
-                            cur = lhs.get(t)
-                            nv = -v if cur is None else cur - v
-                            if nv:
-                                lhs[t] = nv
-                            elif cur is not None:
-                                del lhs[t]
-                        if lhs:
-                            right = False
-                    if not left and not right:
-                        break
-                if not left and not right:
-                    break
-            if not left and not right:
-                break
-        antisym = all(
-            self.c[i][j][k] == -self.c[j][i][k]
-            for i in range(dim) for j in range(i, dim) for k in range(dim))
+        """Flags decided exhaustively over basis triples (trilinear identities).
+
+        L is right Leibniz iff its opposite algebra is left Leibniz, and L is
+        antisymmetric iff the opposite table is the negated table."""
+        op = {(j, i): terms for (i, j), terms in self.table.items()}
+        left = _left_leibniz(self.table, self.dim)
+        right = _left_leibniz(op, self.dim)
+        antisym = op == {key: tuple((k, -cf) for k, cf in terms)
+                         for key, terms in self.table.items()}
         return AlgebraKind(left_leibniz=left, right_leibniz=right,
                            symmetric=left and right,
                            lie=antisym and left and right)
-
-    def classify(self) -> AlgebraKind:
-        return self.kind
 
     # -- subspace machinery ----------------------------------------------
 
@@ -251,7 +187,7 @@ class Algebra:
         """Left center {x : [x,L]=0}, right center {x : [L,x]=0}, and their meet."""
         left_rows = {}
         right_rows = {}
-        for (i, j), terms in self._pairs.items():
+        for (i, j), terms in self.table.items():
             for k, cf in terms:
                 left_rows.setdefault((j, k), {})[i] = cf
                 right_rows.setdefault((i, k), {})[j] = cf
@@ -279,29 +215,34 @@ class Algebra:
         if not (ideal.contains(self.product_space(full, ideal))
                 and ideal.contains(self.product_space(ideal, full))):
             raise NotAnIdeal("subspace is not a two-sided ideal")
-        pivots = [next(i for i, x in enumerate(row) if x) for row in ideal.basis]
-        comp = [i for i in range(self.dim) if i not in pivots]
-
-        def project(v):
-            v = list(v)
-            for p, row in zip(pivots, ideal.basis):
-                cf = v[p]
-                if cf:
-                    for t, x in enumerate(row):
-                        if x:
-                            v[t] = v[t] - cf * x
-            return [v[t] for t in comp]
-
+        index = {old: new for new, old in enumerate(
+            i for i in range(self.dim) if i not in ideal.pivots)}
         brackets = {}
-        for a, ia in enumerate(comp):
-            for b, ib in enumerate(comp):
-                w = project(self.bracket(self.basis_vector(ia), self.basis_vector(ib)))
-                terms = [(t, cf) for t, cf in enumerate(w) if cf]
-                if terms:
-                    brackets[(a, b)] = terms
-        return Algebra.from_brackets(self.field, [self.labels[i] for i in comp], brackets)
+        for (i, j), terms in self.table.items():
+            if i in index and j in index:
+                v = dict(terms)
+                for p, row in zip(ideal.pivots, ideal.basis):
+                    if v.get(p):
+                        axpy(v, -v[p], enumerate(row))
+                brackets[(index[i], index[j])] = [(index[k], cf) for k, cf in v.items()]
+        return Algebra.from_brackets(self.field, [self.labels[i] for i in index],
+                                     brackets)
 
-    def relabel(self, labels: Sequence[str]) -> "Algebra":
-        if len(labels) != self.dim:
-            raise ShapeMismatch("label count mismatch")
-        return Algebra(self.field, tuple(labels), self.c)
+
+def _left_leibniz(table: Mapping, dim: int) -> bool:
+    """[x,[y,z]] = [[x,y],z] + [y,[x,z]] on every basis triple."""
+    empty = ()
+    for i in range(dim):
+        for j in range(dim):
+            ij = table.get((i, j), empty)
+            for k in range(dim):
+                acc = {}
+                for m, cf in table.get((j, k), empty):
+                    axpy(acc, cf, table.get((i, m), empty))
+                for m, cf in ij:
+                    axpy(acc, -cf, table.get((m, k), empty))
+                for m, cf in table.get((i, k), empty):
+                    axpy(acc, -cf, table.get((j, m), empty))
+                if acc:
+                    return False
+    return True

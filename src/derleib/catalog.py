@@ -130,7 +130,7 @@ def permute_basis(alg: Algebra, perm: Sequence[int]) -> Algebra:
     for new, old in enumerate(perm):
         inv[old] = new
     brackets = {}
-    for (i, j), terms in alg._pairs.items():
+    for (i, j), terms in alg.table.items():
         brackets[(inv[i], inv[j])] = [(inv[k], cf) for k, cf in terms]
     return Algebra.from_brackets(alg.field, [alg.labels[p] for p in perm], brackets)
 
@@ -148,6 +148,8 @@ def heisenberg_leibniz(n: int, a: Mat, order: str = GROUPED) -> Algebra:
     """(2n+1)-dimensional algebra with [e_i,f_j] = (d_ij + a_ij) z and
     [f_j,e_i] = (-d_ij + a_ij) z; the zero parameter gives the Heisenberg
     Lie algebra."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if a.rows != n or a.cols != n:
         raise ShapeMismatch("parameter matrix must be %d x %d" % (n, n))
     field = a.field
@@ -242,7 +244,7 @@ def realify_algebra(alg: Algebra) -> Algebra:
         if terms:
             brackets[key] = terms
 
-    for (j, k), terms in alg._pairs.items():
+    for (j, k), terms in alg.table.items():
         uu, uv = [], []
         for m, cf in terms:
             x, y = scalar_parts(cf)

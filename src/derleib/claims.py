@@ -50,6 +50,7 @@ from .exactlin import (
     QI,
     Subspace,
     format_scalar,
+    format_vector,
 )
 from .liestruct import nilradical, radical, verify_levi
 
@@ -192,10 +193,6 @@ def _heis(n: int, a: Fraction, order: str = GROUPED) -> Algebra:
     return heisenberg_leibniz(n, jordan(a, n), order)
 
 
-def _der(alg: Algebra) -> MatrixLieAlgebra:
-    return der_algebra(alg)
-
-
 # ---------------------------------------------------------------------------
 # check bookkeeping
 # ---------------------------------------------------------------------------
@@ -232,12 +229,8 @@ class _Checks:
         return (status, summary, "; ".join(self.problems))
 
 
-def _fmt_vec(v) -> str:
-    return "[" + ", ".join(format_scalar(x) for x in v) + "]"
-
-
 def _fmt_sub(s: Subspace) -> str:
-    return "{" + "; ".join(_fmt_vec(row) for row in s.basis) + "}"
+    return "{" + "; ".join(format_vector(row) for row in s.basis) + "}"
 
 
 def _named_span(der: MatrixLieAlgebra, gens: dict, names) -> Optional[Subspace]:
@@ -273,7 +266,7 @@ def _comm_table_ok(ck: _Checks, gens: dict, expected: dict):
 
 def _check_h1(params, seed):
     n, a = params["n"], params["a"]
-    der = _der(_heis(n, a))
+    der = der_algebra(_heis(n, a))
     ck = _Checks()
     ck.eq("dim Der", 3 * n + 1, der.dim)
     return ck.result("dim Der = 3n+1 = %d" % (3 * n + 1))
@@ -282,7 +275,7 @@ def _check_h1(params, seed):
 def _check_h2(params, seed):
     n, a = params["n"], params["a"]
     alg = _heis(n, a)
-    der = _der(alg)
+    der = der_algebra(alg)
     gens = heis_grouped_gens(n)
     ck = _Checks()
     for nm, m in gens.items():
@@ -304,7 +297,7 @@ def _check_h2(params, seed):
 
 def _check_h3(params, seed):
     n, a = params["n"], params["a"]
-    der = _der(_heis(n, a))
+    der = der_algebra(_heis(n, a))
     gens = heis_grouped_gens(n)
     struct = der.structure
     derived = struct.product_space(struct.full_space(), struct.full_space())
@@ -319,7 +312,7 @@ def _check_h3(params, seed):
 
 def _check_h4(params, seed):
     n, a = params["n"], params["a"]
-    der = _der(_heis(n, a))
+    der = der_algebra(_heis(n, a))
     gens = heis_grouped_gens(n)
     ck = _Checks()
     nilp, _ = der.structure.is_nilpotent()
@@ -336,7 +329,7 @@ def _check_h4(params, seed):
 
 def _check_h5(params, seed):
     n, a = params["n"], params["a"]
-    der = _der(_heis(n, a))
+    der = der_algebra(_heis(n, a))
     ck = _Checks()
     ck.eq("dim Z(Der)", 0, der.structure.centers()[2].dim)
     return ck.result("Z(Der) = 0")
@@ -396,9 +389,9 @@ def _check_h7(params, seed):
 
 def _check_h8(params, seed):
     n, a = params["n"], params["a"]
-    d_h = _der(heisenberg_lie(n)).subspace
-    d_j0 = _der(_heis(n, Fraction(0))).subspace
-    d_ja = _der(_heis(n, a)).subspace
+    d_h = der_algebra(heisenberg_lie(n)).subspace
+    d_j0 = der_algebra(_heis(n, Fraction(0))).subspace
+    d_ja = der_algebra(_heis(n, a)).subspace
     ck = _Checks()
     ck.true("Der(heisenberg-lie) contains Der(J_0)", d_h.contains(d_j0))
     ck.true("Der(J_0) contains Der(J_a)", d_j0.contains(d_ja))
@@ -407,7 +400,7 @@ def _check_h8(params, seed):
 
 def _check_z1(params, seed):
     n = params["n"]
-    der = _der(_heis(n, Fraction(0), INTERLEAVED))
+    der = der_algebra(_heis(n, Fraction(0), INTERLEAVED))
     ck = _Checks()
     ck.eq("dim Der", 4 * n + 1, der.dim)
     return ck.result("dim Der = 4n+1 = %d (n even)" % (4 * n + 1))
@@ -415,7 +408,7 @@ def _check_z1(params, seed):
 
 def _check_z2(params, seed):
     n = params["n"]
-    der = _der(_heis(n, Fraction(0), INTERLEAVED))
+    der = der_algebra(_heis(n, Fraction(0), INTERLEAVED))
     ck = _Checks()
     ck.eq("dim Der", 4 * n + 2, der.dim)
     return ck.result("dim Der = 4n+2 = %d (n odd)" % (4 * n + 2))
@@ -423,7 +416,7 @@ def _check_z2(params, seed):
 
 def _check_z3(params, seed):
     n = params["n"]
-    der = _der(_heis(n, Fraction(0), INTERLEAVED))
+    der = der_algebra(_heis(n, Fraction(0), INTERLEAVED))
     gens = j0_gens(n)
     ck = _Checks()
     solv, cls = der.structure.is_solvable()
@@ -443,7 +436,7 @@ def _check_z3(params, seed):
 
 def _check_z4(params, seed):
     n = params["n"]
-    der = _der(_heis(n, Fraction(0), INTERLEAVED))
+    der = der_algebra(_heis(n, Fraction(0), INTERLEAVED))
     gens = j0_gens(n)
     struct = der.structure
     ck = _Checks()
@@ -503,7 +496,7 @@ def _check_z5(params, seed):
 def _check_r1(params, seed):
     a = params["a"]
     alg = realify_heisenberg(1, GaussRat(a, 1), INTERLEAVED)
-    der = _der(alg)
+    der = der_algebra(alg)
     gens = l5r_gens()
     ck = _Checks()
     ck.eq("dim Der", 7, der.dim)
@@ -523,7 +516,7 @@ def _check_r1(params, seed):
 
 def _check_r2(params, seed):
     alg = realify_heisenberg(1, GaussRat(0, 1), INTERLEAVED)
-    der = _der(alg)
+    der = der_algebra(alg)
     gens = l5r_gens()
     struct = der.structure
     ck = _Checks()
@@ -552,7 +545,7 @@ def _check_r2(params, seed):
 def _check_r3(params, seed):
     complex_alg = heisenberg_leibniz(1, jordan(GaussRat(0, 1), 1), GROUPED)
     real_alg = realify_heisenberg(1, GaussRat(0, 1), INTERLEAVED)
-    der5 = _der(real_alg)
+    der5 = der_algebra(real_alg)
     rng = Random(seed)
     ck = _Checks()
 
@@ -607,7 +600,7 @@ def _check_r3(params, seed):
 
 def _check_k1(params, seed):
     n = params["n"]
-    der = _der(kronecker(n, INTERLEAVED))
+    der = der_algebra(kronecker(n, INTERLEAVED))
     ck = _Checks()
     ck.eq("dim Der", 4 * n, der.dim)
     return ck.result("dim Der = 4n = %d (n odd)" % (4 * n))
@@ -615,7 +608,7 @@ def _check_k1(params, seed):
 
 def _check_k2(params, seed):
     n = params["n"]
-    der = _der(kronecker(n, INTERLEAVED))
+    der = der_algebra(kronecker(n, INTERLEAVED))
     gens = kron_gens(n)
     ck = _Checks()
     ck.eq("dim Der", 4 * n + 1, der.dim)
@@ -626,7 +619,7 @@ def _check_k2(params, seed):
 
 def _check_k3(params, seed):
     n = params["n"]
-    der = _der(kronecker(n, INTERLEAVED))
+    der = der_algebra(kronecker(n, INTERLEAVED))
     gens = kron_gens(n)
     ck = _Checks()
     span = der.coords_span([gens["x"] - gens["y"],
@@ -641,7 +634,7 @@ def _check_k3(params, seed):
 
 def _check_k4(params, seed):
     n = params["n"]
-    der = _der(kronecker(n, INTERLEAVED))
+    der = der_algebra(kronecker(n, INTERLEAVED))
     gens = kron_gens(n)
     struct = der.structure
     ck = _Checks()
@@ -690,9 +683,9 @@ def _check_k5(params, seed):
 
 def _check_k6(params, seed):
     n, a = params["n"], params["a"]
-    d_j0 = _der(_heis(n, Fraction(0))).subspace
-    d_k = _der(kronecker(n)).subspace
-    d_ja = _der(_heis(n, a)).subspace
+    d_j0 = der_algebra(_heis(n, Fraction(0))).subspace
+    d_k = der_algebra(kronecker(n)).subspace
+    d_ja = der_algebra(_heis(n, a)).subspace
     ck = _Checks()
     ck.eq("Der(J_0) meet Der(kronecker) = Der(J_a)",
           d_ja, d_j0.intersect(d_k))
@@ -702,7 +695,7 @@ def _check_k6(params, seed):
 def _check_d1(params, seed):
     n = params["n"]
     alg = dieudonne(n)
-    der = _der(alg)
+    der = der_algebra(alg)
     gens = dieu_gens(n)
     ck = _Checks()
     ck.eq("dim Der", 3 * n + 3, der.dim)
@@ -744,7 +737,7 @@ def _check_d1(params, seed):
 
 def _check_d2(params, seed):
     n = params["n"]
-    struct = _der(dieudonne(n)).structure
+    struct = der_algebra(dieudonne(n)).structure
     ck = _Checks()
     solv, cls = struct.is_solvable()
     ck.true("Der solvable", solv)
@@ -756,7 +749,7 @@ def _check_d2(params, seed):
 
 def _check_d3(params, seed):
     n = params["n"]
-    struct = _der(dieudonne(n)).structure
+    struct = der_algebra(dieudonne(n)).structure
     ck = _Checks()
     derived = struct.product_space(struct.full_space(), struct.full_space())
     ck.eq("nilradical = commutator ideal", derived, nilradical(struct))
@@ -789,7 +782,7 @@ def _check_d4(params, seed):
 def _check_d5(params, seed):
     n = params["n"]
     alg = dieudonne(n)
-    der = _der(alg)
+    der = der_algebra(alg)
     gens = dieu_gens(n)
     ck = _Checks()
     ck.spans_equal("worked basis spans Der", _named_span(der, gens, gens),

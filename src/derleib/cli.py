@@ -25,8 +25,15 @@ from .catalog import FAMILIES, FamilySpec, GROUPED, INTERLEAVED
 from .derivations import GenusError, almost_inner_genus1, der_algebra, \
     inner_derivations
 from .dsl import Report
-from .exactlin import QI, Subspace, format_scalar, parse_scalar
-from .liestruct import InternalInvariantError, NotLie, structure_report
+from .exactlin import (
+    QI,
+    InternalInvariantError,
+    Subspace,
+    format_scalar,
+    format_vector,
+    parse_scalar,
+)
+from .liestruct import NotLie, structure_report
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -66,14 +73,10 @@ def _check_algebra_args(args, parser):
         parser.error("--family requires --n")
 
 
-def _fmt_vec(v) -> str:
-    return "[" + ", ".join(format_scalar(x) for x in v) + "]"
-
-
 def _print_subspace(title: str, sub: Subspace, out):
     out.write("%s (dim %d):\n" % (title, sub.dim))
     for row in sub.basis:
-        out.write("  %s\n" % _fmt_vec(row))
+        out.write("  %s\n" % format_vector(row))
 
 
 def _kind_line(alg: Algebra) -> str:
@@ -140,7 +143,7 @@ def cmd_derive(args, out) -> int:
     if args.table:
         struct = der.structure
         out.write("induced bracket table on the canonical Der basis:\n")
-        for (i, j), terms in sorted(struct._pairs.items()):
+        for (i, j), terms in struct.table.items():
             rhs = " + ".join(
                 ("%s %s" % (format_scalar(cf), struct.labels[k]))
                 if cf != 1 else struct.labels[k]

@@ -18,6 +18,7 @@ from .algebra import Algebra
 from .exactlin import (
     Fraction,
     GaussRat,
+    InternalInvariantError,
     Mat,
     QI,
     ShapeMismatch,
@@ -28,7 +29,7 @@ from .exactlin import (
 )
 
 
-class ClosureError(ValueError):
+class ClosureError(InternalInvariantError):
     """A matrix family that was expected to close under commutators does not."""
 
 
@@ -65,7 +66,6 @@ class MatrixLieAlgebra:
     basis: tuple  # tuple[Mat], canonical under flattening
     subspace: Subspace  # flattened, canonical
     structure: Algebra  # induced structure constants on `basis`
-    closure_verified: bool
 
     @property
     def dim(self) -> int:
@@ -78,8 +78,19 @@ class MatrixLieAlgebra:
                             ambient_dim * ambient_dim, field)
         basis = tuple(Mat.unflatten(row, ambient_dim, ambient_dim, field)
                       for row in sub.basis)
-        structure = _induced_structure(basis, sub, field)
-        return cls(ambient_dim, field, basis, sub, structure, True)
+        brackets = {}
+        for s in range(len(basis)):
+            for t in range(len(basis)):
+                if s == t:
+                    continue
+                cs = sub.coords(commutator(basis[s], basis[t]).flatten())
+                if cs is None:
+                    raise ClosureError("commutator of basis elements %d, %d "
+                                       "escapes the span" % (s, t))
+                brackets[(s, t)] = [(k, cf) for k, cf in enumerate(cs) if cf]
+        labels = ["m%d" % (k + 1) for k in range(len(basis))]
+        return cls(ambient_dim, field, basis, sub,
+                   Algebra.from_brackets(field, labels, brackets))
 
     def contains(self, d: Mat) -> bool:
         return self.subspace.contains(d.flatten())
@@ -99,41 +110,17 @@ class MatrixLieAlgebra:
         return Subspace.span(vs, self.dim, self.field)
 
 
-def _induced_structure(basis: Sequence[Mat], sub: Subspace, field: str) -> Algebra:
-    labels = ["m%d" % (k + 1) for k in range(len(basis))]
-    brackets = {}
-    for s in range(len(basis)):
-        for t in range(len(basis)):
-            if s == t:
-                continue
-            comm = commutator(basis[s], basis[t])
-            cs = sub.coords(comm.flatten())
-            if cs is None:
-                raise ClosureError("commutator of basis elements %d, %d "
-                                   "escapes the span" % (s, t))
-            terms = [(k, cf) for k, cf in enumerate(cs) if cf]
-            if terms:
-                brackets[(s, t)] = terms
-    return Algebra.from_brackets(field, labels, brackets)
-
-
-def induced_structure(mla: MatrixLieAlgebra) -> Algebra:
-    """The abstract Lie algebra carried by a verified matrix family."""
-    if not mla.closure_verified:
-        raise ClosureError("closure not verified")
-    return mla.structure
-
-
 @lru_cache(maxsize=None)
 def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
     """Der(L) as the nullspace over the d^2 matrix unknowns (row-major).
 
-    The equation for the basis pair (i, j) in output coordinate m is
+    With c[i][j][k] the coefficient of b_k in [b_i, b_j], the equation for
+    the basis pair (i, j) in output coordinate m is
     sum_k c[i][j][k] D[m][k] - sum_p c[p][j][m] D[p][i]
     - sum_q c[i][q][m] D[q][j] = 0; rows are assembled in (i, j, m) order.
     """
     d = alg.dim
-    pairs = alg._pairs
+    pairs = alg.table
     by_second = alg._by_second
     by_first = alg._by_first
     rows = []
@@ -193,7 +180,7 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     if comm.dim != 1:
         raise GenusError("commutator ideal has dimension %d, need 1" % comm.dim)
     w = comm.basis[0]
-    pw = next(i for i, x in enumerate(w) if x)
+    pw = comm.pivots[0]
     center = alg.centers()[2]
     d = alg.dim
     k = der.dim

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .exactlin import Q, QI, coerce_scalar, format_scalar, parse_scalar
+from .exactlin import Q, QI, axpy, coerce_scalar, format_scalar, parse_scalar
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -157,12 +157,7 @@ class _Parser:
                 else:
                     self.error("malformed term", lineno,
                                grp[0][1] if grp else words[-1][1])
-                cur = coeffs.get(k)
-                nv = cf if cur is None else cur + cf
-                if nv:
-                    coeffs[k] = nv
-                elif cur is not None:
-                    del coeffs[k]
+                axpy(coeffs, cf, ((k, 1),))
             if coeffs:
                 entries[key] = tuple((coeffs[k], k) for k in sorted(coeffs))
         if self.pos < len(self.lines):
@@ -199,11 +194,9 @@ def to_algebra(doc: AlgebraDoc) -> Algebra:
 
 
 def from_algebra(name: str, alg: Algebra) -> AlgebraDoc:
-    entries = []
-    for (i, j) in sorted(alg._pairs):
-        terms = tuple((cf, k) for k, cf in alg._pairs[(i, j)])
-        entries.append(((i, j), terms))
-    return AlgebraDoc(name, alg.field, alg.labels, tuple(entries))
+    entries = tuple((key, tuple((cf, k) for k, cf in terms))
+                    for key, terms in alg.table.items())
+    return AlgebraDoc(name, alg.field, alg.labels, entries)
 
 
 @dataclass(frozen=True)

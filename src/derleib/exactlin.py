@@ -11,6 +11,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 Q = "Q"
@@ -26,6 +27,10 @@ class FieldMismatch(ValueError):
 
 class ShapeMismatch(ValueError):
     """Raised on incompatible matrix/vector shapes or ambient dimensions."""
+
+
+class InternalInvariantError(RuntimeError):
+    """An internal verification failed; signals an algorithm bug."""
 
 
 class GaussRat:
@@ -215,7 +220,24 @@ def format_scalar(x: Scalar) -> str:
     return "%s%s%si" % (re, sign, abs(im))
 
 
+def format_vector(v) -> str:
+    return "[" + ", ".join(format_scalar(x) for x in v) + "]"
+
+
 SparseVec = dict  # column index -> nonzero scalar
+
+
+def axpy(acc: SparseVec, cf, vec) -> SparseVec:
+    """``acc += cf * vec`` in place; ``vec`` is an iterable of (column, value)
+    pairs, and entries that cancel are deleted.  Returns ``acc``."""
+    for c, v in vec:
+        cur = acc.get(c)
+        nv = cf * v if cur is None else cur + cf * v
+        if nv:
+            acc[c] = nv
+        elif cur is not None:
+            del acc[c]
+    return acc
 
 
 class Echelon:
@@ -242,16 +264,8 @@ class Echelon:
         out = {c: v for c, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
         for p in sorted(c for c in out if c in self.rows):
             cf = out.get(p)
-            if not cf:
-                continue
-            for c, rv in self.rows[p].items():
-                d = cf * rv
-                cur = out.get(c)
-                nv = -d if cur is None else cur - d
-                if nv:
-                    out[c] = nv
-                elif cur is not None:
-                    del out[c]
+            if cf:
+                axpy(out, -cf, self.rows[p].items())
         return out
 
     def insert(self, vec) -> bool:
@@ -264,24 +278,13 @@ class Echelon:
         row = {c: v / piv for c, v in red.items()}
         for other in self.rows.values():
             cf = other.get(p)
-            if not cf:
-                continue
-            for c, v in row.items():
-                d = cf * v
-                cur = other.get(c)
-                nv = -d if cur is None else cur - d
-                if nv:
-                    other[c] = nv
-                elif cur is not None:
-                    del other[c]
+            if cf:
+                axpy(other, -cf, row.items())
         self.rows[p] = row
         return True
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
-
-    def pivot_columns(self) -> list[int]:
-        return sorted(self.rows)
 
     def dense_rows(self, field: str) -> list[tuple]:
         zero = scalar_zero(field)
@@ -534,11 +537,15 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
+    @cached_property
+    def pivots(self) -> tuple:
+        """Pivot column of each basis row, in basis order."""
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
+
     def _ech(self) -> Echelon:
         ech = Echelon(self.ambient_dim)
-        for row in self.basis:
-            ech.rows[next(i for i, v in enumerate(row) if v)] = \
-                {c: v for c, v in enumerate(row) if v}
+        for p, row in zip(self.pivots, self.basis):
+            ech.rows[p] = {c: v for c, v in enumerate(row) if v}
         return ech
 
     def _check(self, other: "Subspace"):
@@ -583,9 +590,7 @@ class Subspace:
 
     def coords(self, v) -> Optional[tuple]:
         """Coordinates of ``v`` in the canonical basis, or None if outside."""
-        pivots = [next(i for i, x in enumerate(row) if x) for row in self.basis]
-        cs = tuple(v[p] for p in pivots)
-        z = scalar_zero(self.field)
+        cs = tuple(v[p] for p in self.pivots)
         residual = list(v)
         for cf, row in zip(cs, self.basis):
             if cf:

@@ -17,8 +17,10 @@ from typing import Optional
 from .algebra import Algebra
 from .exactlin import (
     Echelon,
+    InternalInvariantError,
     Mat,
     Subspace,
+    axpy,
     kernel_from_rows,
     rref,
     scalar_zero,
@@ -27,10 +29,6 @@ from .exactlin import (
 
 class NotLie(ValueError):
     """The operation needs a Lie algebra (antisymmetric bracket + Jacobi)."""
-
-
-class InternalInvariantError(RuntimeError):
-    """An internal verification failed; signals an algorithm bug."""
 
 
 def _require_lie(alg: Algebra):
@@ -77,7 +75,7 @@ def killing(alg: Algebra) -> KillingForm:
 def _sparse_adjoint(alg: Algebra, i: int) -> dict:
     """Adjoint of basis vector i as {row: {col: value}}."""
     out: dict = {}
-    for (a, j), terms in alg._pairs.items():
+    for (a, j), terms in alg.table.items():
         if a != i:
             continue
         for k, cf in terms:
@@ -90,16 +88,8 @@ def _sparse_mul(a: dict, b: dict):
     for r, arow in a.items():
         acc: dict = {}
         for k, av in arow.items():
-            brow = b.get(k)
-            if not brow:
-                continue
-            for c, bv in brow.items():
-                cur = acc.get(c)
-                nv = av * bv if cur is None else cur + av * bv
-                if nv:
-                    acc[c] = nv
-                elif cur is not None:
-                    del acc[c]
+            if k in b:
+                axpy(acc, av, b[k].items())
         if acc:
             out[r] = acc
     return out
@@ -164,7 +154,6 @@ def nilradical(alg: Algebra) -> Subspace:
         if len(basis) > d * d:
             raise InternalInvariantError("envelope closure did not stabilize")
     r = len(basis)
-    z = scalar_zero(alg.field)
     gram_rows = []
     for s in range(r):
         row = {}
@@ -178,15 +167,8 @@ def nilradical(alg: Algebra) -> Subspace:
     for lam in rad_coeffs.basis:
         acc: dict = {}
         for s, cf in enumerate(lam):
-            if not cf:
-                continue
-            for idx, v in _sparse_flat(basis[s], d).items():
-                cur = acc.get(idx)
-                nv = cf * v if cur is None else cur + cf * v
-                if nv:
-                    acc[idx] = nv
-                elif cur is not None:
-                    del acc[idx]
+            if cf:
+                axpy(acc, cf, _sparse_flat(basis[s], d).items())
         rad_ech.insert(acc)
     rows: dict = {}
     for i, a in enumerate(ads):

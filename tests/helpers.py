@@ -3,8 +3,8 @@
 from fractions import Fraction
 from random import Random
 
-from derleib.algebra import Algebra
-from derleib.exactlin import Mat, Q
+from derleib.algebra import Algebra, AlgebraKind
+from derleib.exactlin import Mat, Q, rref, solve
 
 
 def charpoly(m: Mat) -> list:
@@ -82,3 +82,76 @@ def random_solvable_lie(rng: Random) -> tuple:
     else:
         expected = list(range(dim))
     return alg, expected
+
+
+def naive_kind(alg: Algebra) -> AlgebraKind:
+    """Both Leibniz identities and antisymmetry, evaluated densely on every
+    basis triple through ``alg.bracket``."""
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    br = alg.bracket
+
+    def add(u, v):
+        return tuple(a + b for a, b in zip(u, v))
+
+    left = all(br(x, br(y, z)) == add(br(br(x, y), z), br(y, br(x, z)))
+               for x in e for y in e for z in e)
+    right = all(br(br(x, y), z) == add(br(br(x, z), y), br(x, br(y, z)))
+                for x in e for y in e for z in e)
+    antisym = all(not any(add(br(x, y), br(y, x))) for x in e for y in e)
+    return AlgebraKind(left_leibniz=left, right_leibniz=right,
+                       symmetric=left and right,
+                       lie=antisym and left and right)
+
+
+def _small(rng: Random):
+    return Fraction(rng.choice((-2, -1, 1, 1, 2)))
+
+
+def random_small_algebra(rng: Random) -> Algebra:
+    """A random algebra of dimension <= 4 in a random basis, drawn from
+    shapes that cover every outcome of the classification:
+
+    - ``free``: arbitrary sparse structure constants (mostly not Leibniz);
+    - ``antisym``: arbitrary antisymmetric brackets (mostly failing Jacobi);
+    - ``two_step``: brackets into the last basis vector, which is central
+      (Leibniz on both sides, Lie only when antisymmetric);
+    - ``left``: [e_0, v] = A v on V = span(e_1, ...) and all else zero, a
+      left Leibniz algebra that is right Leibniz iff A^2 = 0;
+    - ``right``: the opposite algebra of ``left``.
+    """
+    dim = rng.randint(2, 4)
+    shape = rng.choice(("free", "antisym", "two_step", "left", "right"))
+    brackets = {}
+    if shape == "free":
+        for i in range(dim):
+            for j in range(dim):
+                if rng.random() < 0.3:
+                    brackets[(i, j)] = [(rng.randrange(dim), _small(rng))]
+    elif shape == "antisym":
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                if rng.random() < 0.5:
+                    k, cf = rng.randrange(dim), _small(rng)
+                    brackets[(i, j)] = [(k, cf)]
+                    brackets[(j, i)] = [(k, -cf)]
+    elif shape == "two_step":
+        for i in range(dim - 1):
+            for j in range(dim - 1):
+                if rng.random() < 0.5:
+                    brackets[(i, j)] = [(dim - 1, _small(rng))]
+    else:
+        for j in range(1, dim):
+            terms = [(k, _small(rng)) for k in range(1, dim) if rng.random() < 0.5]
+            if terms:
+                key = (0, j) if shape == "left" else (j, 0)
+                brackets[key] = terms
+    alg = Algebra.from_brackets(Q, ["e%d" % (k + 1) for k in range(dim)], brackets)
+    # rewrite in a random basis f_i = P e_i: [f_i, f_j] = P^-1 [P e_i, P e_j]
+    while True:
+        cols = [random_vector(rng, dim) for _ in range(dim)]
+        p = Mat.from_rows([[cols[c][r] for c in range(dim)] for r in range(dim)])
+        if rref(p)[1] == dim:
+            break
+    return Algebra.from_brackets(Q, alg.labels, {
+        (i, j): list(enumerate(solve(p, alg.bracket(cols[i], cols[j]))))
+        for i in range(dim) for j in range(dim)})

@@ -1,12 +1,15 @@
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
-from derleib.algebra import Algebra, NotAnIdeal
+from derleib.algebra import Algebra, AlgebraKind, NotAnIdeal
 from derleib.catalog import dieudonne, heisenberg_leibniz, heisenberg_lie, \
     jordan, kronecker
 from derleib.derivations import der_algebra, is_derivation
 from derleib.exactlin import Mat, Q, Subspace
+
+from helpers import naive_kind, random_small_algebra
 
 
 def vec(alg, **coords):
@@ -64,6 +67,45 @@ class TestClassify:
         assert left_only.kind.left_leibniz and not left_only.kind.right_leibniz
         right_only = Algebra.from_brackets(Q, ["x", "y"], {(1, 0): [(1, 1)]})
         assert right_only.kind.right_leibniz and not right_only.kind.left_leibniz
+
+
+def _table_algebra(dim, entries):
+    return Algebra.from_brackets(Q, ["e%d" % (k + 1) for k in range(dim)],
+                                 {key: [(k, cf)] for key, k, cf in entries})
+
+
+class TestKindOracle:
+    """Algebra.kind (left identity on L and on its opposite algebra) against
+    the dense oracle evaluating both identities over basis triples."""
+
+    LEFT_ONLY = _table_algebra(2, [((0, 1), 1, 1)])  # [x,y] = y
+    RIGHT_ONLY = _table_algebra(2, [((1, 0), 1, 1)])  # [y,x] = y
+    # antisymmetric, Jacobi fails on (e1, e2, e3)
+    NOT_JACOBI = _table_algebra(3, [((0, 1), 2, 1), ((1, 0), 2, -1),
+                                    ((1, 2), 1, 1), ((2, 1), 1, -1),
+                                    ((2, 0), 2, 1), ((0, 2), 2, -1)])
+
+    def test_named_one_sided_and_non_jacobi(self):
+        assert naive_kind(self.LEFT_ONLY) == self.LEFT_ONLY.kind == \
+            AlgebraKind(True, False, False, False)
+        assert naive_kind(self.RIGHT_ONLY) == self.RIGHT_ONLY.kind == \
+            AlgebraKind(False, True, False, False)
+        assert naive_kind(self.NOT_JACOBI) == self.NOT_JACOBI.kind == \
+            AlgebraKind(False, False, False, False)
+        assert self.NOT_JACOBI.table[(0, 1)] == ((2, F(1)),)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_algebra(self, seed):
+        alg = random_small_algebra(Random(seed))
+        assert alg.kind == naive_kind(alg)
+
+    def test_random_draws_cover_every_outcome(self):
+        seen = {naive_kind(random_small_algebra(Random(seed)))
+                for seed in range(50)}
+        flags = {(k.left_leibniz, k.right_leibniz, k.lie) for k in seen}
+        assert flags >= {(True, False, False), (False, True, False),
+                         (True, True, False), (True, True, True),
+                         (False, False, False)}
 
 
 class TestProductSpaceAndSeries:
@@ -141,7 +183,7 @@ class TestQuotient:
     def test_quotient_by_zero(self):
         l5 = heisenberg_leibniz(2, jordan(F(2), 2))
         q = l5.quotient(Subspace.zero(5))
-        assert q.c == l5.c and q.labels == l5.labels
+        assert q == l5
 
     def test_quotient_by_leib_is_lie(self):
         l5 = heisenberg_leibniz(2, jordan(F(2), 2))
@@ -152,7 +194,7 @@ class TestQuotient:
         d1 = dieudonne(1)
         q = d1.quotient(Subspace.span([vec(d1, z=1)], 4))
         assert q.dim == 3
-        assert all(not any(row) for plane in q.c for row in plane)
+        assert q.table == {}
 
     def test_not_an_ideal(self):
         h3 = heisenberg_lie(1)

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from derleib import derivations
 from derleib.cli import main
 from derleib.catalog import kronecker
 from derleib.dsl import parse, to_algebra
+from derleib.exactlin import Mat
 
 SQUARE_DOC = """algebra sq field Q
 basis e z
@@ -74,6 +76,23 @@ class TestDerive:
         b = run_cli("derive", "--family", "kronecker", "--n", "2")
         assert a == b
 
+    @pytest.mark.parametrize("family", ["heisenberg-lie", "heisenberg"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_n_is_usage_error(self, family, n):
+        code, text = run_cli("derive", "--family", family, "--n", n)
+        assert code == 2 and text == ""
+
+    def test_closure_failure_is_internal_error(self, tmp_path, monkeypatch):
+        # labels unique to this test, so no cached Der(L) bypasses the check
+        path = tmp_path / "h3.alg"
+        path.write_text("algebra h3 field Q\nbasis p q r\n[p,q] = r\n"
+                        "[q,p] = -1 r\nend\n")
+        # the unit map p -> p is not a derivation, so it escapes Der(h3)
+        monkeypatch.setattr(derivations, "commutator",
+                            lambda a, b: Mat.unit(3, 3, 0, 0))
+        code, _ = run_cli("derive", str(path))
+        assert code == 3
+
 
 class TestAnalyze:
     def test_on_leibniz_algebra_skips_lie_parts(self):
@@ -112,7 +131,7 @@ class TestCatalog:
         code, text = run_cli("catalog", "--family", "kronecker", "--n", "3")
         assert code == 0
         alg = to_algebra(parse(text))
-        assert alg.c == kronecker(3).c
+        assert alg == kronecker(3)
 
     def test_realified_emission(self):
         code, text = run_cli("catalog", "--family", "realify-heisenberg",

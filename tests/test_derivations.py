@@ -20,7 +20,6 @@ from derleib.derivations import (
     almost_inner_sample,
     commutator,
     der_algebra,
-    induced_structure,
     inner_derivations,
     is_derivation,
 )
@@ -57,8 +56,7 @@ class TestDerAlgebra:
 
     def test_closure_and_induced_structure(self):
         der = der_algebra(heisenberg_leibniz(2, jordan(F(2), 2)))
-        assert der.closure_verified
-        struct = induced_structure(der)
+        struct = der.structure
         assert struct.kind.lie
         # induced tensor reproduces the matrix commutators
         for s in (0, 3, 5):
@@ -75,7 +73,7 @@ class TestDerAlgebra:
     def test_commuting_family_abelian(self):
         mats = [Mat.unit(3, 3, 0, 0), Mat.unit(3, 3, 1, 1)]
         mla = MatrixLieAlgebra.from_matrices(mats, 3, Q)
-        struct = induced_structure(mla)
+        struct = mla.structure
         full = struct.full_space()
         assert struct.product_space(full, full).is_zero()
 

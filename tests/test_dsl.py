@@ -31,7 +31,7 @@ class TestParse:
         assert doc.name == "h3" and doc.field == Q
         assert doc.labels == ("e", "f", "z")
         alg = to_algebra(doc)
-        assert alg.c[0][1][2] == 1 and alg.c[1][0][2] == -1
+        assert alg.table == {(0, 1): ((2, 1),), (1, 0): ((2, -1),)}
         assert alg.kind.lie
 
     def test_comments_and_blank_lines(self):
@@ -67,7 +67,7 @@ class TestParse:
     def test_catalog_pipeline(self):
         doc = from_algebra("k3", kronecker(3))
         reparsed = to_algebra(parse(serialize(doc)))
-        assert reparsed.c == kronecker(3).c
+        assert reparsed == kronecker(3)
         assert reparsed.kind == kronecker(3).kind
 
 

@@ -1,0 +1,40 @@
+"""Golden outputs: sha256 digests of CLI output bytes recorded from a
+reference build, so refactors of the engine must reproduce the exact text
+and JSON, not just agree with themselves between two runs."""
+
+import hashlib
+import io
+
+import pytest
+
+from derleib.cli import main
+
+GOLDEN = [
+    (("derive", "--family", "heisenberg", "--n", "2", "--a", "2", "--json"), 0,
+     "ff4f0a251e7ac4f328c57a6ddb40409f4dda9ba204ba6036030d1975af71a57d"),
+    (("derive", "--family", "heisenberg", "--n", "2", "--a", "2", "--table"), 0,
+     "5312f836b6a0207098fb3cb4bb4de8cdbd818e4d20e00a3f540d2e4f5ec19a9c"),
+    (("derive", "--family", "kronecker", "--n", "2", "--order", "interleaved",
+      "--json"), 0,
+     "efdc7bde6cec8cab37cca0a5f94e48b4a80dd9db0c4dd7c862c2f13ab1f42c85"),
+    (("derive", "--family", "kronecker", "--n", "2", "--order", "interleaved",
+      "--table"), 0,
+     "e8d63fb27161c869e1aef4b4a7038921016f29bb54ece1a563a6c576eb1f616a"),
+    (("derive", "--family", "dieudonne", "--n", "2", "--json"), 0,
+     "1ab3c9e9fbfddd377552ac9b622925fed03ee6759720eb293fdab2e168b77ef7"),
+    (("derive", "--family", "dieudonne", "--n", "2", "--table"), 0,
+     "197521d5bc870491f5849f677e107ca6f906177a4c29f598de473ca7149a1459"),
+    (("catalog", "--family", "realify-heisenberg", "--n", "1", "--a", "0",
+      "--b", "1"), 0,
+     "769b8ed1767cfd1cdb0551e799141b10b51e385eac4d0511a18c6cdaeecf94a9"),
+    (("verify-paper", "--nmax", "2", "--json"), 1,
+     "aab939d3f572b68d08bced7993ef15fd2cd7233ec48a37bb1266bb816d0e52d5"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_output_bytes_match_reference(argv, code, digest):
+    out = io.StringIO()
+    assert main(list(argv), out=out) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
