@@ -76,23 +76,18 @@ class Algebra:
     def abelian(cls, dim: int, field: str = "Q", prefix: str = "e") -> "Algebra":
         return cls.from_brackets(field, ["%s%d" % (prefix, k + 1) for k in range(dim)], {})
 
-    @cached_property
-    def _by_second(self):
-        """j -> {m: ((p, coeff), ...)} with [b_p, b_j] having coeff at b_m."""
-        out = [dict() for _ in range(self.dim)]
-        for (p, j), terms in self.table.items():
-            for m, cf in terms:
-                out[j].setdefault(m, []).append((p, cf))
-        return [{m: tuple(v) for m, v in d.items()} for d in out]
-
-    @cached_property
-    def _by_first(self):
-        """i -> {m: ((q, coeff), ...)} with [b_i, b_q] having coeff at b_m."""
-        out = [dict() for _ in range(self.dim)]
-        for (i, q), terms in self.table.items():
-            for m, cf in terms:
-                out[i].setdefault(m, []).append((q, cf))
-        return [{m: tuple(v) for m, v in d.items()} for d in out]
+    @property
+    def ops(self) -> tuple[list, list]:
+        """``(left, right)``: for each basis vector b_i, the sparse matrices
+        ``{row: {col: coeff}}`` of y -> [b_i, y] and y -> [y, b_i].  Rebuilt
+        on every call; the callers that need them often are cached."""
+        left = [{} for _ in range(self.dim)]
+        right = [{} for _ in range(self.dim)]
+        for (i, j), terms in self.table.items():
+            for k, cf in terms:
+                left[i].setdefault(k, {})[j] = cf
+                right[j].setdefault(k, {})[i] = cf
+        return left, right
 
     # -- bracket ---------------------------------------------------------
 
@@ -100,18 +95,18 @@ class Algebra:
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatch("vector length != algebra dimension")
-        z = scalar_zero(self.field)
-        out = [z] * self.dim
-        for (i, j), terms in self.table.items():
-            xi = x[i]
+        table = self.table
+        out = [scalar_zero(self.field)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for i, xi in enumerate(x):
             if not xi:
                 continue
-            yj = y[j]
-            if not yj:
-                continue
-            f = xi * yj
-            for k, cf in terms:
-                out[k] = out[k] + f * cf
+            for j, yj in ys:
+                terms = table.get((i, j))
+                if terms:
+                    f = xi * yj
+                    for k, cf in terms:
+                        out[k] = out[k] + f * cf
         return tuple(out)
 
     def basis_vector(self, i: int) -> tuple:
@@ -185,26 +180,18 @@ class Algebra:
 
     def centers(self) -> tuple[Subspace, Subspace, Subspace]:
         """Left center {x : [x,L]=0}, right center {x : [L,x]=0}, and their meet."""
-        left_rows = {}
-        right_rows = {}
-        for (i, j), terms in self.table.items():
-            for k, cf in terms:
-                left_rows.setdefault((j, k), {})[i] = cf
-                right_rows.setdefault((i, k), {})[j] = cf
-        left = kernel_from_rows(left_rows.values(), self.dim, self.field)
-        right = kernel_from_rows(right_rows.values(), self.dim, self.field)
+        lops, rops = self.ops
+        left = kernel_from_rows((row for m in rops for row in m.values()),
+                                self.dim, self.field)
+        right = kernel_from_rows((row for m in lops for row in m.values()),
+                                 self.dim, self.field)
         return left, right, left.intersect(right)
 
     def leib_ideal(self) -> Subspace:
         """Span of the squares; generated by [b_i,b_j] + [b_j,b_i] (char != 2)."""
-        vecs = []
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for j in range(i, self.dim):
-                ej = self.basis_vector(j)
-                a = self.bracket(ei, ej)
-                b = self.bracket(ej, ei)
-                vecs.append(tuple(x + y for x, y in zip(a, b)))
+        t = self.table
+        vecs = (axpy(dict(t.get((i, j), ())), 1, t.get((j, i), ()))
+                for i in range(self.dim) for j in range(i, self.dim))
         return Subspace.span(vecs, self.dim, self.field)
 
     def quotient(self, ideal: Subspace) -> "Algebra":

@@ -1,10 +1,13 @@
 """Derivation Lie algebras: Der(L), Inn(L) and the almost inner derivations.
 
 Der(L) is the exact nullspace of the linear system collecting the derivation
-identity over all basis pairs.  The result is wrapped as a
+identity over all basis pairs, built from the sparse multiplication
+operators ``Algebra.ops``.  The result is wrapped as a
 :class:`MatrixLieAlgebra`: a canonical matrix basis (under row-major
 flattening), the flattened subspace, and the induced abstract Lie algebra,
-with closure under commutators verified during construction.
+with closure under commutators verified during construction.  Commutators
+take and return dense :class:`Mat` values but multiply through the sparse
+kit of :mod:`derleib.exactlin`, since derivation matrices are mostly zero.
 """
 
 from __future__ import annotations
@@ -23,9 +26,13 @@ from .exactlin import (
     QI,
     ShapeMismatch,
     Subspace,
+    axpy,
     kernel_from_rows,
     scalar_zero,
     solve,
+    sparse_flat,
+    sparse_mul,
+    sparse_rows,
 )
 
 
@@ -34,7 +41,16 @@ class ClosureError(InternalInvariantError):
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
-    return a * b - b * a
+    """``a b - b a`` of two square matrices of one shape and field."""
+    a._check(b, True)
+    if a.rows != a.cols:
+        raise ShapeMismatch("commutator of a non-square matrix")
+    d, z = a.rows, scalar_zero(a.field)
+    sa, sb = (sparse_rows({i: x for i, x in enumerate(m.entries) if x}, d)
+              for m in (a, b))
+    flat = axpy(sparse_flat(sparse_mul(sa, sb), d), -1,
+                sparse_flat(sparse_mul(sb, sa), d).items())
+    return Mat(d, d, a.field, tuple(flat.get(i, z) for i in range(d * d)))
 
 
 def is_derivation(d: Mat, alg: Algebra) -> bool:
@@ -80,14 +96,13 @@ class MatrixLieAlgebra:
                       for row in sub.basis)
         brackets = {}
         for s in range(len(basis)):
-            for t in range(len(basis)):
-                if s == t:
-                    continue
+            for t in range(s + 1, len(basis)):
                 cs = sub.coords(commutator(basis[s], basis[t]).flatten())
                 if cs is None:
                     raise ClosureError("commutator of basis elements %d, %d "
                                        "escapes the span" % (s, t))
                 brackets[(s, t)] = [(k, cf) for k, cf in enumerate(cs) if cf]
+                brackets[(t, s)] = [(k, -cf) for k, cf in enumerate(cs) if cf]
         labels = ["m%d" % (k + 1) for k in range(len(basis))]
         return cls(ambient_dim, field, basis, sub,
                    Algebra.from_brackets(field, labels, brackets))
@@ -120,31 +135,21 @@ def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
     - sum_q c[i][q][m] D[q][j] = 0; rows are assembled in (i, j, m) order.
     """
     d = alg.dim
-    pairs = alg.table
-    by_second = alg._by_second
-    by_first = alg._by_first
+    lops, rops = alg.ops
     rows = []
     for i in range(d):
-        bf = by_first[i]
+        bf = lops[i]
         for j in range(d):
-            terms_ij = pairs.get((i, j), ())
-            bs = by_second[j]
+            terms_ij = alg.table.get((i, j), ())
+            bs = rops[j]
             if terms_ij:
                 ms: Iterable[int] = range(d)
             else:
                 ms = sorted(set(bs) | set(bf))
             for m in ms:
-                row = {}
-                for k, cf in terms_ij:
-                    idx = m * d + k
-                    row[idx] = row.get(idx, 0) + cf
-                for p, cf in bs.get(m, ()):
-                    idx = p * d + i
-                    row[idx] = row.get(idx, 0) - cf
-                for q, cf in bf.get(m, ()):
-                    idx = q * d + j
-                    row[idx] = row.get(idx, 0) - cf
-                row = {k: v for k, v in row.items() if v}
+                row = axpy({}, 1, ((m * d + k, cf) for k, cf in terms_ij))
+                axpy(row, -1, ((p * d + i, cf) for p, cf in bs.get(m, {}).items()))
+                axpy(row, -1, ((q * d + j, cf) for q, cf in bf.get(m, {}).items()))
                 if row:
                     rows.append(row)
     kernel = kernel_from_rows(rows, d * d, alg.field)

@@ -1,9 +1,14 @@
-"""Exact scalars and dense linear algebra over the rationals and Gaussian rationals.
+"""Exact scalars and linear algebra over the rationals and Gaussian rationals.
 
 Everything here is exact: scalars are `fractions.Fraction` (field tag ``Q``)
 or :class:`GaussRat` (field tag ``Qi``), and all linear algebra reduces to
-row operations with exact pivots.  Values are immutable after construction,
-so every operation is safe to call concurrently.
+row operations with exact pivots.  Vectors are dense tuples or sparse
+``{column: value}`` dicts.  Operators are sparse matrices
+``{row: {column: value}}`` without zero entries, handled by the kit
+:func:`axpy`, :func:`sparse_mul`, :func:`sparse_trace`, :func:`sparse_flat`
+and :func:`sparse_rows`; :class:`Mat` is the dense matrix of the public API.
+Values are immutable after construction, so every operation is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -240,6 +245,43 @@ def axpy(acc: SparseVec, cf, vec) -> SparseVec:
     return acc
 
 
+def sparse_mul(a: dict, b: dict) -> dict:
+    """Product ``a b`` of two sparse matrices ``{row: {column: value}}``."""
+    out = {}
+    for r, arow in a.items():
+        acc = {}
+        for k, av in arow.items():
+            if k in b:
+                axpy(acc, av, b[k].items())
+        if acc:
+            out[r] = acc
+    return out
+
+
+def sparse_trace(a: dict, b: dict):
+    """``trace(a b)`` of two sparse matrices; the int 0 when no terms meet."""
+    t = 0
+    for r, row in a.items():
+        for c, v in row.items():
+            bc = b.get(c)
+            if bc and r in bc:
+                t = t + v * bc[r]
+    return t
+
+
+def sparse_flat(a: dict, d: int) -> SparseVec:
+    """Row-major flattening of a sparse matrix with ``d`` columns."""
+    return {r * d + c: v for r, row in a.items() for c, v in row.items()}
+
+
+def sparse_rows(flat: SparseVec, d: int) -> dict:
+    """Inverse of :func:`sparse_flat`."""
+    out = {}
+    for i, v in flat.items():
+        out.setdefault(i // d, {})[i % d] = v
+    return out
+
+
 class Echelon:
     """Incremental row space kept in reduced row-echelon form.
 
@@ -304,6 +346,11 @@ class Mat:
     field: str
     entries: tuple
 
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
+            raise ShapeMismatch("%d entries for a %dx%d matrix"
+                                % (len(self.entries), self.rows, self.cols))
+
     @classmethod
     def from_rows(cls, data: Sequence[Sequence], field: str = Q) -> "Mat":
         nr = len(data)
@@ -330,6 +377,8 @@ class Mat:
 
     @classmethod
     def unit(cls, rows: int, cols: int, r: int, c: int, field: str = Q, value=1) -> "Mat":
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ShapeMismatch("entry (%d, %d) outside %dx%d" % (r, c, rows, cols))
         z = scalar_zero(field)
         flat = [z] * (rows * cols)
         flat[r * cols + c] = coerce_scalar(value, field)
@@ -542,6 +591,7 @@ class Subspace:
         """Pivot column of each basis row, in basis order."""
         return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
 
+    @cached_property
     def _ech(self) -> Echelon:
         ech = Echelon(self.ambient_dim)
         for p, row in zip(self.pivots, self.basis):
@@ -559,12 +609,14 @@ class Subspace:
         """Membership of a vector, or of every basis vector of a subspace."""
         if isinstance(v, Subspace):
             self._check(v)
-            ech = self._ech()
-            return all(ech.contains(row) for row in v.basis)
+            return all(self._ech.contains(row) for row in v.basis)
+        self._check_length(v)
+        return self._ech.contains(v)
+
+    def _check_length(self, v):
         if len(v) != self.ambient_dim:
             raise ShapeMismatch("vector length %d != ambient %d"
                                 % (len(v), self.ambient_dim))
-        return self._ech().contains(v)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -589,14 +641,10 @@ class Subspace:
         return Subspace.span(inter, n, self.field)
 
     def coords(self, v) -> Optional[tuple]:
-        """Coordinates of ``v`` in the canonical basis, or None if outside."""
-        cs = tuple(v[p] for p in self.pivots)
-        residual = list(v)
-        for cf, row in zip(cs, self.basis):
-            if cf:
-                for i, x in enumerate(row):
-                    if x:
-                        residual[i] = residual[i] - cf * x
-        if any(residual):
+        """Coordinates of ``v`` in the canonical basis, or None if outside:
+        ``v`` reduces to zero, and then its values at the pivots are the
+        coordinates, because the basis is in reduced echelon form."""
+        self._check_length(v)
+        if self._ech.reduce(v):
             return None
-        return cs
+        return tuple(v[p] for p in self.pivots)

@@ -1,11 +1,12 @@
 """Structural analysis of Lie algebras: Killing form, radical, nilradical,
 semisimplicity, and verification of claimed Levi complements.
 
-The nilradical uses the characteristic-zero associative-envelope method:
-build the associative algebra generated by the adjoint maps, take the
-radical of its trace form, and pull back.  The naive Killing-orthogonal
-shortcut is wrong over Q for mixed-weight solvable algebras; a regression
-test pins a five-dimensional counterexample.
+The nilradical uses the characteristic-zero associative-envelope method
+(de Graaf, *Lie Algebras: Theory and Algorithms*, 2000): build the
+associative algebra generated by the adjoint maps, take the radical of its
+trace form, and pull back.  The naive Killing-orthogonal shortcut is wrong
+over Q for mixed-weight solvable algebras; a regression test pins a
+five-dimensional counterexample.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .exactlin import (
     kernel_from_rows,
     rref,
     scalar_zero,
+    sparse_flat,
+    sparse_mul,
+    sparse_trace,
 )
 
 
@@ -54,59 +58,9 @@ class KillingForm:
 def killing(alg: Algebra) -> KillingForm:
     """Gram matrix of (x, y) -> trace(ad_x ad_y) on the basis."""
     _require_lie(alg)
-    d = alg.dim
-    ads = [_sparse_adjoint(alg, i) for i in range(d)]
-    z = scalar_zero(alg.field)
-    gram = [[z] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            t = z
-            for r, row in ads[i].items():
-                brows = ads[j]
-                for c, v in row.items():
-                    w = brows.get(c, {}).get(r)
-                    if w:
-                        t = t + v * w
-            gram[i][j] = t
-            gram[j][i] = t
+    ads = alg.ops[0]
+    gram = [[sparse_trace(a, b) for b in ads] for a in ads]
     return KillingForm(Mat.from_rows(gram, alg.field))
-
-
-def _sparse_adjoint(alg: Algebra, i: int) -> dict:
-    """Adjoint of basis vector i as {row: {col: value}}."""
-    out: dict = {}
-    for (a, j), terms in alg.table.items():
-        if a != i:
-            continue
-        for k, cf in terms:
-            out.setdefault(k, {})[j] = cf
-    return out
-
-
-def _sparse_mul(a: dict, b: dict):
-    out: dict = {}
-    for r, arow in a.items():
-        acc: dict = {}
-        for k, av in arow.items():
-            if k in b:
-                axpy(acc, av, b[k].items())
-        if acc:
-            out[r] = acc
-    return out
-
-
-def _sparse_flat(a: dict, d: int) -> dict:
-    return {r * d + c: v for r, row in a.items() for c, v in row.items()}
-
-
-def _sparse_trace_product(a: dict, b: dict):
-    t = None
-    for r, row in a.items():
-        for c, v in row.items():
-            w = b.get(c, {}).get(r)
-            if w:
-                t = v * w if t is None else t + v * w
-    return t
 
 
 @lru_cache(maxsize=None)
@@ -115,13 +69,8 @@ def radical(alg: Algebra, _self_check: bool = True) -> Subspace:
     _require_lie(alg)
     form = killing(alg)
     derived = alg.product_space(alg.full_space(), alg.full_space())
-    rows = []
-    for v in derived.basis:
-        gv = form.gram.apply(v)
-        row = {i: x for i, x in enumerate(gv) if x}
-        if row:
-            rows.append(row)
-    rad = kernel_from_rows(rows, alg.dim, alg.field)
+    rad = kernel_from_rows((form.gram.apply(v) for v in derived.basis),
+                           alg.dim, alg.field)
     if _self_check and rad.dim < alg.dim:
         quot = alg.quotient(rad)
         if radical(quot, False).dim != 0:
@@ -135,44 +84,37 @@ def nilradical(alg: Algebra) -> Subspace:
     associative envelope; the result is re-verified before returning."""
     _require_lie(alg)
     d = alg.dim
-    ads = [_sparse_adjoint(alg, i) for i in range(d)]
-    gen_ech = Echelon(d * d)
-    gens = [a for a in ads if a and gen_ech.insert(_sparse_flat(a, d))]
+    ads = alg.ops[0]
     env_ech = Echelon(d * d)
-    basis = []
-    for g in gens:
-        if env_ech.insert(_sparse_flat(g, d)):
-            basis.append(g)
+    gens = [a for a in ads if a and env_ech.insert(sparse_flat(a, d))]
+    basis = list(gens)
     i = 0
     while i < len(basis):
         w = basis[i]
         i += 1
         for g in gens:
-            p = _sparse_mul(w, g)
-            if p and env_ech.insert(_sparse_flat(p, d)):
+            p = sparse_mul(w, g)
+            if p and env_ech.insert(sparse_flat(p, d)):
                 basis.append(p)
         if len(basis) > d * d:
             raise InternalInvariantError("envelope closure did not stabilize")
-    r = len(basis)
-    gram_rows = []
-    for s in range(r):
-        row = {}
-        for t in range(r):
-            v = _sparse_trace_product(basis[s], basis[t])
+    gram = [{} for _ in basis]
+    for s, a in enumerate(basis):
+        for t in range(s, len(basis)):
+            v = sparse_trace(a, basis[t])
             if v:
-                row[t] = v
-        gram_rows.append(row)
-    rad_coeffs = kernel_from_rows(gram_rows, r, alg.field)
+                gram[s][t] = gram[t][s] = v  # trace(ab) = trace(ba)
+    rad_coeffs = kernel_from_rows(gram, len(basis), alg.field)
     rad_ech = Echelon(d * d)
     for lam in rad_coeffs.basis:
         acc: dict = {}
         for s, cf in enumerate(lam):
             if cf:
-                axpy(acc, cf, _sparse_flat(basis[s], d).items())
+                axpy(acc, cf, sparse_flat(basis[s], d).items())
         rad_ech.insert(acc)
     rows: dict = {}
     for i, a in enumerate(ads):
-        red = rad_ech.reduce(_sparse_flat(a, d))
+        red = rad_ech.reduce(sparse_flat(a, d))
         for c, v in red.items():
             rows.setdefault(c, {})[i] = v
     nil = kernel_from_rows(rows.values(), d, alg.field)

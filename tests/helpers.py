@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 from derleib.algebra import Algebra, AlgebraKind
-from derleib.exactlin import Mat, Q, rref, solve
+from derleib.exactlin import Mat, Q, rref, scalar_zero, solve
 
 
 def charpoly(m: Mat) -> list:
@@ -82,6 +82,16 @@ def random_solvable_lie(rng: Random) -> tuple:
     else:
         expected = list(range(dim))
     return alg, expected
+
+
+def naive_bracket(alg: Algebra, x, y) -> tuple:
+    """Bilinear extension of the structure constants by walking the whole
+    table, whatever the vectors' supports."""
+    out = [scalar_zero(alg.field)] * alg.dim
+    for (i, j), terms in alg.table.items():
+        for k, cf in terms:
+            out[k] = out[k] + x[i] * y[j] * cf
+    return tuple(out)
 
 
 def naive_kind(alg: Algebra) -> AlgebraKind:

@@ -7,9 +7,9 @@ from derleib.algebra import Algebra, AlgebraKind, NotAnIdeal
 from derleib.catalog import dieudonne, heisenberg_leibniz, heisenberg_lie, \
     jordan, kronecker
 from derleib.derivations import der_algebra, is_derivation
-from derleib.exactlin import Mat, Q, Subspace
+from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace, nullspace
 
-from helpers import naive_kind, random_small_algebra
+from helpers import naive_bracket, naive_kind, random_small_algebra
 
 
 def vec(alg, **coords):
@@ -106,6 +106,60 @@ class TestKindOracle:
         assert flags >= {(True, False, False), (False, True, False),
                          (True, True, False), (True, True, True),
                          (False, False, False)}
+
+
+def _dense(op, dim, field):
+    return Mat.from_rows([[op.get(r, {}).get(c, 0) for c in range(dim)]
+                          for r in range(dim)], field)
+
+
+def _random_scalar(rng, field):
+    x = F(rng.randint(-3, 3), rng.choice((1, 2)))
+    if rng.random() < 0.3:
+        x = F(0)
+    if field == Q:
+        return x
+    return GaussRat(x, F(rng.randint(-3, 3), rng.choice((1, 2))))
+
+
+class TestSparsePathsOracle:
+    """The table-driven bracket, ``ops``, ``centers`` and ``leib_ideal``
+    against dense computations on the same random algebras as the kind
+    oracle, over Q and over Q(i)."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_bracket(self, seed):
+        rng = Random(seed)
+        alg = random_small_algebra(rng)
+        for field in (Q, QI):
+            a = Algebra.from_brackets(field, alg.labels, alg.table)
+            for _ in range(5):
+                x = tuple(_random_scalar(rng, field) for _ in range(a.dim))
+                y = tuple(_random_scalar(rng, field) for _ in range(a.dim))
+                assert a.bracket(x, y) == naive_bracket(a, x, y)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_operators_centers_leib(self, seed):
+        alg = random_small_algebra(Random(seed))
+        d = alg.dim
+        e = [alg.basis_vector(i) for i in range(d)]
+        left, right = alg.ops
+        lads = [alg.adjoint(v, "left") for v in e]
+        rads = [alg.adjoint(v, "right") for v in e]
+        for i in range(d):
+            assert _dense(left[i], d, Q) == lads[i]
+            assert _dense(right[i], d, Q) == rads[i]
+        # x is left central iff [x, e_j] = R_j x = 0 for every j
+        lrows = [m.row(r) for m in rads for r in range(d)]
+        rrows = [m.row(r) for m in lads for r in range(d)]
+        lc, rc, both = alg.centers()
+        assert lc == nullspace(Mat.from_rows(lrows))
+        assert rc == nullspace(Mat.from_rows(rrows))
+        assert both == nullspace(Mat.from_rows(lrows + rrows))
+        squares = [tuple(a + b for a, b in zip(naive_bracket(alg, x, y),
+                                                naive_bracket(alg, y, x)))
+                   for x in e for y in e]
+        assert alg.leib_ideal() == Subspace.span(squares, d)
 
 
 class TestProductSpaceAndSeries:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -23,7 +24,7 @@ from derleib.derivations import (
     inner_derivations,
     is_derivation,
 )
-from derleib.exactlin import Mat, Q, ShapeMismatch
+from derleib.exactlin import FieldMismatch, GaussRat, Mat, Q, QI, ShapeMismatch
 
 
 class TestIsDerivation:
@@ -93,6 +94,48 @@ class TestDerAlgebra:
         d_k = der_algebra(kronecker(2)).subspace
         d_ja = der_algebra(heisenberg_leibniz(2, jordan(F(2), 2))).subspace
         assert d_j0.intersect(d_k) == d_ja
+
+
+def _random_mat(rng, d, field, density):
+    def entry():
+        if rng.random() >= density:
+            return 0
+        x = F(rng.randint(-3, 3), rng.choice((1, 2)))
+        return x if field == Q else GaussRat(x, rng.randint(-2, 2))
+    return Mat.from_rows([[entry() for _ in range(d)] for _ in range(d)], field)
+
+
+class TestCommutator:
+    """The sparse-kit commutator against the dense products."""
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    def test_against_dense(self, field):
+        rng = Random(11)
+        for d in (1, 2, 3, 5):
+            named = [Mat.zero(d, d, field), Mat.identity(d, field)]
+            mats = named + [_random_mat(rng, d, field, density)
+                            for density in (0.2, 0.5, 1.0) for _ in range(3)]
+            for a in mats:
+                for b in mats:
+                    assert commutator(a, b) == a * b - b * a
+
+    def test_shape_and_field_checked(self):
+        with pytest.raises(ShapeMismatch):
+            commutator(Mat.zero(2, 3), Mat.zero(2, 3))
+        with pytest.raises(ShapeMismatch):
+            commutator(Mat.zero(2, 2), Mat.zero(3, 3))
+        with pytest.raises(ShapeMismatch):
+            commutator(Mat.zero(2, 2), Mat.zero(2, 3))
+        with pytest.raises(FieldMismatch):
+            commutator(Mat.zero(2, 2, Q), Mat.zero(2, 2, QI))
+
+    def test_coords_checks_shape(self):
+        der = der_algebra(heisenberg_lie(1))  # 3x3 matrices
+        for m in (Mat.unit(4, 4, 0, 0), Mat.unit(2, 2, 0, 0)):
+            with pytest.raises(ShapeMismatch):
+                der.coords(m)
+            with pytest.raises(ShapeMismatch):
+                der.contains(m)
 
 
 class TestInner:

@@ -17,6 +17,10 @@ from derleib.exactlin import (
     parse_scalar,
     rref,
     solve,
+    sparse_flat,
+    sparse_mul,
+    sparse_rows,
+    sparse_trace,
 )
 
 
@@ -208,6 +212,45 @@ class TestSubspace:
         b = Mat.identity(2, QI)
         with pytest.raises(FieldMismatch):
             a * b
+
+
+class TestMatShape:
+    @pytest.mark.parametrize("build", [
+        lambda: Mat.zero(-2, -2),
+        lambda: Mat.zero(2, -1),
+        lambda: Mat.identity(-1),
+        lambda: Mat.unit(2, 2, 0, 3),
+        lambda: Mat.unit(2, 2, 2, 0),
+        lambda: Mat.unit(2, 2, -1, 0),
+        lambda: Mat(2, 2, Q, (F(0),) * 3),
+    ])
+    def test_invalid_shape_rejected(self, build):
+        with pytest.raises(ShapeMismatch):
+            build()
+
+    def test_empty_and_unit(self):
+        assert Mat.zero(0, 3).entries == ()
+        assert Mat.identity(0).entries == ()
+        assert Mat.unit(2, 3, 1, 2).entries == (F(0),) * 5 + (F(1),)
+
+
+def _sparse(m: Mat) -> dict:
+    return sparse_rows({i: x for i, x in enumerate(m.entries) if x}, m.cols)
+
+
+class TestSparseKit:
+    @pytest.mark.parametrize("field", [Q, QI])
+    def test_against_dense(self, field):
+        rng = Random(7)
+        for _ in range(20):
+            a, b = (Mat.from_rows([[F(rng.choice((0, 0, 0, 1, -2)), rng.choice((1, 3)))
+                                    for _ in range(4)] for _ in range(4)], field)
+                    for _ in range(2))
+            sa, sb = _sparse(a), _sparse(b)
+            assert sparse_mul(sa, sb) == _sparse(a * b)
+            assert sparse_trace(sa, sb) == (a * b).trace()
+            assert sparse_flat(sa, 4) == {i: x for i, x in enumerate(a.entries) if x}
+            assert sparse_rows(sparse_flat(sa, 4), 4) == sa
 
 
 class TestEchelon:

@@ -29,6 +29,15 @@ GOLDEN = [
      "769b8ed1767cfd1cdb0551e799141b10b51e385eac4d0511a18c6cdaeecf94a9"),
     (("verify-paper", "--nmax", "2", "--json"), 1,
      "aab939d3f572b68d08bced7993ef15fd2cd7233ec48a37bb1266bb816d0e52d5"),
+    (("analyze", "--family", "heisenberg-lie", "--n", "2", "--der"), 0,
+     "201128ea5b46f6874c703f270330d28b6e480fd90778921640293e2b11588dfe"),
+    (("analyze", "--family", "kronecker", "--n", "2"), 0,
+     "bc10eeab9c8fe56a3c5f42b7a2a0e46e87b20ced4f78ee8b841d42acfe25ef54"),
+    (("derive", "--family", "dieudonne", "--n", "3", "--table"), 0,
+     "c920c4b10ca8e464159c6394f0149a623cca3eadab3420f3c6741faa37189bf8"),
+    (("derive", "--family", "realify-heisenberg", "--n", "1", "--a", "1",
+      "--b", "2", "--table"), 0,
+     "cd97889548c27c389187d273dc9377aff196425525ff8bc00c30f2d7bf59669a"),
 ]
 
 
