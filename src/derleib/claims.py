@@ -1051,9 +1051,13 @@ def run_all(nmax: int = 4, a_values=DEFAULT_A, seed: int = 0,
     """Instantiate every claim over its domain clipped to nmax."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
+    reg = registry()
+    unknown = set(only or ()) - {claim.id for claim in reg}
+    if unknown:
+        raise ValueError("unknown claim id(s): %s" % ", ".join(sorted(unknown)))
     a_values = tuple(a_values)
     results = []
-    for claim in registry():
+    for claim in reg:
         if only and claim.id not in only:
             continue
         domain = claim.domain(nmax, a_values)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import __version__, claims, dsl
 from .algebra import Algebra
@@ -44,16 +43,20 @@ def _parse_a(text: str):
     return s.re if not s.im else s
 
 
+def _family_spec(args) -> FamilySpec:
+    return FamilySpec(family=args.family, n=args.n,
+                      a=_parse_a(args.a) if args.a is not None else None,
+                      b=_parse_a(args.b) if args.b is not None else None,
+                      order=args.order)
+
+
 def _load_algebra(args) -> tuple[str, Algebra]:
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
         doc = dsl.parse(text)
         return doc.name, dsl.to_algebra(doc)
-    spec = FamilySpec(family=args.family, n=args.n,
-                      a=_parse_a(args.a) if args.a is not None else None,
-                      b=Fraction(args.b) if args.b is not None else None,
-                      order=args.order)
+    spec = _family_spec(args)
     return spec.name(), spec.build()
 
 
@@ -191,11 +194,7 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_catalog(args, out) -> int:
-    spec = FamilySpec(family=args.family, n=args.n,
-                      a=_parse_a(args.a) if args.a is not None else None,
-                      b=Fraction(args.b) if args.b is not None else None,
-                      order=args.order)
-    alg = spec.build()
+    alg = _family_spec(args).build()
     doc = dsl.from_algebra("%s_%d" % (args.family.replace("-", "_"), args.n), alg)
     out.write(dsl.serialize(doc))
     return 0

@@ -175,9 +175,9 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     """Almost inner derivations of an algebra with dim [L,L] = 1, exactly.
 
     For such an algebra the bracket span of any element is either zero or
-    the whole commutator line, so a derivation is almost inner iff its image
-    lies in the commutator line and it kills every element whose two-sided
-    bracket span vanishes (the center).
+    the whole commutator line w, so a derivation D is almost inner iff
+    D(x) = phi(x) w for a linear form phi vanishing on the center: AIDer is
+    Der intersected with the span of the rank-one maps w (x) phi.
     """
     der = der_algebra(alg)
     full = alg.full_space()
@@ -185,40 +185,12 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     if comm.dim != 1:
         raise GenusError("commutator ideal has dimension %d, need 1" % comm.dim)
     w = comm.basis[0]
-    pw = comm.pivots[0]
-    center = alg.centers()[2]
     d = alg.dim
-    k = der.dim
-    rows = []
-    # image inside the commutator line: reduce each column modulo w
-    for c in range(d):
-        for r in range(d):
-            row = {}
-            for t, m in enumerate(der.basis):
-                cf = m.at(r, c) - m.at(pw, c) * w[r]
-                if cf:
-                    row[t] = cf
-            if row:
-                rows.append(row)
-    # vanishing on the center
-    for v in center.basis:
-        for r in range(d):
-            row = {}
-            for t, m in enumerate(der.basis):
-                cf = sum((m.at(r, c) * v[c] for c in range(d) if v[c]),
-                         scalar_zero(alg.field))
-                if cf:
-                    row[t] = cf
-            if row:
-                rows.append(row)
-    sol = kernel_from_rows(rows, k, alg.field)
-    mats = []
-    for lam in sol.basis:
-        acc = Mat.zero(d, d, alg.field)
-        for t, cf in enumerate(lam):
-            if cf:
-                acc = acc + der.basis[t].scale(cf)
-        mats.append(acc)
+    ann = kernel_from_rows(alg.centers()[2].basis, d, alg.field)
+    rank1 = Subspace.span(([wr * pc for wr in w for pc in phi]
+                           for phi in ann.basis), d * d, alg.field)
+    mats = [Mat.unflatten(v, d, d, alg.field)
+            for v in der.subspace.intersect(rank1).basis]
     return MatrixLieAlgebra.from_matrices(mats, d, alg.field)
 
 

@@ -168,11 +168,21 @@ def scalar_parts(x: Scalar) -> tuple[Fraction, Fraction]:
 _RAT = "[+-]?[0-9]+(?:/[0-9]+)?"
 
 
+def _rational(part: str, text: str) -> Fraction:
+    if not _re.fullmatch(_RAT, part):
+        raise ValueError("malformed scalar %r" % (text,))
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in scalar %r" % (text,)) from None
+
+
 def parse_scalar(text: str, field: str = QI) -> Scalar:
     """Parse the shared scalar syntax: ``p``, ``p/q``, ``p/q+r/si``, ``i``, ``-i``.
 
-    No whitespace is allowed inside a token.  A value with a nonzero
-    imaginary part is rejected when ``field`` is ``Q``.
+    No whitespace is allowed inside a token, and every denominator must be
+    nonzero.  A value with a nonzero imaginary part is rejected when
+    ``field`` is ``Q``.
     """
     tok = text.strip()
     if not tok or any(ch.isspace() for ch in tok):
@@ -192,22 +202,13 @@ def parse_scalar(text: str, field: str = QI) -> Scalar:
             im = _F1
         elif im_part == "-":
             im = -_F1
-        elif _re.fullmatch(_RAT, im_part):
-            im = Fraction(im_part)
         else:
-            raise ValueError("malformed scalar %r" % (text,))
-        if re_part == "":
-            re = _F0
-        elif _re.fullmatch(_RAT, re_part):
-            re = Fraction(re_part)
-        else:
-            raise ValueError("malformed scalar %r" % (text,))
+            im = _rational(im_part, text)
+        re = _rational(re_part, text) if re_part else _F0
         if field == Q and im:
             raise FieldMismatch("imaginary scalar %r in field Q" % (text,))
         return coerce_scalar(GaussRat(re, im), field)
-    if _re.fullmatch(_RAT, tok):
-        return coerce_scalar(Fraction(tok), field)
-    raise ValueError("malformed scalar %r" % (text,))
+    return coerce_scalar(_rational(tok, text), field)
 
 
 def format_scalar(x: Scalar) -> str:

@@ -2,11 +2,13 @@
 semisimplicity, and verification of claimed Levi complements.
 
 The nilradical uses the characteristic-zero associative-envelope method
-(de Graaf, *Lie Algebras: Theory and Algorithms*, 2000): build the
-associative algebra generated by the adjoint maps, take the radical of its
-trace form, and pull back.  The naive Killing-orthogonal shortcut is wrong
-over Q for mixed-weight solvable algebras; a regression test pins a
-five-dimensional counterexample.
+(de Graaf, *Lie Algebras: Theory and Algorithms*, 2000): x is in the
+nilradical iff ad_x lies in the radical of the associative algebra A
+generated by the adjoint maps, and in characteristic 0 that radical is
+{a in A : trace(ab) = 0 for all b in A}.  So the nilradical is the kernel of
+the linear conditions trace(ad_x b) = 0, one for each basis element b of A.
+The naive Killing-orthogonal shortcut is wrong over Q for mixed-weight
+solvable algebras; a regression test pins a five-dimensional counterexample.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .exactlin import (
     InternalInvariantError,
     Mat,
     Subspace,
-    axpy,
     kernel_from_rows,
     rref,
     scalar_zero,
@@ -63,25 +64,30 @@ def killing(alg: Algebra) -> KillingForm:
     return KillingForm(Mat.from_rows(gram, alg.field))
 
 
-@lru_cache(maxsize=None)
-def radical(alg: Algebra, _self_check: bool = True) -> Subspace:
-    """Killing-orthogonal of the derived algebra (char-0 radical)."""
-    _require_lie(alg)
+def _killing_orthogonal(alg: Algebra) -> Subspace:
+    """Killing-orthogonal of the derived algebra."""
     form = killing(alg)
     derived = alg.product_space(alg.full_space(), alg.full_space())
-    rad = kernel_from_rows((form.gram.apply(v) for v in derived.basis),
-                           alg.dim, alg.field)
-    if _self_check and rad.dim < alg.dim:
-        quot = alg.quotient(rad)
-        if radical(quot, False).dim != 0:
-            raise InternalInvariantError("radical self-check failed")
+    return kernel_from_rows((form.gram.apply(v) for v in derived.basis),
+                            alg.dim, alg.field)
+
+
+@lru_cache(maxsize=None)
+def radical(alg: Algebra) -> Subspace:
+    """Killing-orthogonal of the derived algebra (char-0 radical); checked by
+    requiring the same computation to give zero on the quotient."""
+    _require_lie(alg)
+    rad = _killing_orthogonal(alg)
+    if rad.dim < alg.dim and _killing_orthogonal(alg.quotient(rad)).dim != 0:
+        raise InternalInvariantError("radical self-check failed")
     return rad
 
 
 @lru_cache(maxsize=None)
 def nilradical(alg: Algebra) -> Subspace:
-    """Largest nilpotent ideal, via the trace-form radical of the adjoint
-    associative envelope; the result is re-verified before returning."""
+    """Largest nilpotent ideal: the x with trace(ad_x b) = 0 for every b in
+    the associative envelope of the adjoint maps; the result is re-verified
+    before returning."""
     _require_lie(alg)
     d = alg.dim
     ads = alg.ops[0]
@@ -98,26 +104,10 @@ def nilradical(alg: Algebra) -> Subspace:
                 basis.append(p)
         if len(basis) > d * d:
             raise InternalInvariantError("envelope closure did not stabilize")
-    gram = [{} for _ in basis]
-    for s, a in enumerate(basis):
-        for t in range(s, len(basis)):
-            v = sparse_trace(a, basis[t])
-            if v:
-                gram[s][t] = gram[t][s] = v  # trace(ab) = trace(ba)
-    rad_coeffs = kernel_from_rows(gram, len(basis), alg.field)
-    rad_ech = Echelon(d * d)
-    for lam in rad_coeffs.basis:
-        acc: dict = {}
-        for s, cf in enumerate(lam):
-            if cf:
-                axpy(acc, cf, sparse_flat(basis[s], d).items())
-        rad_ech.insert(acc)
-    rows: dict = {}
-    for i, a in enumerate(ads):
-        red = rad_ech.reduce(sparse_flat(a, d))
-        for c, v in red.items():
-            rows.setdefault(c, {})[i] = v
-    nil = kernel_from_rows(rows.values(), d, alg.field)
+    # ad_x lies in the envelope A, so it is in the trace radical of A
+    # iff trace(ad_x b) = 0 for every basis element b of A
+    rows = ([sparse_trace(a, b) for a in ads] for b in basis)
+    nil = kernel_from_rows(rows, d, alg.field)
     _verify_nilradical(alg, nil)
     return nil
 

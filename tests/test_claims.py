@@ -100,6 +100,10 @@ class TestRunAll:
         rep = run_all(nmax=2, a_values=(F(2),), only={"H1"})
         assert {c["id"] for c in rep.claims} == {"H1"}
 
+    def test_unknown_claim_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown claim id.*: AA, ZZ"):
+            run_all(nmax=1, only={"H1", "ZZ", "AA"})
+
     def test_params_serialized_exactly(self):
         rep = run_all(nmax=1, a_values=(F(1, 2),), only={"H1"})
         assert rep.claims[0]["params"]["a"] == "1/2"

@@ -43,6 +43,13 @@ class TestCheck:
         code, _ = run_cli("check", str(path))
         assert code == 2
 
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "zero.alg"
+        path.write_text("algebra zero field Q\nbasis e f z\n[e,f] = 1/0 z\nend\n")
+        code, _ = run_cli("check", str(path))
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_family_and_file_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("check")
@@ -81,6 +88,16 @@ class TestDerive:
     def test_nonpositive_n_is_usage_error(self, family, n):
         code, text = run_cli("derive", "--family", family, "--n", n)
         assert code == 2 and text == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "heisenberg", "--n", "1", "--a", "1/0"),
+        ("--family", "realify-heisenberg", "--n", "1", "--b", "1/0"),
+        ("--family", "realify-heisenberg", "--n", "1", "--b", "1.5"),
+    ])
+    def test_bad_parameter_is_usage_error(self, argv, capsys):
+        code, text = run_cli("derive", *argv)
+        assert code == 2 and text == ""
+        assert "error:" in capsys.readouterr().err
 
     def test_closure_failure_is_internal_error(self, tmp_path, monkeypatch):
         # labels unique to this test, so no cached Der(L) bypasses the check
@@ -185,3 +202,8 @@ class TestVerify:
         assert code == 0
         doc = json.loads(text)
         assert {c["id"] for c in doc["claims"]} == {"H1"}
+
+    def test_unknown_claim_is_usage_error(self, capsys):
+        code, text = run_cli("verify-paper", "--nmax", "1", "--claim", "ZZ")
+        assert code == 2 and text == ""
+        assert "ZZ" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from derleib.catalog import (
     heisenberg_lie,
     jordan,
     kronecker,
+    realify_heisenberg,
 )
 from derleib.claims import heis_grouped_gens
 from derleib.derivations import (
@@ -25,6 +26,8 @@ from derleib.derivations import (
     is_derivation,
 )
 from derleib.exactlin import FieldMismatch, GaussRat, Mat, Q, QI, ShapeMismatch
+
+from helpers import random_small_algebra
 
 
 class TestIsDerivation:
@@ -202,6 +205,58 @@ class TestAlmostInner:
             inn = inner_derivations(alg)
             assert der.subspace.contains(aid.subspace)
             assert aid.subspace.contains(inn.subspace)
+
+
+def _naive_almost_inner(d: Mat, alg: Algebra) -> bool:
+    """Genus 1: a derivation is almost inner iff its image lies in [L, L]
+    and it kills the center."""
+    full = alg.full_space()
+    comm = alg.product_space(full, full)
+    return (is_derivation(d, alg)
+            and all(comm.contains(d.col(c)) for c in range(alg.dim))
+            and all(not any(d.apply(v)) for v in alg.centers()[2].basis))
+
+
+def _aider_oracle_algebras():
+    named = [heisenberg_leibniz(2, jordan(F(1), 2)),
+             heisenberg_leibniz(2, jordan(F(-1), 2)),
+             heisenberg_leibniz(2, jordan(GaussRat(1, 2), 2)),
+             dieudonne(1), dieudonne(2),
+             realify_heisenberg(1, GaussRat(0, 1)),
+             realify_heisenberg(1, GaussRat(1, 2))]
+    randoms = []
+    for seed in range(50):
+        alg = random_small_algebra(Random(seed))
+        full = alg.full_space()
+        if alg.product_space(full, full).dim == 1:
+            randoms.append(alg)
+    out = []
+    for alg in named + randoms:
+        out.append(alg)
+        if alg.field == Q:
+            out.append(Algebra.from_brackets(QI, alg.labels, alg.table))
+    return out
+
+
+AIDER_ORACLE_ALGEBRAS = _aider_oracle_algebras()
+
+
+@pytest.mark.parametrize("idx", range(len(AIDER_ORACLE_ALGEBRAS)))
+def test_almost_inner_genus1_against_naive_predicate(idx):
+    alg = AIDER_ORACLE_ALGEBRAS[idx]
+    der = der_algebra(alg)
+    aid = almost_inner_genus1(alg)
+    for m in aid.basis:
+        assert almost_inner_sample(m, alg, trials=10, seed=idx) is None
+    rng = Random(idx)
+    combos = []
+    for _ in range(10):
+        acc = Mat.zero(alg.dim, alg.dim, alg.field)
+        for m in der.basis:
+            acc = acc + m.scale(F(rng.randint(-2, 2)))
+        combos.append(acc)
+    for d in der.basis + aid.basis + tuple(combos):
+        assert aid.contains(d) == _naive_almost_inner(d, alg)
 
 
 class TestAlmostInnerSample:

@@ -89,6 +89,14 @@ class TestParseErrors:
         assert frag in str(exc.value)
         assert exc.value.line >= 1 and exc.value.col >= 1
 
+    @pytest.mark.parametrize("scalar", ["1/0", "1+1/0i"])
+    def test_zero_denominator_reports_position(self, scalar):
+        text = "algebra a field Qi\nbasis e f z\n[e,f] = %s z\nend" % scalar
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert "zero denominator" in str(exc.value)
+        assert exc.value.line == 3 and exc.value.col >= 1
+
     def test_imaginary_scalar_in_rational_field(self):
         with pytest.raises(ParseError):
             parse("algebra a field Q\nbasis x\n[x,x] = 1+1i x\nend")

@@ -38,7 +38,8 @@ class TestScalars:
             assert parse_scalar(format_scalar(s), QI) == s
 
     def test_parse_rejects_garbage(self):
-        for text in ["", "x", "1/", "/2", "1 + 1i", "2+2", "--3", "1+i2"]:
+        for text in ["", "x", "1/", "/2", "1 + 1i", "2+2", "--3", "1+i2",
+                     "1/0", "0/0", "1/0i", "1+1/0i", "1/0+1i", "-3/0-i"]:
             with pytest.raises(ValueError):
                 parse_scalar(text, QI)
 

@@ -15,7 +15,7 @@ from derleib.catalog import (
 )
 from derleib.claims import kron_gens, l5r_gens
 from derleib.derivations import der_algebra
-from derleib.exactlin import GaussRat, Mat, Q, Subspace
+from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace
 from derleib.liestruct import (
     NotLie,
     is_semisimple,
@@ -157,6 +157,49 @@ class TestNilradical:
                     continue
                 found += 1
                 assert not ad_nilpotent(g, v)
+
+
+NILRADICAL_ORACLE_CASES = {
+    "kronecker n=1 interleaved": lambda: kronecker(1, INTERLEAVED),
+    "kronecker n=2 interleaved": lambda: kronecker(2, INTERLEAVED),
+    "heisenberg-lie n=1": lambda: heisenberg_lie(1),
+    "heisenberg-lie n=2": lambda: heisenberg_lie(2),
+    "dieudonne n=1": lambda: dieudonne(1),
+    "dieudonne n=2": lambda: dieudonne(2),
+    "J_0 n=1 interleaved": lambda: heisenberg_leibniz(1, jordan(F(0), 1),
+                                                      INTERLEAVED),
+    "J_0 n=2 interleaved": lambda: heisenberg_leibniz(2, jordan(F(0), 2),
+                                                      INTERLEAVED),
+    "heisenberg n=2 a=1": lambda: heisenberg_leibniz(2, jordan(F(1), 2)),
+    "heisenberg n=2 a=1+2i": lambda: heisenberg_leibniz(
+        2, jordan(GaussRat(1, 2), 2)),
+    "realify n=1 a=0 b=1": lambda: realify_heisenberg(1, GaussRat(0, 1)),
+    "heisenberg-lie n=1 over Qi": lambda: heisenberg_lie(1, field=QI),
+    "kronecker n=2 over Qi": lambda: kronecker(2, field=QI),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NILRADICAL_ORACLE_CASES))
+def test_nilradical_is_the_ad_nilpotent_part_of_the_radical(case):
+    """Oracle (Jacobson, *Lie Algebras*, 1962): in characteristic 0 the
+    nilradical is the set of ad-nilpotent elements of the radical."""
+    g = der_algebra(NILRADICAL_ORACLE_CASES[case]()).structure
+    nil, rad = nilradical(g), radical(g)
+    assert rad.contains(nil)
+    for v in nil.basis:
+        assert ad_nilpotent(g, v)
+    if nil == rad:
+        return
+    rng = Random(7)
+    found = 0
+    while found < 6:
+        cfs = random_vector(rng, rad.dim)
+        v = tuple(sum((cf * b[k] for cf, b in zip(cfs, rad.basis)), F(0))
+                  for k in range(g.dim))
+        if nil.contains(v):
+            continue
+        found += 1
+        assert not ad_nilpotent(g, v)
 
 
 class TestLevi:
