@@ -208,9 +208,9 @@ class Algebra:
         for (i, j), terms in self.table.items():
             if i in index and j in index:
                 v = dict(terms)
-                for p, row in zip(ideal.pivots, ideal.basis):
-                    if v.get(p):
-                        axpy(v, -v[p], enumerate(row))
+                for row in ideal.rows:
+                    if v.get(row[0][0]):
+                        axpy(v, -v[row[0][0]], row)
                 brackets[(index[i], index[j])] = [(index[k], cf) for k, cf in v.items()]
         return Algebra.from_brackets(self.field, [self.labels[i] for i in index],
                                      brackets)

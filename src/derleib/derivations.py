@@ -5,9 +5,9 @@ identity over all basis pairs, built from the sparse multiplication
 operators ``Algebra.ops``.  The result is wrapped as a
 :class:`MatrixLieAlgebra`: a canonical matrix basis (under row-major
 flattening), the flattened subspace, and the induced abstract Lie algebra,
-with closure under commutators verified during construction.  Commutators
-take and return dense :class:`Mat` values but multiply through the sparse
-kit of :mod:`derleib.exactlin`, since derivation matrices are mostly zero.
+with closure under commutators verified during construction.  The check
+brackets the sparse rows of the canonical subspace, since derivation
+matrices are mostly zero; the dense :class:`Mat` basis is only a view.
 """
 
 from __future__ import annotations
@@ -40,6 +40,12 @@ class ClosureError(InternalInvariantError):
     """A matrix family that was expected to close under commutators does not."""
 
 
+def sparse_commutator(a: dict, b: dict, d: int) -> dict:
+    """Row-major flattening of ``a b - b a`` for sparse d x d matrices."""
+    return axpy(sparse_flat(sparse_mul(a, b), d), -1,
+                sparse_flat(sparse_mul(b, a), d).items())
+
+
 def commutator(a: Mat, b: Mat) -> Mat:
     """``a b - b a`` of two square matrices of one shape and field."""
     a._check(b, True)
@@ -48,8 +54,7 @@ def commutator(a: Mat, b: Mat) -> Mat:
     d, z = a.rows, scalar_zero(a.field)
     sa, sb = (sparse_rows({i: x for i, x in enumerate(m.entries) if x}, d)
               for m in (a, b))
-    flat = axpy(sparse_flat(sparse_mul(sa, sb), d), -1,
-                sparse_flat(sparse_mul(sb, sa), d).items())
+    flat = sparse_commutator(sa, sb, d)
     return Mat(d, d, a.field, tuple(flat.get(i, z) for i in range(d * d)))
 
 
@@ -90,22 +95,29 @@ class MatrixLieAlgebra:
     @classmethod
     def from_matrices(cls, mats: Iterable[Mat], ambient_dim: int,
                       field: str) -> "MatrixLieAlgebra":
-        sub = Subspace.span((m.flatten() for m in mats),
-                            ambient_dim * ambient_dim, field)
-        basis = tuple(Mat.unflatten(row, ambient_dim, ambient_dim, field)
-                      for row in sub.basis)
+        return cls.from_subspace(Subspace.span((m.flatten() for m in mats),
+                                               ambient_dim * ambient_dim, field),
+                                 ambient_dim)
+
+    @classmethod
+    def from_subspace(cls, sub: Subspace, ambient_dim: int) -> "MatrixLieAlgebra":
+        """Wrap a subspace of flattened ambient_dim x ambient_dim matrices; a
+        bracket in it reduces to zero, and its pivot values are its coordinates."""
+        d, field = ambient_dim, sub.field
+        basis = tuple(Mat.unflatten(row, d, d, field) for row in sub.basis)
+        ops = [sparse_rows(dict(row), d) for row in sub.rows]
         brackets = {}
-        for s in range(len(basis)):
-            for t in range(s + 1, len(basis)):
-                cs = sub.coords(commutator(basis[s], basis[t]).flatten())
-                if cs is None:
+        for s in range(len(ops)):
+            for t in range(s + 1, len(ops)):
+                flat = sparse_commutator(ops[s], ops[t], d)
+                if sub.echelon.reduce(flat):
                     raise ClosureError("commutator of basis elements %d, %d "
                                        "escapes the span" % (s, t))
-                brackets[(s, t)] = [(k, cf) for k, cf in enumerate(cs) if cf]
-                brackets[(t, s)] = [(k, -cf) for k, cf in enumerate(cs) if cf]
+                cs = [(k, flat[p]) for k, p in enumerate(sub.pivots) if p in flat]
+                brackets[(s, t)] = cs
+                brackets[(t, s)] = [(k, -cf) for k, cf in cs]
         labels = ["m%d" % (k + 1) for k in range(len(basis))]
-        return cls(ambient_dim, field, basis, sub,
-                   Algebra.from_brackets(field, labels, brackets))
+        return cls(d, field, basis, sub, Algebra.from_brackets(field, labels, brackets))
 
     def contains(self, d: Mat) -> bool:
         return self.subspace.contains(d.flatten())
@@ -152,9 +164,7 @@ def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
                 axpy(row, -1, ((q * d + j, cf) for q, cf in bf.get(m, {}).items()))
                 if row:
                     rows.append(row)
-    kernel = kernel_from_rows(rows, d * d, alg.field)
-    mats = [Mat.unflatten(v, d, d, alg.field) for v in kernel.basis]
-    return MatrixLieAlgebra.from_matrices(mats, d, alg.field)
+    return MatrixLieAlgebra.from_subspace(kernel_from_rows(rows, d * d, alg.field), d)
 
 
 @lru_cache(maxsize=None)
@@ -184,14 +194,12 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     comm = alg.product_space(full, full)
     if comm.dim != 1:
         raise GenusError("commutator ideal has dimension %d, need 1" % comm.dim)
-    w = comm.basis[0]
+    w = comm.rows[0]
     d = alg.dim
-    ann = kernel_from_rows(alg.centers()[2].basis, d, alg.field)
-    rank1 = Subspace.span(([wr * pc for wr in w for pc in phi]
-                           for phi in ann.basis), d * d, alg.field)
-    mats = [Mat.unflatten(v, d, d, alg.field)
-            for v in der.subspace.intersect(rank1).basis]
-    return MatrixLieAlgebra.from_matrices(mats, d, alg.field)
+    ann = kernel_from_rows(map(dict, alg.centers()[2].rows), d, alg.field)
+    rank1 = Subspace.span(({r * d + c: x * y for r, x in w for c, y in phi}
+                           for phi in ann.rows), d * d, alg.field)
+    return MatrixLieAlgebra.from_subspace(der.subspace.intersect(rank1), d)
 
 
 def _random_scalar(rng: Random, field: str):

@@ -25,6 +25,7 @@ from .algebra import Algebra
 from .exactlin import Q, QI, axpy, coerce_scalar, format_scalar, parse_scalar
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_LEXEME = re.compile(r"[\[\],=]|[^\s\[\],=]+")
 
 
 class ParseError(ValueError):
@@ -47,20 +48,8 @@ class AlgebraDoc:
 
 
 def _words(line: str):
-    """Split a line into lexemes with 1-based column positions.
-
-    Columns are measured against the punctuation-padded line, so they are
-    approximate for tightly packed input but always monotone.
-    """
-    for ch in "[],=":
-        line = line.replace(ch, " %s " % ch)
-    out = []
-    k = 0
-    for w in line.split():
-        pos = line.find(w, k)
-        out.append((w, pos + 1))
-        k = pos + len(w)
-    return out
+    """Split a line into lexemes with their 1-based column positions."""
+    return [(m.group(), m.start() + 1) for m in _LEXEME.finditer(line)]
 
 
 class _Parser:

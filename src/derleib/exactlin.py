@@ -3,7 +3,8 @@
 Everything here is exact: scalars are `fractions.Fraction` (field tag ``Q``)
 or :class:`GaussRat` (field tag ``Qi``), and all linear algebra reduces to
 row operations with exact pivots.  Vectors are dense tuples or sparse
-``{column: value}`` dicts.  Operators are sparse matrices
+``{column: value}`` dicts; a :class:`Subspace` stores sparse echelon rows
+and makes dense tuples only as a view.  Operators are sparse matrices
 ``{row: {column: value}}`` without zero entries, handled by the kit
 :func:`axpy`, :func:`sparse_mul`, :func:`sparse_trace`, :func:`sparse_flat`
 and :func:`sparse_rows`; :class:`Mat` is the dense matrix of the public API.
@@ -329,13 +330,10 @@ class Echelon:
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
-    def dense_rows(self, field: str) -> list[tuple]:
-        zero = scalar_zero(field)
-        out = []
-        for p in sorted(self.rows):
-            row = self.rows[p]
-            out.append(tuple(row.get(c, zero) for c in range(self.ncols)))
-        return out
+    def canonical_rows(self) -> tuple:
+        """The rows in pivot order, each as ``(column, value)`` pairs in
+        ascending column order: the canonical sparse basis."""
+        return tuple(tuple(sorted(self.rows[p].items())) for p in sorted(self.rows))
 
 
 @dataclass(frozen=True)
@@ -493,17 +491,10 @@ class Mat:
 
 def rref(m: Mat) -> tuple[Mat, int]:
     """Reduced row-echelon form of ``m`` and its rank; row space preserved."""
-    ech = Echelon(m.cols)
-    for r in range(m.rows):
-        ech.insert(m.row(r))
-    rows = ech.dense_rows(m.field)
-    rank = len(rows)
-    z = scalar_zero(m.field)
-    flat = []
-    for row in rows:
-        flat.extend(row)
-    flat.extend([z] * ((m.rows - rank) * m.cols))
-    return Mat(m.rows, m.cols, m.field, tuple(flat)), rank
+    sub = Subspace.span((m.row(r) for r in range(m.rows)), m.cols, m.field)
+    pad = (scalar_zero(m.field),) * ((m.rows - sub.dim) * m.cols)
+    return Mat(m.rows, m.cols, m.field,
+               tuple(x for row in sub.basis for x in row) + pad), sub.dim
 
 
 def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
@@ -523,7 +514,7 @@ def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
             if cf:
                 v[p] = -cf
         out.insert(v)
-    return Subspace(ncols, field, tuple(out.dense_rows(field)))
+    return Subspace(ncols, field, out.canonical_rows())
 
 
 def nullspace(m: Mat) -> "Subspace":
@@ -554,22 +545,22 @@ def solve(m: Mat, b: Sequence) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^n stored by its canonical reduced-echelon basis.
-
-    Equal subspaces always have identical stored bases, so structural
-    equality decides subspace equality.
+    """A subspace of F^n stored by its canonical reduced-echelon rows:
+    ``(column, value)`` pairs in ascending column order, the pivot first with
+    value one.  Equal subspaces have identical rows, so structural equality
+    decides subspace equality; ``basis`` is the dense view of the rows.
     """
 
     ambient_dim: int
     field: str
-    basis: tuple  # tuple of ambient-length tuples, RREF, no zero rows
+    rows: tuple  # canonical sparse RREF rows, no zero rows
 
     @classmethod
     def span(cls, vectors: Iterable, ambient_dim: int, field: str = Q) -> "Subspace":
         ech = Echelon(ambient_dim)
         for v in vectors:
             ech.insert(v)
-        return cls(ambient_dim, field, tuple(ech.dense_rows(field)))
+        return cls(ambient_dim, field, ech.canonical_rows())
 
     @classmethod
     def zero(cls, ambient_dim: int, field: str = Q) -> "Subspace":
@@ -577,26 +568,33 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int, field: str = Q) -> "Subspace":
-        eye = Mat.identity(ambient_dim, field)
-        return cls(ambient_dim, field, tuple(eye.row(r) for r in range(ambient_dim)))
+        one = scalar_one(field)
+        return cls(ambient_dim, field, tuple(((k, one),) for k in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
+
+    @cached_property
+    def basis(self) -> tuple:
+        """Dense view: one ambient-length tuple per row, in pivot order."""
+        zero = scalar_zero(self.field)
+        return tuple(tuple(row.get(c, zero) for c in range(self.ambient_dim))
+                     for row in map(dict, self.rows))
 
     @cached_property
     def pivots(self) -> tuple:
-        """Pivot column of each basis row, in basis order."""
-        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
+        """Pivot column of each row, in row order."""
+        return tuple(row[0][0] for row in self.rows)
 
     @cached_property
-    def _ech(self) -> Echelon:
+    def echelon(self) -> Echelon:
+        """The rows as an :class:`Echelon` to reduce against; read only."""
         ech = Echelon(self.ambient_dim)
-        for p, row in zip(self.pivots, self.basis):
-            ech.rows[p] = {c: v for c, v in enumerate(row) if v}
+        ech.rows = {row[0][0]: dict(row) for row in self.rows}
         return ech
 
     def _check(self, other: "Subspace"):
@@ -610,9 +608,9 @@ class Subspace:
         """Membership of a vector, or of every basis vector of a subspace."""
         if isinstance(v, Subspace):
             self._check(v)
-            return all(self._ech.contains(row) for row in v.basis)
+            return all(self.echelon.contains(dict(row)) for row in v.rows)
         self._check_length(v)
-        return self._ech.contains(v)
+        return self.echelon.contains(v)
 
     def _check_length(self, v):
         if len(v) != self.ambient_dim:
@@ -621,7 +619,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.span(list(self.basis) + list(other.basis),
+        return Subspace.span(map(dict, self.rows + other.rows),
                              self.ambient_dim, self.field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -629,23 +627,19 @@ class Subspace:
         self._check(other)
         n = self.ambient_dim
         ech = Echelon(2 * n)
-        for u in self.basis:
-            row = {c: v for c, v in enumerate(u) if v}
-            row.update({c + n: v for c, v in enumerate(u) if v})
-            ech.insert(row)
-        for v in other.basis:
-            ech.insert({c: x for c, x in enumerate(v) if x})
-        inter = []
-        for p, row in ech.rows.items():
-            if p >= n:
-                inter.append({c - n: v for c, v in row.items()})
-        return Subspace.span(inter, n, self.field)
+        for row in self.rows:
+            ech.insert(dict(row + tuple((c + n, v) for c, v in row)))
+        for row in other.rows:
+            ech.insert(dict(row))
+        return Subspace.span(({c - n: v for c, v in row.items()}
+                              for p, row in ech.rows.items() if p >= n),
+                             n, self.field)
 
     def coords(self, v) -> Optional[tuple]:
         """Coordinates of ``v`` in the canonical basis, or None if outside:
         ``v`` reduces to zero, and then its values at the pivots are the
         coordinates, because the basis is in reduced echelon form."""
         self._check_length(v)
-        if self._ech.reduce(v):
+        if self.echelon.reduce(v):
             return None
         return tuple(v[p] for p in self.pivots)

@@ -94,6 +94,20 @@ def naive_bracket(alg: Algebra, x, y) -> tuple:
     return tuple(out)
 
 
+def naive_structure(mla) -> Algebra:
+    """Induced bracket table of a matrix Lie algebra, the dense way: the
+    matrix product ``a b - b a`` of every ordered pair of basis matrices,
+    read in basis coordinates through ``Subspace.coords``."""
+    brackets = {}
+    for s, a in enumerate(mla.basis):
+        for t, b in enumerate(mla.basis):
+            cs = mla.subspace.coords((a * b - b * a).flatten())
+            assert cs is not None, "bracket %d, %d escapes the span" % (s, t)
+            brackets[(s, t)] = list(enumerate(cs))
+    return Algebra.from_brackets(mla.field, ["m%d" % (k + 1) for k in range(mla.dim)],
+                                 brackets)
+
+
 def naive_kind(alg: Algebra) -> AlgebraKind:
     """Both Leibniz identities and antisymmetry, evaluated densely on every
     basis triple through ``alg.bracket``."""

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from derleib import claims
 from derleib.claims import (
     DEFAULT_A,
     dieu_gens,
@@ -13,6 +14,7 @@ from derleib.claims import (
 from derleib.catalog import dieudonne
 from derleib.derivations import is_derivation
 from derleib.dsl import report_json
+from derleib.exactlin import Mat
 
 REG = {c.id: c for c in registry()}
 
@@ -63,6 +65,14 @@ class TestIndividualClaims:
             assert len(gens) == 3 * n + 3
             for name, m in gens.items():
                 assert is_derivation(m, alg), (n, name)
+
+    def test_h2_refutes_a_generator_outside_der(self, monkeypatch):
+        named = claims.heis_grouped_gens
+        monkeypatch.setattr(claims, "heis_grouped_gens",
+                            lambda n: {**named(n), "x": Mat.identity(2 * n + 1)})
+        r = run_claim(REG["H2"], {"n": 2, "a": F(2)})
+        assert r.status == "refuted"
+        assert "x is a derivation" in r.actual
 
     def test_r3_deterministic_given_seed(self):
         a = run_claim(REG["R3"], {"n": 1}, master_seed=7)

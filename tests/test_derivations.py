@@ -13,7 +13,13 @@ from derleib.catalog import (
     kronecker,
     realify_heisenberg,
 )
-from derleib.claims import heis_grouped_gens
+from derleib.claims import (
+    dieu_gens,
+    heis_grouped_gens,
+    j0_gens,
+    kron_gens,
+    l5r_gens,
+)
 from derleib.derivations import (
     ClosureError,
     GenusError,
@@ -25,9 +31,17 @@ from derleib.derivations import (
     inner_derivations,
     is_derivation,
 )
-from derleib.exactlin import FieldMismatch, GaussRat, Mat, Q, QI, ShapeMismatch
+from derleib.exactlin import (
+    FieldMismatch,
+    GaussRat,
+    Mat,
+    Q,
+    QI,
+    ShapeMismatch,
+    Subspace,
+)
 
-from helpers import random_small_algebra
+from helpers import naive_structure, random_small_algebra
 
 
 class TestIsDerivation:
@@ -85,6 +99,12 @@ class TestDerAlgebra:
         with pytest.raises(ClosureError):
             MatrixLieAlgebra.from_matrices(
                 [Mat.unit(2, 2, 0, 1), Mat.unit(2, 2, 1, 0)], 2, Q)
+
+    def test_from_subspace_rejects_non_closed_span(self):
+        sub = Subspace.span([Mat.unit(2, 2, 0, 1).flatten(),
+                             Mat.unit(2, 2, 1, 0).flatten()], 4, Q)
+        with pytest.raises(ClosureError):
+            MatrixLieAlgebra.from_subspace(sub, 2)
 
     def test_a_independence(self):
         subs = {der_algebra(heisenberg_leibniz(2, jordan(a, 2))).subspace
@@ -257,6 +277,59 @@ def test_almost_inner_genus1_against_naive_predicate(idx):
         combos.append(acc)
     for d in der.basis + aid.basis + tuple(combos):
         assert aid.contains(d) == _naive_almost_inner(d, alg)
+
+
+def _catalog_upto_3():
+    """(algebra, named generators) for the catalog members with n <= 3;
+    the generators are {} where the claims name none for that basis."""
+    out = []
+    for n in (1, 2, 3):
+        for a in (F(2), F(1), F(-1), F(0)):
+            out.append((heisenberg_leibniz(n, jordan(a, n)), heis_grouped_gens(n)))
+        out.append((heisenberg_leibniz(n, jordan(F(0), n), INTERLEAVED), j0_gens(n)))
+        out.append((heisenberg_lie(n), {}))
+        out.append((kronecker(n), {}))
+        out.append((kronecker(n, INTERLEAVED), kron_gens(n)))
+        out.append((dieudonne(n), dieu_gens(n)))
+    out.append((heisenberg_leibniz(2, jordan(GaussRat(1, 2), 2)), {}))
+    out.append((realify_heisenberg(1, GaussRat(0, 1), INTERLEAVED), l5r_gens()))
+    out.append((realify_heisenberg(1, GaussRat(1, 2)), {}))
+    return out
+
+
+ORACLE_CASES = (_catalog_upto_3()
+                + [(random_small_algebra(Random(seed)), {}) for seed in range(50)])
+
+
+@pytest.mark.parametrize("idx", range(len(ORACLE_CASES)))
+def test_induced_structure_against_dense_commutators(idx):
+    alg = ORACLE_CASES[idx][0]
+    mlas = [der_algebra(alg)]
+    if alg.kind.left_leibniz:
+        mlas.append(inner_derivations(alg))
+    full = alg.full_space()
+    if alg.product_space(full, full).dim == 1:
+        mlas.append(almost_inner_genus1(alg))
+    for mla in mlas:
+        assert mla.structure == naive_structure(mla)
+
+
+@pytest.mark.parametrize("idx", range(len(ORACLE_CASES)))
+def test_der_membership_matches_is_derivation(idx):
+    alg, gens = ORACLE_CASES[idx]
+    der = der_algebra(alg)
+    rng = Random(idx)
+    d = alg.dim
+    probes = list(gens.values())
+    for _ in range(6):
+        acc = Mat.zero(d, d, alg.field)
+        for m in der.basis:
+            acc = acc + m.scale(F(rng.randint(-2, 2), rng.choice((1, 2))))
+        probes.append(acc)
+        probes.append(acc + Mat.unit(d, d, rng.randrange(d), rng.randrange(d),
+                                     alg.field, rng.choice((1, -1, F(1, 2)))))
+    for m in probes:
+        assert der.contains(m) == is_derivation(m, alg)
 
 
 class TestAlmostInnerSample:

@@ -97,6 +97,16 @@ class TestParseErrors:
         assert "zero denominator" in str(exc.value)
         assert exc.value.line == 3 and exc.value.col >= 1
 
+    @pytest.mark.parametrize("text,line,col", [
+        ("algebra a field Qi\nbasis e f z\n[e,f] = 1/0 z\nend", 3, 9),
+        ("algebra a field Q\nbasis x\n[x,y] = x\nend", 3, 4),
+        ("algebra a field Q\nbasis x\n  [x, x]=  x + 2 q\nend", 3, 18),
+    ])
+    def test_error_column_is_exact(self, text, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+
     def test_imaginary_scalar_in_rational_field(self):
         with pytest.raises(ParseError):
             parse("algebra a field Q\nbasis x\n[x,x] = 1+1i x\nend")

@@ -13,6 +13,7 @@ from derleib.exactlin import (
     ShapeMismatch,
     Subspace,
     format_scalar,
+    kernel_from_rows,
     nullspace,
     parse_scalar,
     rref,
@@ -262,3 +263,98 @@ class TestEchelon:
         assert ech.insert({2: F(5)})
         assert ech.rank == 2
         assert ech.contains({0: F(3), 1: F(3), 2: F(7)})
+
+
+def _oracle_rows(rng, field):
+    """Seeded random rows over Q or Q(i): parts in {-3..3}/{1,2}, about 40%
+    of the entries zero."""
+    def part():
+        return F(rng.randint(-3, 3), rng.choice((1, 2)))
+
+    def entry():
+        if rng.random() < 0.4:
+            return F(0) if field == Q else GaussRat()
+        return part() if field == Q else GaussRat(part(), part())
+    ncols = rng.randint(1, 6)
+    return [tuple(entry() for _ in range(ncols))
+            for _ in range(rng.randint(1, 5))], ncols
+
+
+class TestSparseRowsAgainstSympy:
+    """The sparse canonical rows, their dense view and the operations that
+    read them, checked against sympy's exact linear algebra."""
+
+    @staticmethod
+    def _to_sympy(x):
+        sympy = pytest.importorskip("sympy")
+        re, im = (x.re, x.im) if isinstance(x, GaussRat) else (x, F(0))
+        return (sympy.Rational(re.numerator, re.denominator)
+                + sympy.I * sympy.Rational(im.numerator, im.denominator))
+
+    @staticmethod
+    def _from_sympy(e, field):
+        sympy = pytest.importorskip("sympy")
+        re, im = (F(int(p.p), int(p.q)) for p in
+                  (sympy.Rational(q) for q in sympy.expand_complex(e).as_real_imag()))
+        return re if field == Q else GaussRat(re, im)
+
+    def _matrix(self, rows):
+        sympy = pytest.importorskip("sympy")
+        return sympy.Matrix([[self._to_sympy(x) for x in row] for row in rows])
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_span_is_sympy_rref(self, field, seed):
+        rows, ncols = _oracle_rows(Random(seed), field)
+        sub = Subspace.span(rows, ncols, field)
+        red = self._matrix(rows).rref(simplify=True)[0]
+        want = [tuple(self._from_sympy(x, field) for x in red.row(r))
+                for r in range(red.rows)]
+        want = [row for row in want if any(row)]
+        assert list(sub.basis) == want
+        for row, dense in zip(sub.rows, sub.basis):
+            assert row == tuple((c, x) for c, x in enumerate(dense) if x)
+            assert row[0][1] == 1
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_kernel_spans_sympy_nullspace(self, field, seed):
+        rows, ncols = _oracle_rows(Random(100 + seed), field)
+        kernel = kernel_from_rows(rows, ncols, field)
+        null = [tuple(self._from_sympy(x, field) for x in v)
+                for v in self._matrix(rows).nullspace(simplify=True)]
+        assert kernel == Subspace.span(null, ncols, field)
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_intersection_dimension(self, field, seed):
+        rng = Random(200 + seed)
+        ru, ncols = _oracle_rows(rng, field)
+        rv = [row[:ncols] + (F(0),) * (ncols - len(row))
+              for row in _oracle_rows(rng, field)[0]]
+        u, v = Subspace.span(ru, ncols, field), Subspace.span(rv, ncols, field)
+        dim_u = self._matrix(ru).rank(simplify=True)
+        dim_v = self._matrix(rv).rank(simplify=True)
+        dim_sum = self._matrix(ru + rv).rank(simplify=True)
+        assert (u.dim, v.dim, u.sum(v).dim) == (dim_u, dim_v, dim_sum)
+        meet = u.intersect(v)
+        assert meet.dim == dim_u + dim_v - dim_sum
+        assert u.contains(meet) and v.contains(meet)
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_coords_rebuild_and_shuffled_spans(self, field, seed):
+        rng = Random(300 + seed)
+        rows, ncols = _oracle_rows(rng, field)
+        sub = Subspace.span(rows, ncols, field)
+        zero = F(0) if field == Q else GaussRat()
+        for row in rows:
+            cs = sub.coords(row)
+            rebuilt = [zero] * ncols
+            for cf, b in zip(cs, sub.basis):
+                rebuilt = [x + cf * y for x, y in zip(rebuilt, b)]
+            assert tuple(rebuilt) == row
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        again = Subspace.span(shuffled, ncols, field)
+        assert again == sub and hash(again) == hash(sub)
