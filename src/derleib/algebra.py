@@ -154,19 +154,25 @@ class Algebra:
         return Subspace.span(vecs, self.dim, self.field)
 
     def series(self, kind: Literal["lower_central", "derived"] = "lower_central"):
-        """Strictly decreasing until stabilization; ends in 0 iff nilpotent/solvable."""
-        full = self.full_space()
-        terms = [full]
-        while True:
-            prev = terms[-1]
-            if prev.is_zero():
-                break
-            left = full if kind == "lower_central" else prev
-            nxt = self.product_space(left, prev)
-            if nxt == prev:
-                break
-            terms.append(nxt)
-        return terms
+        """Strictly decreasing until stabilization; ends in 0 iff nilpotent/solvable.
+        Built once per algebra and kind; each call returns a new list."""
+        terms = self._series.get(kind)
+        if terms is None:
+            full = self.full_space()
+            terms = [full]
+            while not terms[-1].is_zero():
+                prev = terms[-1]
+                left = full if kind == "lower_central" else prev
+                nxt = self.product_space(left, prev)
+                if nxt == prev:
+                    break
+                terms.append(nxt)
+            self._series[kind] = terms = tuple(terms)
+        return list(terms)
+
+    @cached_property
+    def _series(self) -> dict:
+        return {}  # kind -> tuple of terms, filled by `series`
 
     def is_nilpotent(self) -> tuple[bool, int]:
         terms = self.series("lower_central")

@@ -14,22 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Algebra
 from .exactlin import (
-    Fraction,
-    GaussRat,
     InternalInvariantError,
     Mat,
-    QI,
     ShapeMismatch,
     Subspace,
     axpy,
     kernel_from_rows,
     scalar_zero,
-    solve,
     sparse_flat,
     sparse_mul,
     sparse_rows,
@@ -200,39 +195,3 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     rank1 = Subspace.span(({r * d + c: x * y for r, x in w for c, y in phi}
                            for phi in ann.rows), d * d, alg.field)
     return MatrixLieAlgebra.from_subspace(der.subspace.intersect(rank1), d)
-
-
-def _random_scalar(rng: Random, field: str):
-    num = rng.randint(-3, 3)
-    den = rng.choice((1, 2))
-    x = Fraction(num, den)
-    if field != QI:
-        return x
-    return GaussRat(x, Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
-
-
-def almost_inner_sample(d: Mat, alg: Algebra, trials: int = 40,
-                        seed: int = 0) -> Optional[tuple]:
-    """Randomized falsifier for almost-innerness (any commutator genus).
-
-    Draws pseudorandom elements x with small rational entries and checks
-    that d(x) lies in the two-sided bracket span of x.  Returns the first
-    failing x as a witness, or None when all trials pass.  A pass is
-    evidence, not a proof.
-    """
-    if not is_derivation(d, alg):
-        raise ValueError("input is not a derivation")
-    rng = Random(seed)
-    dim = alg.dim
-    for _ in range(trials):
-        x = tuple(_random_scalar(rng, alg.field) for _ in range(dim))
-        cols = []
-        for j in range(dim):
-            ej = alg.basis_vector(j)
-            cols.append(alg.bracket(ej, x))
-            cols.append(alg.bracket(x, ej))
-        m = Mat(dim, 2 * dim, alg.field,
-                tuple(cols[c][r] for r in range(dim) for c in range(2 * dim)))
-        if solve(m, d.apply(x)) is None:
-            return x
-    return None

@@ -453,19 +453,6 @@ class Mat:
                     out[r] = out[r] + e * xv
         return tuple(out)
 
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, self.field,
-                   tuple(self.entries[r * self.cols + c]
-                         for c in range(self.cols) for r in range(self.rows)))
-
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ShapeMismatch("trace of a non-square matrix")
-        t = scalar_zero(self.field)
-        for k in range(self.rows):
-            t = t + self.entries[k * self.cols + k]
-        return t
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 
@@ -520,27 +507,6 @@ def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
 def nullspace(m: Mat) -> "Subspace":
     """Canonical basis of ``{v : m v = 0}``."""
     return kernel_from_rows((m.row(r) for r in range(m.rows)), m.cols, m.field)
-
-
-def solve(m: Mat, b: Sequence) -> Optional[tuple]:
-    """Some solution of ``m x = b``, or None when the system is inconsistent."""
-    if len(b) != m.rows:
-        raise ShapeMismatch("rhs length %d != %d" % (len(b), m.rows))
-    ech = Echelon(m.cols + 1)
-    bcol = m.cols
-    for r in range(m.rows):
-        row = {c: v for c, v in enumerate(m.row(r)) if v}
-        bv = coerce_scalar(b[r], m.field)
-        if bv:
-            row[bcol] = bv
-        ech.insert(row)
-    if bcol in ech.rows:
-        return None
-    z = scalar_zero(m.field)
-    x = [z] * m.cols
-    for p, row in ech.rows.items():
-        x[p] = row.get(bcol, z)
-    return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -609,13 +575,18 @@ class Subspace:
         if isinstance(v, Subspace):
             self._check(v)
             return all(self.echelon.contains(dict(row)) for row in v.rows)
-        self._check_length(v)
+        self._check_vector(v)
         return self.echelon.contains(v)
 
-    def _check_length(self, v):
-        if len(v) != self.ambient_dim:
-            raise ShapeMismatch("vector length %d != ambient %d"
-                                % (len(v), self.ambient_dim))
+    def _check_vector(self, v):
+        """A dense vector must have the ambient length, a sparse one only
+        columns inside the ambient space."""
+        n = self.ambient_dim
+        if isinstance(v, dict):
+            if v and not (0 <= min(v) and max(v) < n):
+                raise ShapeMismatch("vector column outside ambient %d" % n)
+        elif len(v) != n:
+            raise ShapeMismatch("vector length %d != ambient %d" % (len(v), n))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -639,7 +610,10 @@ class Subspace:
         """Coordinates of ``v`` in the canonical basis, or None if outside:
         ``v`` reduces to zero, and then its values at the pivots are the
         coordinates, because the basis is in reduced echelon form."""
-        self._check_length(v)
+        self._check_vector(v)
         if self.echelon.reduce(v):
             return None
+        if isinstance(v, dict):
+            zero = scalar_zero(self.field)
+            return tuple(v.get(p, zero) for p in self.pivots)
         return tuple(v[p] for p in self.pivots)

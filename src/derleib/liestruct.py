@@ -1,14 +1,17 @@
 """Structural analysis of Lie algebras: Killing form, radical, nilradical,
-semisimplicity, and verification of claimed Levi complements.
+and verification of claimed Levi complements.
 
-The nilradical uses the characteristic-zero associative-envelope method
-(de Graaf, *Lie Algebras: Theory and Algorithms*, 2000): x is in the
-nilradical iff ad_x lies in the radical of the associative algebra A
-generated by the adjoint maps, and in characteristic 0 that radical is
-{a in A : trace(ab) = 0 for all b in A}.  So the nilradical is the kernel of
-the linear conditions trace(ad_x b) = 0, one for each basis element b of A.
-The naive Killing-orthogonal shortcut is wrong over Q for mixed-weight
-solvable algebras; a regression test pins a five-dimensional counterexample.
+The radical is the Killing-orthogonal of the derived algebra (char 0),
+checked by requiring the quotient by it to be semisimple.  The nilradical is
+the set of x in the radical R with ad_x nilpotent (Jacobson, *Lie Algebras*,
+1962).  ad(R) is solvable, so by Lie's theorem the associative algebra A_R
+it generates is triangularizable; in characteristic 0 its radical, the
+nilpotent elements, is {a in A_R : trace(ab) = 0 for all b in A_R} (de
+Graaf, *Lie Algebras: Theory and Algorithms*, 2000).  So the nilradical is
+the kernel of trace(ad_x b) = 0 over x in R, one condition per basis
+element b of A_R; a Levi factor never enters the envelope.  The naive
+Killing-orthogonal shortcut is wrong over Q for mixed-weight solvable
+algebras; a regression test pins a five-dimensional counterexample.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from .exactlin import (
     InternalInvariantError,
     Mat,
     Subspace,
+    axpy,
     kernel_from_rows,
     rref,
     scalar_zero,
     sparse_flat,
     sparse_mul,
+    sparse_rows,
     sparse_trace,
 )
 
@@ -55,42 +60,54 @@ class KillingForm:
                    scalar_zero(self.gram.field))
 
 
+def _gram(alg: Algebra) -> Mat:
+    """Gram matrix of (x, y) -> trace(ad_x ad_y) on the basis; uncached."""
+    ads = alg.ops[0]
+    return Mat.from_rows([[sparse_trace(a, b) for b in ads] for a in ads],
+                         alg.field)
+
+
 @lru_cache(maxsize=None)
 def killing(alg: Algebra) -> KillingForm:
-    """Gram matrix of (x, y) -> trace(ad_x ad_y) on the basis."""
+    """The Killing form of a Lie algebra."""
     _require_lie(alg)
-    ads = alg.ops[0]
-    gram = [[sparse_trace(a, b) for b in ads] for a in ads]
-    return KillingForm(Mat.from_rows(gram, alg.field))
+    return KillingForm(_gram(alg))
 
 
-def _killing_orthogonal(alg: Algebra) -> Subspace:
-    """Killing-orthogonal of the derived algebra."""
-    form = killing(alg)
+def _killing_orthogonal(alg: Algebra, gram: Mat) -> Subspace:
+    """Orthogonal of the derived algebra under the form with Gram matrix ``gram``."""
     derived = alg.product_space(alg.full_space(), alg.full_space())
-    return kernel_from_rows((form.gram.apply(v) for v in derived.basis),
+    return kernel_from_rows((gram.apply(v) for v in derived.basis),
                             alg.dim, alg.field)
 
 
 @lru_cache(maxsize=None)
 def radical(alg: Algebra) -> Subspace:
     """Killing-orthogonal of the derived algebra (char-0 radical); checked by
-    requiring the same computation to give zero on the quotient."""
+    requiring the same computation to give zero on the quotient.  A quotient
+    of a Lie algebra by an ideal is Lie, so the check reads the quotient's
+    Gram matrix without classifying it again."""
     _require_lie(alg)
-    rad = _killing_orthogonal(alg)
-    if rad.dim < alg.dim and _killing_orthogonal(alg.quotient(rad)).dim != 0:
-        raise InternalInvariantError("radical self-check failed")
+    rad = _killing_orthogonal(alg, killing(alg).gram)
+    if rad.dim < alg.dim:
+        q = alg.quotient(rad)
+        if _killing_orthogonal(q, _gram(q)).dim != 0:
+            raise InternalInvariantError("radical self-check failed")
     return rad
 
 
 @lru_cache(maxsize=None)
 def nilradical(alg: Algebra) -> Subspace:
-    """Largest nilpotent ideal: the x with trace(ad_x b) = 0 for every b in
-    the associative envelope of the adjoint maps; the result is re-verified
-    before returning."""
+    """Largest nilpotent ideal: the x in the radical with trace(ad_x b) = 0
+    for every b in the associative envelope of the adjoints of the radical's
+    basis; the result is re-verified before returning."""
     _require_lie(alg)
+    rad = radical(alg)
+    if rad.is_zero():
+        return rad
     d = alg.dim
-    ads = alg.ops[0]
+    flats = [sparse_flat(a, d).items() for a in alg.ops[0]]
+    ads = [sparse_rows(_combine(flats, row), d) for row in rad.rows]
     env_ech = Echelon(d * d)
     gens = [a for a in ads if a and env_ech.insert(sparse_flat(a, d))]
     basis = list(gens)
@@ -104,12 +121,24 @@ def nilradical(alg: Algebra) -> Subspace:
                 basis.append(p)
         if len(basis) > d * d:
             raise InternalInvariantError("envelope closure did not stabilize")
-    # ad_x lies in the envelope A, so it is in the trace radical of A
-    # iff trace(ad_x b) = 0 for every basis element b of A
+    # ad_x lies in the envelope A_R, so it is in the trace radical of A_R
+    # iff trace(ad_x b) = 0 for every basis element b of A_R; solve over the
+    # radical's coordinates and map the kernel back through its rows
     rows = ([sparse_trace(a, b) for a in ads] for b in basis)
-    nil = kernel_from_rows(rows, d, alg.field)
+    kernel = kernel_from_rows(rows, rad.dim, alg.field)
+    nil = Subspace.span((_combine(rad.rows, row) for row in kernel.rows),
+                        d, alg.field)
     _verify_nilradical(alg, nil)
     return nil
+
+
+def _combine(vecs, coeffs) -> dict:
+    """``sum c * vecs[k]`` over the ``(k, c)`` pairs of ``coeffs``; each
+    vector is a sequence of ``(column, value)`` pairs."""
+    acc = {}
+    for k, c in coeffs:
+        axpy(acc, c, vecs[k])
+    return acc
 
 
 def _verify_nilradical(alg: Algebra, nil: Subspace):
@@ -123,12 +152,6 @@ def _verify_nilradical(alg: Algebra, nil: Subspace):
             return
         term = alg.product_space(nil, term)
     raise InternalInvariantError("nilradical candidate is not nilpotent")
-
-
-def is_semisimple(alg: Algebra) -> bool:
-    """Cartan criterion: nondegenerate Killing form."""
-    _require_lie(alg)
-    return killing(alg).rank == alg.dim
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,129 @@
 
 from fractions import Fraction
 from random import Random
+from typing import Optional
 
 from derleib.algebra import Algebra, AlgebraKind
-from derleib.exactlin import Mat, Q, rref, scalar_zero, solve
+from derleib.derivations import is_derivation
+from derleib.exactlin import (
+    Echelon,
+    GaussRat,
+    InternalInvariantError,
+    Mat,
+    Q,
+    QI,
+    ShapeMismatch,
+    Subspace,
+    coerce_scalar,
+    kernel_from_rows,
+    rref,
+    scalar_zero,
+    sparse_flat,
+    sparse_mul,
+    sparse_trace,
+)
+from derleib.liestruct import killing
+
+
+def transpose(m: Mat) -> Mat:
+    return Mat(m.cols, m.rows, m.field,
+               tuple(m.entries[r * m.cols + c]
+                     for c in range(m.cols) for r in range(m.rows)))
+
+
+def trace(m: Mat):
+    if m.rows != m.cols:
+        raise ShapeMismatch("trace of a non-square matrix")
+    t = scalar_zero(m.field)
+    for k in range(m.rows):
+        t = t + m.entries[k * m.cols + k]
+    return t
+
+
+def solve(m: Mat, b) -> Optional[tuple]:
+    """Some solution of ``m x = b``, or None when the system is inconsistent."""
+    if len(b) != m.rows:
+        raise ShapeMismatch("rhs length %d != %d" % (len(b), m.rows))
+    ech = Echelon(m.cols + 1)
+    bcol = m.cols
+    for r in range(m.rows):
+        row = {c: v for c, v in enumerate(m.row(r)) if v}
+        bv = coerce_scalar(b[r], m.field)
+        if bv:
+            row[bcol] = bv
+        ech.insert(row)
+    if bcol in ech.rows:
+        return None
+    z = scalar_zero(m.field)
+    x = [z] * m.cols
+    for p, row in ech.rows.items():
+        x[p] = row.get(bcol, z)
+    return tuple(x)
+
+
+def is_semisimple(alg: Algebra) -> bool:
+    """Cartan criterion: nondegenerate Killing form."""
+    return killing(alg).rank == alg.dim
+
+
+def naive_nilradical(alg: Algebra) -> Subspace:
+    """The x with trace(ad_x b) = 0 for every b in the associative envelope
+    of all d adjoint maps (de Graaf 2000), Levi factor included; the result
+    is not re-verified."""
+    assert alg.kind.lie
+    d = alg.dim
+    ads = alg.ops[0]
+    env_ech = Echelon(d * d)
+    gens = [a for a in ads if a and env_ech.insert(sparse_flat(a, d))]
+    basis = list(gens)
+    i = 0
+    while i < len(basis):
+        w = basis[i]
+        i += 1
+        for g in gens:
+            p = sparse_mul(w, g)
+            if p and env_ech.insert(sparse_flat(p, d)):
+                basis.append(p)
+        if len(basis) > d * d:
+            raise InternalInvariantError("envelope closure did not stabilize")
+    rows = ([sparse_trace(a, b) for a in ads] for b in basis)
+    return kernel_from_rows(rows, d, alg.field)
+
+
+def _random_scalar(rng: Random, field: str):
+    num = rng.randint(-3, 3)
+    den = rng.choice((1, 2))
+    x = Fraction(num, den)
+    if field != QI:
+        return x
+    return GaussRat(x, Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+
+
+def almost_inner_sample(d: Mat, alg: Algebra, trials: int = 40,
+                        seed: int = 0) -> Optional[tuple]:
+    """Randomized falsifier for almost-innerness (any commutator genus).
+
+    Draws pseudorandom elements x with small rational entries and checks
+    that d(x) lies in the two-sided bracket span of x.  Returns the first
+    failing x as a witness, or None when all trials pass.  A pass is
+    evidence, not a proof.
+    """
+    if not is_derivation(d, alg):
+        raise ValueError("input is not a derivation")
+    rng = Random(seed)
+    dim = alg.dim
+    for _ in range(trials):
+        x = tuple(_random_scalar(rng, alg.field) for _ in range(dim))
+        cols = []
+        for j in range(dim):
+            ej = alg.basis_vector(j)
+            cols.append(alg.bracket(ej, x))
+            cols.append(alg.bracket(x, ej))
+        m = Mat(dim, 2 * dim, alg.field,
+                tuple(cols[c][r] for r in range(dim) for c in range(2 * dim)))
+        if solve(m, d.apply(x)) is None:
+            return x
+    return None
 
 
 def charpoly(m: Mat) -> list:
@@ -13,11 +133,11 @@ def charpoly(m: Mat) -> list:
     n = m.rows
     coeffs = [Fraction(1)]
     mk = m
-    ck = -mk.trace()
+    ck = -trace(mk)
     coeffs.append(ck)
     for k in range(2, n + 1):
         mk = m * (mk + Mat.identity(n, m.field).scale(ck))
-        ck = -mk.trace() / k
+        ck = -trace(mk) / k
         coeffs.append(ck)
     return coeffs
 

@@ -29,8 +29,8 @@ from derleib.derivations import (
 )
 from derleib.dsl import ParseError, parse, serialize
 from derleib.exactlin import GaussRat, Mat, Q, Subspace
-from derleib.liestruct import is_semisimple, nilradical, verify_levi
-from helpers import ad_nilpotent, random_solvable_lie, random_vector
+from derleib.liestruct import nilradical, verify_levi
+from helpers import ad_nilpotent, is_semisimple, random_solvable_lie, random_vector, transpose
 
 REG = {c.id: c for c in registry()}
 
@@ -302,7 +302,7 @@ def test_criterion_7_property_suites():
         rng.shuffle(perm)
         p = Mat.from_rows([[1 if r == perm[c] else 0 for c in range(d)]
                            for r in range(d)])
-        pinv = p.transpose()
+        pinv = transpose(p)
         conj = Subspace.span([(pinv * m * p).flatten()
                               for m in der_algebra(alg).basis], d * d, Q)
         check(failures, "%s: Der commutes with permutation" % tag,

@@ -22,7 +22,7 @@ from derleib.catalog import (
 )
 from derleib.derivations import der_algebra
 from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace
-from helpers import charpoly, mat_power_is_zero
+from helpers import charpoly, mat_power_is_zero, transpose
 
 
 def vec(alg, **coords):
@@ -187,7 +187,7 @@ class TestPermutations:
         permuted = permute_basis(l5, perm)
         p = Mat.from_rows([[1 if r == perm[c] else 0 for c in range(5)]
                            for r in range(5)])
-        pinv = p.transpose()  # permutation matrices are orthogonal
+        pinv = transpose(p)  # permutation matrices are orthogonal
         conj = [pinv * m * p for m in der_algebra(l5).basis]
         lhs = der_algebra(permuted).subspace
         rhs = Subspace.span([m.flatten() for m in conj], 25, Q)

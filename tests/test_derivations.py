@@ -25,7 +25,6 @@ from derleib.derivations import (
     GenusError,
     MatrixLieAlgebra,
     almost_inner_genus1,
-    almost_inner_sample,
     commutator,
     der_algebra,
     inner_derivations,
@@ -41,7 +40,7 @@ from derleib.exactlin import (
     Subspace,
 )
 
-from helpers import naive_structure, random_small_algebra
+from helpers import almost_inner_sample, naive_structure, random_small_algebra
 
 
 class TestIsDerivation:

@@ -17,12 +17,12 @@ from derleib.exactlin import (
     nullspace,
     parse_scalar,
     rref,
-    solve,
     sparse_flat,
     sparse_mul,
     sparse_rows,
     sparse_trace,
 )
+from helpers import solve, trace, transpose
 
 
 def rand_mat(rng, rows, cols, field=Q):
@@ -86,8 +86,8 @@ class TestRref:
         for _ in range(5):
             m = rand_mat(rng, 5, 7)
             r, rank = rref(m)
-            mt = m.transpose()
-            rt = r.transpose()
+            mt = transpose(m)
+            rt = transpose(r)
             for k in range(5):
                 assert solve(rt, m.row(k)) is not None
             for k in range(rank):
@@ -201,6 +201,30 @@ class TestSubspace:
         assert tuple(rebuilt) == v
         assert u.coords((F(1), F(0), F(0))) is None
 
+    def test_sparse_vector_checked_by_column_range(self):
+        full = Subspace.full(3)
+        assert full.contains({0: F(1)})
+        assert full.contains({})
+        assert full.coords({2: F(5)}) == (F(0), F(0), F(5))
+        u = Subspace.span([(F(1), F(0), F(1))], 3)
+        assert u.contains({0: F(2), 2: F(2)})
+        assert not u.contains({1: F(1)})
+        assert u.coords({0: F(3), 2: F(3)}) == (F(3),)
+        assert u.coords({1: F(1)}) is None
+        for bad in ({3: F(1)}, {-1: F(1)}, {1: F(0), 2: F(0), 3: F(1)}):
+            with pytest.raises(ShapeMismatch):
+                u.contains(bad)
+            with pytest.raises(ShapeMismatch):
+                u.coords(bad)
+
+    def test_dense_vector_checked_by_length(self):
+        u = Subspace.span([(F(1), F(0), F(1))], 3)
+        for bad in ((F(1),), (F(1), F(0), F(1), F(0))):
+            with pytest.raises(ShapeMismatch):
+                u.contains(bad)
+            with pytest.raises(ShapeMismatch):
+                u.coords(bad)
+
     def test_ambient_mismatch(self):
         u = Subspace.span([(F(1),)], 1)
         v = Subspace.span([(F(1), F(0))], 2)
@@ -250,7 +274,7 @@ class TestSparseKit:
                     for _ in range(2))
             sa, sb = _sparse(a), _sparse(b)
             assert sparse_mul(sa, sb) == _sparse(a * b)
-            assert sparse_trace(sa, sb) == (a * b).trace()
+            assert sparse_trace(sa, sb) == trace(a * b)
             assert sparse_flat(sa, 4) == {i: x for i, x in enumerate(a.entries) if x}
             assert sparse_rows(sparse_flat(sa, 4), 4) == sa
 

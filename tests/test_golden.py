@@ -31,6 +31,8 @@ GOLDEN = [
      "aab939d3f572b68d08bced7993ef15fd2cd7233ec48a37bb1266bb816d0e52d5"),
     (("analyze", "--family", "heisenberg-lie", "--n", "2", "--der"), 0,
      "201128ea5b46f6874c703f270330d28b6e480fd90778921640293e2b11588dfe"),
+    (("analyze", "--family", "heisenberg-lie", "--n", "3", "--der"), 0,
+     "60461b6bbca1d72918da51082c78953dfede3d191231b7b9b1d8aa989a11d2cb"),
     (("analyze", "--family", "kronecker", "--n", "2"), 0,
      "bc10eeab9c8fe56a3c5f42b7a2a0e46e87b20ced4f78ee8b841d42acfe25ef54"),
     (("derive", "--family", "dieudonne", "--n", "3", "--table"), 0,

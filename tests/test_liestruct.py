@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from derleib import liestruct
 from derleib.algebra import Algebra
 from derleib.catalog import (
     INTERLEAVED,
@@ -14,18 +15,31 @@ from derleib.catalog import (
     realify_heisenberg,
 )
 from derleib.claims import kron_gens, l5r_gens
-from derleib.derivations import der_algebra
-from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace
+from derleib.derivations import MatrixLieAlgebra, der_algebra
+from derleib.exactlin import (
+    GaussRat,
+    InternalInvariantError,
+    Mat,
+    Q,
+    QI,
+    Subspace,
+)
 from derleib.liestruct import (
     NotLie,
-    is_semisimple,
     killing,
     nilradical,
     radical,
     structure_report,
     verify_levi,
 )
-from helpers import ad_nilpotent, random_solvable_lie, random_vector
+from helpers import (
+    ad_nilpotent,
+    is_semisimple,
+    naive_nilradical,
+    random_small_algebra,
+    random_solvable_lie,
+    random_vector,
+)
 
 
 def two_dim_solvable():
@@ -202,6 +216,86 @@ def test_nilradical_is_the_ad_nilpotent_part_of_the_radical(case):
         assert not ad_nilpotent(g, v)
 
 
+def _naive_nilradical_cases():
+    """Lie algebras on which the radical's envelope is checked against the
+    envelope of all adjoints: the Der of the left Leibniz members of 50
+    random small algebras and the Lie members themselves, the Der of every
+    Jacobson oracle case, 30 random solvable algebras and the rotation-swap
+    counterexample."""
+    out = []
+    for seed in range(50):
+        alg = random_small_algebra(Random(seed))
+        if alg.kind.left_leibniz:
+            out.append(("random %d Der" % seed, der_algebra(alg).structure))
+        if alg.kind.lie:
+            out.append(("random %d" % seed, alg))
+    for case in sorted(NILRADICAL_ORACLE_CASES):
+        out.append((case + " Der",
+                    der_algebra(NILRADICAL_ORACLE_CASES[case]()).structure))
+    rng = Random(202)
+    for k in range(30):
+        out.append(("solvable %d" % k, random_solvable_lie(rng)[0]))
+    out.append(("rotation-swap", rotation_swap_counterexample()))
+    return out
+
+
+NAIVE_NILRADICAL_CASES = _naive_nilradical_cases()
+
+
+@pytest.mark.parametrize("case", NAIVE_NILRADICAL_CASES,
+                         ids=[name for name, _ in NAIVE_NILRADICAL_CASES])
+def test_nilradical_matches_naive_envelope(case):
+    g = case[1]
+    assert nilradical(g) == naive_nilradical(g)
+
+
+def _sl2_triple():
+    gens = kron_gens(2)
+    return MatrixLieAlgebra.from_matrices(
+        [gens["x"] - gens["y"], gens["c3"], gens["b3"]], 5, Q).structure
+
+
+class TestNilradicalEdges:
+    def test_semisimple_has_zero_radical_and_nilradical(self):
+        g = _sl2_triple()
+        assert radical(g).is_zero()
+        assert nilradical(g) == Subspace.zero(3) == naive_nilradical(g)
+
+    def test_central_radical_element(self):
+        # gl2 = sl2 + <c>: the radical is the centre, where ad_c = 0
+        sl2 = _sl2_triple()
+        g = Algebra.from_brackets(Q, sl2.labels + ("c",), sl2.table)
+        centre = Subspace.span([g.basis_vector(3)], 4, Q)
+        assert radical(g) == centre
+        assert nilradical(g) == centre == naive_nilradical(g)
+
+    def test_central_and_non_nilpotent_radical(self):
+        # [t, x] = x plus a central c: the radical is everything, and the
+        # nilradical keeps both x and the central c
+        g = Algebra.from_brackets(Q, ["t", "x", "c"],
+                                  {(0, 1): [(1, 1)], (1, 0): [(1, -1)]})
+        assert radical(g).dim == 3
+        expected = Subspace.span([g.basis_vector(1), g.basis_vector(2)], 3, Q)
+        assert nilradical(g) == expected == naive_nilradical(g)
+
+
+def test_radical_self_check_still_runs(monkeypatch):
+    """The quotient check no longer classifies the quotient, but still
+    reads its Gram matrix: a zero Gram matrix there must be caught."""
+    g = der_algebra(kronecker(2, INTERLEAVED)).structure
+    killing(g)  # the form of g itself stays the real one
+    quotients = []
+
+    def zero_gram(alg):
+        quotients.append(alg)
+        return Mat.zero(alg.dim, alg.dim, alg.field)
+
+    monkeypatch.setattr(liestruct, "_gram", zero_gram)
+    with pytest.raises(InternalInvariantError):
+        radical.__wrapped__(g)
+    assert [q.dim for q in quotients] == [g.dim - radical(g).dim]
+
+
 class TestLevi:
     def test_solvable_with_zero_complement(self):
         g = der_algebra(dieudonne(1)).structure
@@ -231,7 +325,6 @@ class TestLevi:
         assert not res.verified and res.reason == "not-subalgebra"
 
     def test_kronecker_even_levi_and_semisimple_part(self):
-        from derleib.derivations import MatrixLieAlgebra
         der = der_algebra(kronecker(2, INTERLEAVED))
         gens = kron_gens(2)
         mats = [gens["x"] - gens["y"], gens["c3"], gens["b3"]]
