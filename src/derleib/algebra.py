@@ -141,17 +141,35 @@ class Algebra:
                            symmetric=left and right,
                            lie=antisym and left and right)
 
+    @cached_property
+    def commutator_ideal(self) -> Subspace:
+        """[L, L], built once per algebra."""
+        full = self.full_space()
+        return self.product_space(full, full)
+
     # -- subspace machinery ----------------------------------------------
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim, self.field)
 
     def product_space(self, u: Subspace, v: Subspace) -> Subspace:
-        """span{[x, y] : x in basis(u), y in basis(v)}; valid by bilinearity."""
+        """span{[x, y] : x in basis(u), y in basis(v)}; valid by bilinearity.
+        Each bracket of two sparse rows accumulates the table's terms."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise ShapeMismatch("subspace ambient != algebra dimension")
-        vecs = [self.bracket(x, y) for x in u.basis for y in v.basis]
-        return Subspace.span(vecs, self.dim, self.field)
+        table = self.table
+
+        def brackets():
+            for x in u.rows:
+                for y in v.rows:
+                    acc = {}
+                    for i, xi in x:
+                        for j, yj in y:
+                            terms = table.get((i, j))
+                            if terms:
+                                axpy(acc, xi * yj, terms)
+                    yield acc
+        return Subspace.span(brackets(), self.dim, self.field)
 
     def series(self, kind: Literal["lower_central", "derived"] = "lower_central"):
         """Strictly decreasing until stabilization; ends in 0 iff nilpotent/solvable.
@@ -160,13 +178,13 @@ class Algebra:
         if terms is None:
             full = self.full_space()
             terms = [full]
-            while not terms[-1].is_zero():
-                prev = terms[-1]
-                left = full if kind == "lower_central" else prev
-                nxt = self.product_space(left, prev)
-                if nxt == prev:
-                    break
+            nxt = self.commutator_ideal
+            while nxt != terms[-1]:
                 terms.append(nxt)
+                if nxt.is_zero():
+                    break
+                left = full if kind == "lower_central" else nxt
+                nxt = self.product_space(left, nxt)
             self._series[kind] = terms = tuple(terms)
         return list(terms)
 

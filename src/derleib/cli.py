@@ -92,7 +92,7 @@ def _kind_line(alg: Algebra) -> str:
 def cmd_check(args, out) -> int:
     name, alg = _load_algebra(args)
     k = alg.kind
-    comm = alg.product_space(alg.full_space(), alg.full_space())
+    comm = alg.commutator_ideal
     nilp, ncls = alg.is_nilpotent()
     out.write("algebra %s: dim %d over %s\n" % (name, alg.dim, alg.field))
     out.write("classify: %s\n" % _kind_line(alg))

@@ -3,17 +3,18 @@
 Der(L) is the exact nullspace of the linear system collecting the derivation
 identity over all basis pairs, built from the sparse multiplication
 operators ``Algebra.ops``.  The result is wrapped as a
-:class:`MatrixLieAlgebra`: a canonical matrix basis (under row-major
-flattening), the flattened subspace, and the induced abstract Lie algebra,
-with closure under commutators verified during construction.  The check
-brackets the sparse rows of the canonical subspace, since derivation
-matrices are mostly zero; the dense :class:`Mat` basis is only a view.
+:class:`MatrixLieAlgebra`: the canonical subspace of row-major flattened
+matrices and the induced abstract Lie algebra, with closure under
+commutators verified during construction.  The check brackets the sparse
+rows of the canonical subspace, since derivation matrices are mostly zero;
+the dense :class:`Mat` basis is only a view, built the first time it is
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Algebra
@@ -78,14 +79,23 @@ class MatrixLieAlgebra:
     """A Lie algebra of d x d matrices with echelon-canonical basis."""
 
     ambient_dim: int  # matrices are ambient_dim x ambient_dim
-    field: str
-    basis: tuple  # tuple[Mat], canonical under flattening
     subspace: Subspace  # flattened, canonical
-    structure: Algebra  # induced structure constants on `basis`
+    structure: Algebra  # induced structure constants on the subspace's rows
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.subspace.dim
+
+    @property
+    def field(self) -> str:
+        return self.subspace.field
+
+    @cached_property
+    def basis(self) -> tuple:
+        """Dense view: the canonical rows as matrices, built on first use."""
+        d = self.ambient_dim
+        return tuple(Mat.unflatten(row, d, d, self.field)
+                     for row in self.subspace.basis)
 
     @classmethod
     def from_matrices(cls, mats: Iterable[Mat], ambient_dim: int,
@@ -98,8 +108,7 @@ class MatrixLieAlgebra:
     def from_subspace(cls, sub: Subspace, ambient_dim: int) -> "MatrixLieAlgebra":
         """Wrap a subspace of flattened ambient_dim x ambient_dim matrices; a
         bracket in it reduces to zero, and its pivot values are its coordinates."""
-        d, field = ambient_dim, sub.field
-        basis = tuple(Mat.unflatten(row, d, d, field) for row in sub.basis)
+        d = ambient_dim
         ops = [sparse_rows(dict(row), d) for row in sub.rows]
         brackets = {}
         for s in range(len(ops)):
@@ -111,8 +120,8 @@ class MatrixLieAlgebra:
                 cs = [(k, flat[p]) for k, p in enumerate(sub.pivots) if p in flat]
                 brackets[(s, t)] = cs
                 brackets[(t, s)] = [(k, -cf) for k, cf in cs]
-        labels = ["m%d" % (k + 1) for k in range(len(basis))]
-        return cls(d, field, basis, sub, Algebra.from_brackets(field, labels, brackets))
+        labels = ["m%d" % (k + 1) for k in range(sub.dim)]
+        return cls(d, sub, Algebra.from_brackets(sub.field, labels, brackets))
 
     def contains(self, d: Mat) -> bool:
         return self.subspace.contains(d.flatten())
@@ -185,8 +194,7 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     Der intersected with the span of the rank-one maps w (x) phi.
     """
     der = der_algebra(alg)
-    full = alg.full_space()
-    comm = alg.product_space(full, full)
+    comm = alg.commutator_ideal
     if comm.dim != 1:
         raise GenusError("commutator ideal has dimension %d, need 1" % comm.dim)
     w = comm.rows[0]

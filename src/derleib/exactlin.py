@@ -367,14 +367,6 @@ class Mat:
         return cls(rows, cols, field, (z,) * (rows * cols))
 
     @classmethod
-    def identity(cls, n: int, field: str = Q) -> "Mat":
-        z, o = scalar_zero(field), scalar_one(field)
-        flat = [z] * (n * n)
-        for k in range(n):
-            flat[k * n + k] = o
-        return cls(n, n, field, tuple(flat))
-
-    @classmethod
     def unit(cls, rows: int, cols: int, r: int, c: int, field: str = Q, value=1) -> "Mat":
         if not (0 <= r < rows and 0 <= c < cols):
             raise ShapeMismatch("entry (%d, %d) outside %dx%d" % (r, c, rows, cols))
@@ -502,11 +494,6 @@ def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
                 v[p] = -cf
         out.insert(v)
     return Subspace(ncols, field, out.canonical_rows())
-
-
-def nullspace(m: Mat) -> "Subspace":
-    """Canonical basis of ``{v : m v = 0}``."""
-    return kernel_from_rows((m.row(r) for r in range(m.rows)), m.cols, m.field)
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ def killing(alg: Algebra) -> KillingForm:
 
 def _killing_orthogonal(alg: Algebra, gram: Mat) -> Subspace:
     """Orthogonal of the derived algebra under the form with Gram matrix ``gram``."""
-    derived = alg.product_space(alg.full_space(), alg.full_space())
+    derived = alg.commutator_ideal
     return kernel_from_rows((gram.apply(v) for v in derived.basis),
                             alg.dim, alg.field)
 

@@ -18,12 +18,26 @@ from derleib.exactlin import (
     coerce_scalar,
     kernel_from_rows,
     rref,
+    scalar_one,
     scalar_zero,
     sparse_flat,
     sparse_mul,
     sparse_trace,
 )
 from derleib.liestruct import killing
+
+
+def identity(n: int, field: str = Q) -> Mat:
+    z, o = scalar_zero(field), scalar_one(field)
+    flat = [z] * (n * n)
+    for k in range(n):
+        flat[k * n + k] = o
+    return Mat(n, n, field, tuple(flat))
+
+
+def nullspace(m: Mat) -> Subspace:
+    """Canonical basis of ``{v : m v = 0}``."""
+    return kernel_from_rows((m.row(r) for r in range(m.rows)), m.cols, m.field)
 
 
 def transpose(m: Mat) -> Mat:
@@ -136,14 +150,14 @@ def charpoly(m: Mat) -> list:
     ck = -trace(mk)
     coeffs.append(ck)
     for k in range(2, n + 1):
-        mk = m * (mk + Mat.identity(n, m.field).scale(ck))
+        mk = m * (mk + identity(n, m.field).scale(ck))
         ck = -trace(mk) / k
         coeffs.append(ck)
     return coeffs
 
 
 def mat_power_is_zero(m: Mat, exponent: int) -> bool:
-    acc = Mat.identity(m.rows, m.field)
+    acc = identity(m.rows, m.field)
     for _ in range(exponent):
         acc = acc * m
         if acc.is_zero():

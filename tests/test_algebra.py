@@ -7,9 +7,9 @@ from derleib.algebra import Algebra, AlgebraKind, NotAnIdeal
 from derleib.catalog import dieudonne, heisenberg_leibniz, heisenberg_lie, \
     jordan, kronecker
 from derleib.derivations import der_algebra, is_derivation
-from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace, nullspace
+from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace
 
-from helpers import naive_bracket, naive_kind, random_small_algebra
+from helpers import naive_bracket, naive_kind, nullspace, random_small_algebra
 
 
 def vec(alg, **coords):
@@ -178,6 +178,30 @@ class TestProductSpaceAndSeries:
             dn = dieudonne(n)
             comm = dn.product_space(dn.full_space(), dn.full_space())
             assert comm == Subspace.span([vec(dn, z=1)], dn.dim)
+
+    def test_product_space_matches_naive_brackets(self):
+        """Every pair of series terms of 140 algebras (100 random draws and
+        the Der of the first 40): the sparse product equals the span of the
+        naive brackets of the dense basis vectors."""
+        algs = [random_small_algebra(Random(seed)) for seed in range(100)]
+        algs += [der_algebra(alg).structure for alg in algs[:40]]
+        for alg in algs:
+            terms = set(alg.series("lower_central") + alg.series("derived"))
+            for u in terms:
+                for v in terms:
+                    naive = Subspace.span((naive_bracket(alg, x, y)
+                                           for x in u.basis for y in v.basis),
+                                          alg.dim, alg.field)
+                    assert alg.product_space(u, v) == naive
+
+    def test_commutator_ideal(self):
+        for seed in range(30):
+            alg = random_small_algebra(Random(seed))
+            full = alg.full_space()
+            assert alg.commutator_ideal == alg.product_space(full, full)
+            assert alg.commutator_ideal is alg.commutator_ideal
+        h3 = heisenberg_lie(1)
+        assert h3.commutator_ideal == Subspace.span([vec(h3, z=1)], 3)
 
     def test_abelian_series(self):
         ab = Algebra.abelian(3)

@@ -7,6 +7,8 @@ from derleib import claims
 from derleib.claims import (
     DEFAULT_A,
     dieu_gens,
+    j0_gens,
+    kron_gens,
     registry,
     run_all,
     run_claim,
@@ -14,7 +16,8 @@ from derleib.claims import (
 from derleib.catalog import dieudonne
 from derleib.derivations import is_derivation
 from derleib.dsl import report_json
-from derleib.exactlin import Mat
+
+from helpers import identity
 
 REG = {c.id: c for c in registry()}
 
@@ -69,10 +72,38 @@ class TestIndividualClaims:
     def test_h2_refutes_a_generator_outside_der(self, monkeypatch):
         named = claims.heis_grouped_gens
         monkeypatch.setattr(claims, "heis_grouped_gens",
-                            lambda n: {**named(n), "x": Mat.identity(2 * n + 1)})
+                            lambda n: {**named(n), "x": identity(2 * n + 1)})
         r = run_claim(REG["H2"], {"n": 2, "a": F(2)})
         assert r.status == "refuted"
         assert "x is a derivation" in r.actual
+
+    def test_levi_failure_carries_its_reason(self, monkeypatch):
+        named = claims.kron_gens
+        monkeypatch.setattr(claims, "kron_gens",
+                            lambda n: {**named(n), "b3": named(n)["A1"]})
+        r = run_claim(REG["K3"], {"n": 2})
+        assert r.status == "refuted"
+        assert r.actual == "Levi complement verified: failed(not-subalgebra)"
+        l5r = claims.l5r_gens
+        monkeypatch.setattr(claims, "l5r_gens",
+                            lambda: {**l5r(), "G": l5r()["A1"]})
+        r = run_claim(REG["R2"], {"n": 1})
+        assert r.actual == "Levi <x-y,F,G> verified: failed(not-subalgebra)"
+        monkeypatch.setattr(claims, "l5r_gens",
+                            lambda: {**l5r(), "G": identity(5)})
+        r = run_claim(REG["R2"], {"n": 1})
+        assert r.actual == "Levi generators lie in Der"
+
+    def test_mixing_generators_written_out_at_n2(self):
+        """The c_h / b_h entries at n = 2 by hand, 1-based (row, col): the
+        Kronecker signs start at -1 and the J_0 signs at +1."""
+        def entries(gens):
+            return {name: {(r + 1, c + 1): m.at(r, c) for r in range(m.rows)
+                           for c in range(m.cols) if m.at(r, c)}
+                    for name, m in gens.items() if name[0] in "bc"}
+        assert entries(kron_gens(2)) == {"c3": {(3, 2): -1, (1, 4): 1},
+                                         "b3": {(4, 1): -1, (2, 3): 1}}
+        assert entries(j0_gens(2)) == {"c2": {(1, 2): 1}, "b4": {(4, 3): 1}}
 
     def test_r3_deterministic_given_seed(self):
         a = run_claim(REG["R3"], {"n": 1}, master_seed=7)

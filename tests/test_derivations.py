@@ -40,7 +40,7 @@ from derleib.exactlin import (
     Subspace,
 )
 
-from helpers import almost_inner_sample, naive_structure, random_small_algebra
+from helpers import almost_inner_sample, identity, naive_structure, random_small_algebra
 
 
 class TestIsDerivation:
@@ -49,7 +49,7 @@ class TestIsDerivation:
 
     def test_identity_fails_on_graded_algebra(self):
         # z sits in degree two, so the identity map is not a derivation
-        assert not is_derivation(Mat.identity(3), heisenberg_lie(1))
+        assert not is_derivation(identity(3), heisenberg_lie(1))
 
     def test_named_generators_are_derivations(self):
         for n, a in ((1, F(2)), (2, F(2)), (3, F(-3))):
@@ -134,7 +134,7 @@ class TestCommutator:
     def test_against_dense(self, field):
         rng = Random(11)
         for d in (1, 2, 3, 5):
-            named = [Mat.zero(d, d, field), Mat.identity(d, field)]
+            named = [Mat.zero(d, d, field), identity(d, field)]
             mats = named + [_random_mat(rng, d, field, density)
                             for density in (0.2, 0.5, 1.0) for _ in range(3)]
             for a in mats:
@@ -355,4 +355,4 @@ class TestAlmostInnerSample:
 
     def test_non_derivation_rejected(self):
         with pytest.raises(ValueError):
-            almost_inner_sample(Mat.identity(3), heisenberg_lie(1))
+            almost_inner_sample(identity(3), heisenberg_lie(1))

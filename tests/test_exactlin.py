@@ -14,7 +14,6 @@ from derleib.exactlin import (
     Subspace,
     format_scalar,
     kernel_from_rows,
-    nullspace,
     parse_scalar,
     rref,
     sparse_flat,
@@ -22,7 +21,7 @@ from derleib.exactlin import (
     sparse_rows,
     sparse_trace,
 )
-from helpers import solve, trace, transpose
+from helpers import identity, nullspace, solve, trace, transpose
 
 
 def rand_mat(rng, rows, cols, field=Q):
@@ -76,7 +75,7 @@ class TestRref:
         assert r == Mat.from_rows([[1, 2], [0, 0]])
 
     def test_identity_fixed(self):
-        m = Mat.identity(3)
+        m = identity(3)
         r, rank = rref(m)
         assert (r, rank) == (m, 3)
 
@@ -96,7 +95,7 @@ class TestRref:
 
 class TestNullspace:
     def test_identity_trivial(self):
-        assert nullspace(Mat.identity(4)).dim == 0
+        assert nullspace(identity(4)).dim == 0
 
     def test_rank_one(self):
         assert nullspace(Mat.from_rows([[1, 1, 0]])).dim == 2
@@ -121,7 +120,7 @@ class TestNullspace:
 class TestSolve:
     def test_identity(self):
         b = (F(1), F(-2), F(3))
-        assert solve(Mat.identity(3), b) == b
+        assert solve(identity(3), b) == b
 
     def test_underdetermined_by_substitution(self):
         m = Mat.from_rows([[1, 1]])
@@ -234,8 +233,8 @@ class TestSubspace:
             u.intersect(v)
 
     def test_field_mismatch(self):
-        a = Mat.identity(2, Q)
-        b = Mat.identity(2, QI)
+        a = identity(2, Q)
+        b = identity(2, QI)
         with pytest.raises(FieldMismatch):
             a * b
 
@@ -244,7 +243,7 @@ class TestMatShape:
     @pytest.mark.parametrize("build", [
         lambda: Mat.zero(-2, -2),
         lambda: Mat.zero(2, -1),
-        lambda: Mat.identity(-1),
+        lambda: identity(-1),
         lambda: Mat.unit(2, 2, 0, 3),
         lambda: Mat.unit(2, 2, 2, 0),
         lambda: Mat.unit(2, 2, -1, 0),
@@ -256,7 +255,7 @@ class TestMatShape:
 
     def test_empty_and_unit(self):
         assert Mat.zero(0, 3).entries == ()
-        assert Mat.identity(0).entries == ()
+        assert identity(0).entries == ()
         assert Mat.unit(2, 3, 1, 2).entries == (F(0),) * 5 + (F(1),)
 
 

@@ -29,6 +29,8 @@ GOLDEN = [
      "769b8ed1767cfd1cdb0551e799141b10b51e385eac4d0511a18c6cdaeecf94a9"),
     (("verify-paper", "--nmax", "2", "--json"), 1,
      "aab939d3f572b68d08bced7993ef15fd2cd7233ec48a37bb1266bb816d0e52d5"),
+    (("verify-paper", "--nmax", "4", "--json"), 1,
+     "97999b37b79dba6bba3faceec32dce9b1db184babcf39131cd582e5e08300a23"),
     (("analyze", "--family", "heisenberg-lie", "--n", "2", "--der"), 0,
      "201128ea5b46f6874c703f270330d28b6e480fd90778921640293e2b11588dfe"),
     (("analyze", "--family", "heisenberg-lie", "--n", "3", "--der"), 0,
