@@ -2,17 +2,19 @@
 
 An :class:`Algebra` is a finite-dimensional algebra given by basis labels
 and a sparse bracket table ``{(i, j): ((k, coeff), ...)}`` listing the
-nonzero coefficients of ``b_k`` in ``[b_i, b_j]``.  The trilinear identities
-are decided exactly by exhaustive checks over basis triples.
+nonzero coefficients of ``b_k`` in ``[b_i, b_j]``.  The Leibniz identities
+are decided exactly on the sparse multiplication operators, pair by pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Literal, Mapping, Sequence
 
 from .exactlin import (
+    Q,
     Mat,
     Subspace,
     ShapeMismatch,
@@ -20,6 +22,9 @@ from .exactlin import (
     coerce_scalar,
     kernel_from_rows,
     scalar_zero,
+    sparse_combine,
+    sparse_commutator,
+    sparse_flat,
 )
 
 
@@ -81,13 +86,7 @@ class Algebra:
         """``(left, right)``: for each basis vector b_i, the sparse matrices
         ``{row: {col: coeff}}`` of y -> [b_i, y] and y -> [y, b_i].  Rebuilt
         on every call; the callers that need them often are cached."""
-        left = [{} for _ in range(self.dim)]
-        right = [{} for _ in range(self.dim)]
-        for (i, j), terms in self.table.items():
-            for k, cf in terms:
-                left[i].setdefault(k, {})[j] = cf
-                right[j].setdefault(k, {})[i] = cf
-        return left, right
+        return _operators(self.table, self.dim)
 
     # -- bracket ---------------------------------------------------------
 
@@ -128,15 +127,19 @@ class Algebra:
 
     @cached_property
     def kind(self) -> AlgebraKind:
-        """Flags decided exhaustively over basis triples (trilinear identities).
-
-        L is right Leibniz iff its opposite algebra is left Leibniz, and L is
-        antisymmetric iff the opposite table is the negated table."""
-        op = {(j, i): terms for (i, j), terms in self.table.items()}
-        left = _left_leibniz(self.table, self.dim)
-        right = _left_leibniz(op, self.dim)
+        """Flags decided on the operators by :func:`_left_leibniz`: L is right
+        Leibniz iff its opposite, whose left operators are L's right ones, is
+        left Leibniz.  The identities are homogeneous of degree 2, so a table
+        over Q is scaled to ints by the lcm of its denominators."""
+        table = self.table
+        if self.field == Q:
+            n = lcm(*(cf.denominator for terms in table.values() for _, cf in terms))
+            table = {key: tuple((k, cf.numerator * (n // cf.denominator))
+                                for k, cf in terms) for key, terms in table.items()}
+        op = {(j, i): terms for (i, j), terms in table.items()}
+        left, right = map(_left_leibniz, _operators(table, self.dim), (table, op))
         antisym = op == {key: tuple((k, -cf) for k, cf in terms)
-                         for key, terms in self.table.items()}
+                         for key, terms in table.items()}
         return AlgebraKind(left_leibniz=left, right_leibniz=right,
                            symmetric=left and right,
                            lie=antisym and left and right)
@@ -240,20 +243,29 @@ class Algebra:
                                      brackets)
 
 
-def _left_leibniz(table: Mapping, dim: int) -> bool:
-    """[x,[y,z]] = [[x,y],z] + [y,[x,z]] on every basis triple."""
-    empty = ()
-    for i in range(dim):
-        for j in range(dim):
-            ij = table.get((i, j), empty)
-            for k in range(dim):
-                acc = {}
-                for m, cf in table.get((j, k), empty):
-                    axpy(acc, cf, table.get((i, m), empty))
-                for m, cf in ij:
-                    axpy(acc, -cf, table.get((m, k), empty))
-                for m, cf in table.get((i, k), empty):
-                    axpy(acc, -cf, table.get((j, m), empty))
-                if acc:
-                    return False
+def _operators(table: Mapping, dim: int) -> tuple[list, list]:
+    """Sparse left and right multiplication operators of a bracket table."""
+    left = [{} for _ in range(dim)]
+    right = [{} for _ in range(dim)]
+    for (i, j), terms in table.items():
+        for k, cf in terms:
+            left[i].setdefault(k, {})[j] = cf
+            right[j].setdefault(k, {})[i] = cf
+    return left, right
+
+
+def _left_leibniz(ops: list, table: Mapping) -> bool:
+    """[x,[y,z]] = [[x,y],z] + [y,[x,z]], with L_k = ops[k] the map y ->
+    [b_k, y]: L_i L_j - L_j L_i = L_[b_i,b_j] for i < j, and L_s = 0 for
+    s = [b_i,b_j] + [b_j,b_i], i <= j, which holds in every left Leibniz
+    algebra and gives the identity for j < i and for i = j."""
+    d = len(ops)
+    flats = [sparse_flat(m, d).items() for m in ops]
+    for i in range(d):
+        for j in range(i, d):
+            ij = table.get((i, j), ())
+            sym = axpy(dict(ij), 1, table.get((j, i), ())).items()
+            if sparse_combine(flats, sym) or i < j and (
+                    sparse_commutator(ops[i], ops[j], d) != sparse_combine(flats, ij)):
+                return False
     return True

@@ -26,8 +26,8 @@ from .exactlin import (
     axpy,
     kernel_from_rows,
     scalar_zero,
+    sparse_commutator,
     sparse_flat,
-    sparse_mul,
     sparse_rows,
 )
 
@@ -36,20 +36,13 @@ class ClosureError(InternalInvariantError):
     """A matrix family that was expected to close under commutators does not."""
 
 
-def sparse_commutator(a: dict, b: dict, d: int) -> dict:
-    """Row-major flattening of ``a b - b a`` for sparse d x d matrices."""
-    return axpy(sparse_flat(sparse_mul(a, b), d), -1,
-                sparse_flat(sparse_mul(b, a), d).items())
-
-
 def commutator(a: Mat, b: Mat) -> Mat:
     """``a b - b a`` of two square matrices of one shape and field."""
     a._check(b, True)
     if a.rows != a.cols:
         raise ShapeMismatch("commutator of a non-square matrix")
     d, z = a.rows, scalar_zero(a.field)
-    sa, sb = (sparse_rows({i: x for i, x in enumerate(m.entries) if x}, d)
-              for m in (a, b))
+    sa, sb = (sparse_rows(m.sparse(), d) for m in (a, b))
     flat = sparse_commutator(sa, sb, d)
     return Mat(d, d, a.field, tuple(flat.get(i, z) for i in range(d * d)))
 
@@ -176,8 +169,9 @@ def inner_derivations(alg: Algebra) -> MatrixLieAlgebra:
     """Span of the left multiplication maps; requires a left Leibniz algebra."""
     if not alg.kind.left_leibniz:
         raise ValueError("inner derivations need a left Leibniz algebra")
-    ads = [alg.adjoint(alg.basis_vector(i), "left") for i in range(alg.dim)]
-    return MatrixLieAlgebra.from_matrices(ads, alg.dim, alg.field)
+    d = alg.dim
+    return MatrixLieAlgebra.from_subspace(Subspace.span(
+        (sparse_flat(m, d) for m in alg.ops[0]), d * d, alg.field), d)
 
 
 class GenusError(ValueError):

@@ -6,10 +6,10 @@ row operations with exact pivots.  Vectors are dense tuples or sparse
 ``{column: value}`` dicts; a :class:`Subspace` stores sparse echelon rows
 and makes dense tuples only as a view.  Operators are sparse matrices
 ``{row: {column: value}}`` without zero entries, handled by the kit
-:func:`axpy`, :func:`sparse_mul`, :func:`sparse_trace`, :func:`sparse_flat`
-and :func:`sparse_rows`; :class:`Mat` is the dense matrix of the public API.
-Values are immutable after construction, so every operation is safe to call
-concurrently.
+:func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`, :func:`sparse_trace`,
+:func:`sparse_flat`, :func:`sparse_rows` and :func:`sparse_commutator`;
+:class:`Mat` is the dense matrix of the public API.  Values are immutable
+after construction, so every operation is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -247,6 +247,15 @@ def axpy(acc: SparseVec, cf, vec) -> SparseVec:
     return acc
 
 
+def sparse_combine(vecs, coeffs) -> SparseVec:
+    """``sum c * vecs[k]`` over the ``(k, c)`` pairs of ``coeffs``; each
+    vector is a sequence of ``(column, value)`` pairs."""
+    acc = {}
+    for k, c in coeffs:
+        axpy(acc, c, vecs[k])
+    return acc
+
+
 def sparse_mul(a: dict, b: dict) -> dict:
     """Product ``a b`` of two sparse matrices ``{row: {column: value}}``."""
     out = {}
@@ -282,6 +291,12 @@ def sparse_rows(flat: SparseVec, d: int) -> dict:
     for i, v in flat.items():
         out.setdefault(i // d, {})[i % d] = v
     return out
+
+
+def sparse_commutator(a: dict, b: dict, d: int) -> SparseVec:
+    """Row-major flattening of ``a b - b a`` for sparse d x d matrices."""
+    return axpy(sparse_flat(sparse_mul(a, b), d), -1,
+                sparse_flat(sparse_mul(b, a), d).items())
 
 
 class Echelon:
@@ -451,6 +466,10 @@ class Mat:
     def flatten(self) -> tuple:
         """Row-major flattening; the fixed convention for matrix subspaces."""
         return self.entries
+
+    def sparse(self) -> SparseVec:
+        """The nonzero entries of the row-major flattening."""
+        return {i: x for i, x in enumerate(self.entries) if x}
 
     @classmethod
     def unflatten(cls, vec: Sequence, rows: int, cols: int, field: str) -> "Mat":

@@ -26,10 +26,10 @@ from .exactlin import (
     InternalInvariantError,
     Mat,
     Subspace,
-    axpy,
     kernel_from_rows,
     rref,
     scalar_zero,
+    sparse_combine,
     sparse_flat,
     sparse_mul,
     sparse_rows,
@@ -107,7 +107,7 @@ def nilradical(alg: Algebra) -> Subspace:
         return rad
     d = alg.dim
     flats = [sparse_flat(a, d).items() for a in alg.ops[0]]
-    ads = [sparse_rows(_combine(flats, row), d) for row in rad.rows]
+    ads = [sparse_rows(sparse_combine(flats, row), d) for row in rad.rows]
     env_ech = Echelon(d * d)
     gens = [a for a in ads if a and env_ech.insert(sparse_flat(a, d))]
     basis = list(gens)
@@ -126,19 +126,10 @@ def nilradical(alg: Algebra) -> Subspace:
     # radical's coordinates and map the kernel back through its rows
     rows = ([sparse_trace(a, b) for a in ads] for b in basis)
     kernel = kernel_from_rows(rows, rad.dim, alg.field)
-    nil = Subspace.span((_combine(rad.rows, row) for row in kernel.rows),
+    nil = Subspace.span((sparse_combine(rad.rows, row) for row in kernel.rows),
                         d, alg.field)
     _verify_nilradical(alg, nil)
     return nil
-
-
-def _combine(vecs, coeffs) -> dict:
-    """``sum c * vecs[k]`` over the ``(k, c)`` pairs of ``coeffs``; each
-    vector is a sequence of ``(column, value)`` pairs."""
-    acc = {}
-    for k, c in coeffs:
-        axpy(acc, c, vecs[k])
-    return acc
 
 
 def _verify_nilradical(alg: Algebra, nil: Subspace):

@@ -99,6 +99,46 @@ class TestKindOracle:
         alg = random_small_algebra(Random(seed))
         assert alg.kind == naive_kind(alg)
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_rescaled_random_algebra(self, seed):
+        # non-integer constants over Q give the table several denominators
+        # to clear; a complex one puts it in Q(i)
+        alg = random_small_algebra(Random(seed))
+        for c, field in ((F(2, 3), Q), (F(5, 7), Q), (GaussRat(F(1, 2), 2), QI)):
+            scaled = Algebra.from_brackets(field, alg.labels, {
+                key: [(k, c * cf) for k, cf in terms]
+                for key, terms in alg.table.items()})
+            assert scaled.kind == naive_kind(scaled), c
+
+    def test_der_of_leibniz_draws(self):
+        draws = (random_small_algebra(Random(seed)) for seed in range(100))
+        leibniz = [alg for alg in draws if alg.kind.left_leibniz][:20]
+        assert len(leibniz) == 20
+        for alg in leibniz:
+            struct = der_algebra(alg).structure
+            assert struct.kind == naive_kind(struct) == \
+                AlgebraKind(True, True, True, True)
+
+    def test_symmetric_part_must_annihilate_on_the_left(self):
+        # [e1,e3] = e3, [e3,e2] = -e3: the identity holds on every triple
+        # (e_i, e_j, e_k) with i < j, but [e2,e3] + [e3,e2] = -e3 and
+        # [e3, e2] = -e3 != 0, so it fails for (e3, e2, e2)
+        alg = _table_algebra(3, [((0, 2), 2, 1), ((2, 1), 2, -1)])
+        e = [alg.basis_vector(i) for i in range(3)]
+        br = alg.bracket
+
+        def holds(x, y, z):
+            return br(x, br(y, z)) == tuple(
+                a + b for a, b in zip(br(br(x, y), z), br(y, br(x, z))))
+        assert all(holds(e[i], e[j], z) for i in range(3)
+                   for j in range(i + 1, 3) for z in e)
+        assert not holds(e[2], e[1], e[1])
+        neither = AlgebraKind(False, False, False, False)
+        assert alg.kind == naive_kind(alg) == neither
+        # the opposite algebra fails the right identity the same way
+        opposite = _table_algebra(3, [((2, 0), 2, 1), ((1, 2), 2, -1)])
+        assert opposite.kind == naive_kind(opposite) == neither
+
     def test_random_draws_cover_every_outcome(self):
         seen = {naive_kind(random_small_algebra(Random(seed)))
                 for seed in range(50)}

@@ -13,13 +13,42 @@ from derleib.claims import (
     run_all,
     run_claim,
 )
-from derleib.catalog import dieudonne
+from derleib.catalog import dieudonne, kronecker
 from derleib.derivations import is_derivation
 from derleib.dsl import report_json
+from derleib.exactlin import Mat
 
 from helpers import identity
 
 REG = {c.id: c for c in registry()}
+
+
+def test_k6_and_p1_share_one_kronecker_build():
+    # K6 calls kronecker(n, GROUPED), P1 FamilySpec(...).build(), which
+    # passes its order; kronecker(n) would be a second cache entry
+    kronecker.cache_clear()
+    run_claim(REG["K6"], {"n": 2, "a": F(2)})
+    run_claim(REG["P1"], {"family": "kronecker", "n": 2})
+    assert kronecker.cache_info().misses == 1
+
+
+def test_commutator_table_check():
+    # sl2: [x,y] = h, [h,x] = 2x, [h,y] = -2y, listed in either orientation
+    x = Mat.from_rows([[0, 1], [0, 0]])
+    y = Mat.from_rows([[0, 0], [1, 0]])
+    h = Mat.from_rows([[1, 0], [0, -1]])
+    gens = {"h": h, "x": x, "y": y}
+
+    def problems(expected):
+        ck = claims._Checks()
+        claims._comm_table_ok(ck, gens, expected)
+        return ck.problems
+    good = {("x", "y"): h, ("h", "x"): x.scale(2), ("y", "h"): y.scale(2)}
+    assert problems(good) == []
+    assert problems({**good, ("y", "h"): y.scale(-2)}) == \
+        ["[h,y] differs from the stated table"]
+    del good[("x", "y")]  # an unlisted pair must commute
+    assert problems(good) == ["[x,y] differs from the stated table"]
 
 
 class TestRegistry:

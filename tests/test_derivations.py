@@ -177,6 +177,18 @@ class TestInner:
         with pytest.raises(ValueError):
             inner_derivations(right_only)
 
+    def test_matches_dense_adjoints(self):
+        # Inn, built from the sparse operators, spans the dense left adjoints
+        draws = (random_small_algebra(Random(seed)) for seed in range(50))
+        algs = [alg for alg in draws if alg.kind.left_leibniz] + [
+            kronecker(3), dieudonne(2),
+            heisenberg_leibniz(2, jordan(GaussRat(1, 2), 2))]
+        for alg in algs:
+            ads = (alg.adjoint(alg.basis_vector(i)).flatten()
+                   for i in range(alg.dim))
+            assert inner_derivations(alg).subspace == \
+                Subspace.span(ads, alg.dim ** 2, alg.field)
+
     def test_inner_is_ideal_of_der(self):
         alg = heisenberg_leibniz(2, jordan(F(2), 2))
         der = der_algebra(alg)
