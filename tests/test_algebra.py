@@ -98,12 +98,8 @@ class TestKindOracle:
     def test_random_algebra(self, seed):
         alg = random_small_algebra(Random(seed))
         assert alg.kind == naive_kind(alg)
-
-    @pytest.mark.parametrize("seed", range(50))
-    def test_rescaled_random_algebra(self, seed):
-        # non-integer constants over Q give the table several denominators
-        # to clear; a complex one puts it in Q(i)
-        alg = random_small_algebra(Random(seed))
+        # rescaled by non-integer constants over Q, the table has several
+        # denominators to clear; a complex constant puts it in Q(i)
         for c, field in ((F(2, 3), Q), (F(5, 7), Q), (GaussRat(F(1, 2), 2), QI)):
             scaled = Algebra.from_brackets(field, alg.labels, {
                 key: [(k, c * cf) for k, cf in terms]
@@ -121,8 +117,9 @@ class TestKindOracle:
 
     def test_symmetric_part_must_annihilate_on_the_left(self):
         # [e1,e3] = e3, [e3,e2] = -e3: the identity holds on every triple
-        # (e_i, e_j, e_k) with i < j, but [e2,e3] + [e3,e2] = -e3 and
-        # [e3, e2] = -e3 != 0, so it fails for (e3, e2, e2)
+        # (e_i, e_j, e_k) with i < j, but the symmetric part
+        # [e2,e3] + [e3,e2] = -e3 acts on e2 from the left, [-e3, e2] = e3,
+        # so it fails for (e3, e2, e2)
         alg = _table_algebra(3, [((0, 2), 2, 1), ((2, 1), 2, -1)])
         e = [alg.basis_vector(i) for i in range(3)]
         br = alg.bracket
