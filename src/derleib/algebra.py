@@ -86,7 +86,7 @@ class Algebra:
         """``(left, right)``: for each basis vector b_i, the sparse matrices
         ``{row: {col: coeff}}`` of y -> [b_i, y] and y -> [y, b_i].  Rebuilt
         on every call; the callers that need them often are cached."""
-        return _operators(self.table, self.dim)
+        return operators(self.table, self.dim)
 
     # -- bracket ---------------------------------------------------------
 
@@ -126,18 +126,26 @@ class Algebra:
     # -- identity checks -------------------------------------------------
 
     @cached_property
+    def int_table(self) -> dict:
+        """The table over Q times the lcm of its denominators, so its
+        coefficients are ints; over Q(i) the table itself.  Every identity
+        and linear condition homogeneous in the structure constants holds
+        for it iff it holds for the table."""
+        if self.field != Q:
+            return self.table
+        n = lcm(*(cf.denominator for terms in self.table.values() for _, cf in terms))
+        return {key: tuple((k, cf.numerator * (n // cf.denominator)) for k, cf in terms)
+                for key, terms in self.table.items()}
+
+    @cached_property
     def kind(self) -> AlgebraKind:
-        """Flags decided on the operators by :func:`_left_leibniz`: L is right
-        Leibniz iff its opposite, whose left operators are L's right ones, is
-        left Leibniz.  The identities are homogeneous of degree 2, so a table
-        over Q is scaled to ints by the lcm of its denominators."""
-        table = self.table
-        if self.field == Q:
-            n = lcm(*(cf.denominator for terms in table.values() for _, cf in terms))
-            table = {key: tuple((k, cf.numerator * (n // cf.denominator))
-                                for k, cf in terms) for key, terms in table.items()}
+        """Flags decided on the operators of :attr:`int_table` by
+        :func:`_left_leibniz`: L is right Leibniz iff its opposite, whose
+        left operators are L's right ones, is left Leibniz.  The identities
+        are homogeneous of degree 2, so over Q they run on Python ints."""
+        table = self.int_table
         op = {(j, i): terms for (i, j), terms in table.items()}
-        left, right = map(_left_leibniz, _operators(table, self.dim), (table, op))
+        left, right = map(_left_leibniz, operators(table, self.dim), (table, op))
         antisym = op == {key: tuple((k, -cf) for k, cf in terms)
                          for key, terms in table.items()}
         return AlgebraKind(left_leibniz=left, right_leibniz=right,
@@ -157,21 +165,26 @@ class Algebra:
 
     def product_space(self, u: Subspace, v: Subspace) -> Subspace:
         """span{[x, y] : x in basis(u), y in basis(v)}; valid by bilinearity.
-        Each bracket of two sparse rows accumulates the table's terms."""
+        Each bracket of two sparse rows accumulates the table's terms.  Over
+        Q it runs on ints, the rows of ``u.echelon`` and ``v.echelon`` with
+        :attr:`int_table`: their brackets are nonzero multiples of those of
+        the canonical rows, so they span the same space."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise ShapeMismatch("subspace ambient != algebra dimension")
-        table = self.table
+        table = self.int_table
+        ys = [y.items() for y in v.echelon.rows.values()]
 
         def brackets():
-            for x in u.rows:
-                for y in v.rows:
+            for x in u.echelon.rows.values():
+                for y in ys:
                     acc = {}
-                    for i, xi in x:
+                    for i, xi in x.items():
                         for j, yj in y:
                             terms = table.get((i, j))
                             if terms:
                                 axpy(acc, xi * yj, terms)
-                    yield acc
+                    if acc:
+                        yield acc
         return Subspace.span(brackets(), self.dim, self.field)
 
     def series(self, kind: Literal["lower_central", "derived"] = "lower_central"):
@@ -243,7 +256,7 @@ class Algebra:
                                      brackets)
 
 
-def _operators(table: Mapping, dim: int) -> tuple[list, list]:
+def operators(table: Mapping, dim: int) -> tuple[list, list]:
     """Sparse left and right multiplication operators of a bracket table."""
     left = [{} for _ in range(dim)]
     right = [{} for _ in range(dim)]

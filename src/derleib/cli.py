@@ -9,8 +9,8 @@ Subcommands:
   verify-paper  run the registry of documented claims and report results
 
 Exit codes: 0 success, 1 refuted claims (or invalid algebra for check),
-2 usage errors, 3 internal invariant violations.  Identical invocations
-produce byte-identical output.
+2 usage errors, 3 internal errors: an invariant violation or any other
+unexpected exception.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -300,6 +300,9 @@ def main(argv=None, out=None) -> int:
     except (OSError, ValueError, NotLie) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_ERROR
+    except Exception as exc:  # a fault of the engine, not a refuted claim
+        sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
+        return INTERNAL_ERROR
     return 0
 
 

@@ -14,10 +14,11 @@ read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Algebra
+from .algebra import Algebra, operators
 from .exactlin import (
     InternalInvariantError,
     Mat,
@@ -100,17 +101,25 @@ class MatrixLieAlgebra:
     @classmethod
     def from_subspace(cls, sub: Subspace, ambient_dim: int) -> "MatrixLieAlgebra":
         """Wrap a subspace of flattened ambient_dim x ambient_dim matrices; a
-        bracket in it reduces to zero, and its pivot values are its coordinates."""
+        bracket in it reduces to zero, and its pivot values are its coordinates.
+        The brackets run on the rows of ``sub.echelon``: over Q each is the
+        canonical row times its pivot value, so a pivot value of the bracket
+        of two rows is divided by the product of their pivots."""
         d = ambient_dim
-        ops = [sparse_rows(dict(row), d) for row in sub.rows]
+        ech = sub.echelon
+        rows = [ech.rows[p] for p in sub.pivots]
+        ops = [sparse_rows(row, d) for row in rows]
         brackets = {}
         for s in range(len(ops)):
             for t in range(s + 1, len(ops)):
                 flat = sparse_commutator(ops[s], ops[t], d)
-                if sub.echelon.reduce(flat):
+                if ech.reduce(flat):
                     raise ClosureError("commutator of basis elements %d, %d "
                                        "escapes the span" % (s, t))
-                cs = [(k, flat[p]) for k, p in enumerate(sub.pivots) if p in flat]
+                # 1 over Q(i), whose rows have pivot one
+                n = rows[s][sub.pivots[s]] * rows[t][sub.pivots[t]]
+                cs = [(k, flat[p] if n == 1 else Fraction(flat[p], n))
+                      for k, p in enumerate(sub.pivots) if p in flat]
                 brackets[(s, t)] = cs
                 brackets[(t, s)] = [(k, -cf) for k, cf in cs]
         labels = ["m%d" % (k + 1) for k in range(sub.dim)]
@@ -142,14 +151,17 @@ def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
     the basis pair (i, j) in output coordinate m is
     sum_k c[i][j][k] D[m][k] - sum_p c[p][j][m] D[p][i]
     - sum_q c[i][q][m] D[q][j] = 0; rows are assembled in (i, j, m) order.
+    Each row is linear in the structure constants, so it is built from
+    ``Algebra.int_table``, whose scaling leaves the kernel unchanged.
     """
     d = alg.dim
-    lops, rops = alg.ops
+    table = alg.int_table
+    lops, rops = operators(table, d)
     rows = []
     for i in range(d):
         bf = lops[i]
         for j in range(d):
-            terms_ij = alg.table.get((i, j), ())
+            terms_ij = table.get((i, j), ())
             bs = rops[j]
             if terms_ij:
                 ms: Iterable[int] = range(d)
@@ -166,12 +178,15 @@ def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
 
 @lru_cache(maxsize=None)
 def inner_derivations(alg: Algebra) -> MatrixLieAlgebra:
-    """Span of the left multiplication maps; requires a left Leibniz algebra."""
+    """Span of the left multiplication maps; requires a left Leibniz
+    algebra.  Those of ``Algebra.int_table`` are one common multiple of
+    them, so they span the same space."""
     if not alg.kind.left_leibniz:
         raise ValueError("inner derivations need a left Leibniz algebra")
     d = alg.dim
+    lops = operators(alg.int_table, d)[0]
     return MatrixLieAlgebra.from_subspace(Subspace.span(
-        (sparse_flat(m, d) for m in alg.ops[0]), d * d, alg.field), d)
+        (sparse_flat(m, d) for m in lops), d * d, alg.field), d)
 
 
 class GenusError(ValueError):

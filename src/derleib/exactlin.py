@@ -2,14 +2,17 @@
 
 Everything here is exact: scalars are `fractions.Fraction` (field tag ``Q``)
 or :class:`GaussRat` (field tag ``Qi``), and all linear algebra reduces to
-row operations with exact pivots.  Vectors are dense tuples or sparse
-``{column: value}`` dicts; a :class:`Subspace` stores sparse echelon rows
-and makes dense tuples only as a view.  Operators are sparse matrices
-``{row: {column: value}}`` without zero entries, handled by the kit
-:func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`, :func:`sparse_trace`,
-:func:`sparse_flat`, :func:`sparse_rows` and :func:`sparse_commutator`;
-:class:`Mat` is the dense matrix of the public API.  Values are immutable
-after construction, so every operation is safe to call concurrently.
+row operations in an :class:`Echelon` over the field its caller names: over
+Q on projective rows of Python ints, divided by their pivots only when the
+canonical rows are read, over Q(i) on pivot-one rows.  Vectors are dense
+tuples or sparse ``{column: value}`` dicts; a :class:`Subspace` stores
+sparse echelon rows and makes dense tuples only as a view.  Operators are
+sparse matrices ``{row: {column: value}}`` without zero entries, handled by
+the kit :func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`,
+:func:`sparse_trace`, :func:`sparse_flat`, :func:`sparse_rows` and
+:func:`sparse_commutator`; :class:`Mat` is the dense matrix of the public
+API.  Values are immutable after construction, so every operation is safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Q = "Q"
@@ -299,19 +303,43 @@ def sparse_commutator(a: dict, b: dict, d: int) -> SparseVec:
                 sparse_flat(sparse_mul(b, a), d).items())
 
 
-class Echelon:
-    """Incremental row space kept in reduced row-echelon form.
+def _row_of(vec, field: str) -> SparseVec:
+    """The nonzeros of a dense or sparse vector as a new sparse row of an
+    :class:`Echelon` over ``field``: over Q scaled to ints by the lcm of
+    their denominators, so an int vector keeps its values."""
+    row = {c: v for c, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
+    if field != Q or all(type(v) is int for v in row.values()):
+        return row
+    n = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (n // v.denominator) for c, v in row.items()}
 
-    Rows are sparse mappings ``{column: scalar}``.  The structure maintains
-    full reduction: each stored row has pivot coefficient one and zeros in
-    every other pivot column, so extraction yields the canonical basis of
-    the row space.
+
+def _primitive(vec: SparseVec, p: int) -> SparseVec:
+    """An int vector divided by the gcd of its entries, signed so that the
+    entry at column ``p`` is positive."""
+    g = gcd(*vec.values())
+    if vec[p] < 0:
+        g = -g
+    return vec if g == 1 else {c: v // g for c, v in vec.items()}
+
+
+class Echelon:
+    """Incremental row space of vectors over ``field``, kept reduced.
+
+    Rows are sparse mappings ``{column: scalar}``, one per pivot column, the
+    pivot being the row's first column.  Each row is zero in every other
+    pivot column, so dividing the rows by their pivots gives the canonical
+    RREF basis of the row space.  Over Q a row is kept projectively, as a
+    coprime int vector with a positive pivot, and elimination runs on
+    Python ints; a vector enters scaled by the lcm of its denominators.
+    Over Q(i) each row has pivot one.
     """
 
-    __slots__ = ("ncols", "rows")
+    __slots__ = ("ncols", "field", "rows")
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, field: str):
         self.ncols = ncols
+        self.field = field
         self.rows: dict[int, SparseVec] = {}  # pivot column -> row
 
     @property
@@ -319,12 +347,25 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec) -> SparseVec:
-        """Fully reduce ``vec`` against the stored rows (vec is not modified)."""
-        out = {c: v for c, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
-        for p in sorted(c for c in out if c in self.rows):
-            cf = out.get(p)
-            if cf:
-                axpy(out, -cf, self.rows[p].items())
+        """Reduce ``vec`` against the stored rows (vec is not modified).
+        Over Q the result is a nonzero multiple of the reduced vector, which
+        is enough for the callers: they test it for zero or insert it."""
+        out = _row_of(vec, self.field)
+        rows = self.rows
+        hits = [p for p in out if p in rows]
+        if not hits:
+            return out
+        if self.field == Q:
+            # one factor m makes every row's coefficient b*m/a an int; a row
+            # is zero at the other pivots, so clearing p leaves them alone
+            m = lcm(*(rows[p][p] // gcd(rows[p][p], out[p]) for p in hits))
+            if m != 1:
+                out = {c: m * v for c, v in out.items()}
+            for p in hits:
+                axpy(out, -(out[p] // rows[p][p]), rows[p].items())
+        else:
+            for p in hits:
+                axpy(out, -out[p], rows[p].items())
         return out
 
     def insert(self, vec) -> bool:
@@ -333,22 +374,37 @@ class Echelon:
         if not red:
             return False
         p = min(red)
-        piv = red[p]
-        row = {c: v / piv for c, v in red.items()}
-        for other in self.rows.values():
-            cf = other.get(p)
-            if cf:
-                axpy(other, -cf, row.items())
-        self.rows[p] = row
+        rows = self.rows
+        if self.field == Q:
+            row = _primitive(red, p)
+            a = row[p]
+            for k, other in rows.items():
+                b = other.get(p)
+                if b:
+                    g = gcd(a, b)
+                    other = {c: a // g * v for c, v in other.items()}
+                    rows[k] = _primitive(axpy(other, -(b // g), row.items()), k)
+        else:
+            piv = red[p]
+            row = {c: v / piv for c, v in red.items()}
+            for other in rows.values():
+                cf = other.get(p)
+                if cf:
+                    axpy(other, -cf, row.items())
+        rows[p] = row
         return True
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
     def canonical_rows(self) -> tuple:
-        """The rows in pivot order, each as ``(column, value)`` pairs in
-        ascending column order: the canonical sparse basis."""
-        return tuple(tuple(sorted(self.rows[p].items())) for p in sorted(self.rows))
+        """The rows in pivot order, each divided by its pivot, as
+        ``(column, value)`` pairs in ascending column order: the canonical
+        sparse basis."""
+        if self.field != Q:
+            return tuple(tuple(sorted(self.rows[p].items())) for p in sorted(self.rows))
+        return tuple(tuple((c, Fraction(v, row[p])) for c, v in sorted(row.items()))
+                     for p, row in sorted(self.rows.items()))
 
 
 @dataclass(frozen=True)
@@ -496,21 +552,26 @@ def rref(m: Mat) -> tuple[Mat, int]:
 
 
 def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
-    """Canonical basis of the common kernel of sparse/dense constraint rows."""
-    ech = Echelon(ncols)
+    """Canonical basis of the common kernel of sparse/dense constraint rows:
+    for each free column f, x_f = 1 and x_p = -row[f] / row[p] at the pivot
+    p of each echelon row, cleared of denominators over Q."""
+    ech = Echelon(ncols, field)
     for r in rows:
         ech.insert(r)
     pivots = ech.rows
     one = scalar_one(field)
-    out = Echelon(ncols)
+    out = Echelon(ncols, field)
     for f in range(ncols):
         if f in pivots:
             continue
-        v = {f: one}
-        for p, row in pivots.items():
-            cf = row.get(f)
-            if cf:
-                v[p] = -cf
+        hits = [(p, row) for p, row in pivots.items() if f in row]
+        if field == Q:
+            n = lcm(*(row[p] for p, row in hits))
+            v = {f: n}
+            v.update((p, -row[f] * (n // row[p])) for p, row in hits)
+        else:
+            v = {f: one}
+            v.update((p, -row[f]) for p, row in hits)
         out.insert(v)
     return Subspace(ncols, field, out.canonical_rows())
 
@@ -529,7 +590,7 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors: Iterable, ambient_dim: int, field: str = Q) -> "Subspace":
-        ech = Echelon(ambient_dim)
+        ech = Echelon(ambient_dim, field)
         for v in vectors:
             ech.insert(v)
         return cls(ambient_dim, field, ech.canonical_rows())
@@ -564,9 +625,11 @@ class Subspace:
 
     @cached_property
     def echelon(self) -> Echelon:
-        """The rows as an :class:`Echelon` to reduce against; read only."""
-        ech = Echelon(self.ambient_dim)
-        ech.rows = {row[0][0]: dict(row) for row in self.rows}
+        """The rows as an :class:`Echelon` to reduce against; read only.
+        Over Q each is the canonical row times the lcm of its denominators,
+        which is then its pivot value."""
+        ech = Echelon(self.ambient_dim, self.field)
+        ech.rows = {row[0][0]: _row_of(dict(row), self.field) for row in self.rows}
         return ech
 
     def _check(self, other: "Subspace"):
@@ -603,11 +666,12 @@ class Subspace:
         """Zassenhaus: row-reduce [u|u] and [v|0]; zero left halves give U ∩ V."""
         self._check(other)
         n = self.ambient_dim
-        ech = Echelon(2 * n)
+        ech = Echelon(2 * n, self.field)
         for row in self.rows:
             ech.insert(dict(row + tuple((c + n, v) for c, v in row)))
         for row in other.rows:
             ech.insert(dict(row))
+        # a row with pivot >= n is a multiple of one of U ∩ V's basis vectors
         return Subspace.span(({c - n: v for c, v in row.items()}
                               for p, row in ech.rows.items() if p >= n),
                              n, self.field)

@@ -108,7 +108,7 @@ def nilradical(alg: Algebra) -> Subspace:
     d = alg.dim
     flats = [sparse_flat(a, d).items() for a in alg.ops[0]]
     ads = [sparse_rows(sparse_combine(flats, row), d) for row in rad.rows]
-    env_ech = Echelon(d * d)
+    env_ech = Echelon(d * d, alg.field)
     gens = [a for a in ads if a and env_ech.insert(sparse_flat(a, d))]
     basis = list(gens)
     i = 0

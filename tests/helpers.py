@@ -14,7 +14,9 @@ from derleib.exactlin import (
     Q,
     QI,
     ShapeMismatch,
+    SparseVec,
     Subspace,
+    axpy,
     coerce_scalar,
     kernel_from_rows,
     rref,
@@ -55,11 +57,105 @@ def trace(m: Mat):
     return t
 
 
+# The engine's echelon as it was before it kept projective integer rows,
+# copied unchanged apart from its name: an oracle for `Echelon`.
+class FractionEchelon:
+    """Incremental row space kept in reduced row-echelon form.
+
+    Rows are sparse mappings ``{column: scalar}``.  The structure maintains
+    full reduction: each stored row has pivot coefficient one and zeros in
+    every other pivot column, so extraction yields the canonical basis of
+    the row space.
+    """
+
+    __slots__ = ("ncols", "rows")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: dict[int, SparseVec] = {}  # pivot column -> row
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec) -> SparseVec:
+        """Fully reduce ``vec`` against the stored rows (vec is not modified)."""
+        out = {c: v for c, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
+        for p in sorted(c for c in out if c in self.rows):
+            cf = out.get(p)
+            if cf:
+                axpy(out, -cf, self.rows[p].items())
+        return out
+
+    def insert(self, vec) -> bool:
+        """Add ``vec`` to the row space; returns True iff the rank grew."""
+        red = self.reduce(vec)
+        if not red:
+            return False
+        p = min(red)
+        piv = red[p]
+        row = {c: v / piv for c, v in red.items()}
+        for other in self.rows.values():
+            cf = other.get(p)
+            if cf:
+                axpy(other, -cf, row.items())
+        self.rows[p] = row
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
+
+    def canonical_rows(self) -> tuple:
+        """The rows in pivot order, each as ``(column, value)`` pairs in
+        ascending column order: the canonical sparse basis."""
+        return tuple(tuple(sorted(self.rows[p].items())) for p in sorted(self.rows))
+
+
+def fraction_kernel(rows, ncols: int, field: str) -> tuple:
+    """Canonical rows of the common kernel of ``rows``, as the engine found
+    them on :class:`FractionEchelon`: x_f = 1 and x_p = -row[f] at each
+    pivot p of the pivot-one echelon rows."""
+    ech = FractionEchelon(ncols)
+    for r in rows:
+        ech.insert(r)
+    out = FractionEchelon(ncols)
+    for f in range(ncols):
+        if f not in ech.rows:
+            v = {f: scalar_one(field)}
+            for p, row in ech.rows.items():
+                if row.get(f):
+                    v[p] = -row[f]
+            out.insert(v)
+    return out.canonical_rows()
+
+
+def fraction_intersect(u_rows, v_rows, n: int) -> tuple:
+    """Canonical rows of U ∩ V by Zassenhaus on :class:`FractionEchelon`."""
+    ech = FractionEchelon(2 * n)
+    for row in u_rows:
+        ech.insert(dict(row + tuple((c + n, v) for c, v in row)))
+    for row in v_rows:
+        ech.insert(dict(row))
+    out = FractionEchelon(n)
+    for p, row in ech.rows.items():
+        if p >= n:
+            out.insert({c - n: v for c, v in row.items()})
+    return out.canonical_rows()
+
+
+def fraction_coords(rows, vec) -> Optional[tuple]:
+    """Coordinates of the dense ``vec`` in the canonical ``rows``, or None."""
+    ech = FractionEchelon(len(vec))
+    ech.rows = {row[0][0]: dict(row) for row in rows}
+    if ech.reduce(vec):
+        return None
+    return tuple(vec[row[0][0]] for row in rows)
+
 def solve(m: Mat, b) -> Optional[tuple]:
     """Some solution of ``m x = b``, or None when the system is inconsistent."""
     if len(b) != m.rows:
         raise ShapeMismatch("rhs length %d != %d" % (len(b), m.rows))
-    ech = Echelon(m.cols + 1)
+    ech = Echelon(m.cols + 1, m.field)
     bcol = m.cols
     for r in range(m.rows):
         row = {c: v for c, v in enumerate(m.row(r)) if v}
@@ -67,12 +163,13 @@ def solve(m: Mat, b) -> Optional[tuple]:
         if bv:
             row[bcol] = bv
         ech.insert(row)
-    if bcol in ech.rows:
+    rows = [dict(row) for row in ech.canonical_rows()]
+    if any(min(row) == bcol for row in rows):
         return None
     z = scalar_zero(m.field)
     x = [z] * m.cols
-    for p, row in ech.rows.items():
-        x[p] = row.get(bcol, z)
+    for row in rows:
+        x[min(row)] = row.get(bcol, z)
     return tuple(x)
 
 
@@ -88,7 +185,7 @@ def naive_nilradical(alg: Algebra) -> Subspace:
     assert alg.kind.lie
     d = alg.dim
     ads = alg.ops[0]
-    env_ech = Echelon(d * d)
+    env_ech = Echelon(d * d, alg.field)
     gens = [a for a in ads if a and env_ech.insert(sparse_flat(a, d))]
     basis = list(gens)
     i = 0

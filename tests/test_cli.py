@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from derleib import derivations
+from derleib import claims, cli, derivations
 from derleib.cli import main
 from derleib.catalog import kronecker
 from derleib.dsl import parse, to_algebra
@@ -108,6 +108,23 @@ class TestDerive:
                             lambda a, b, d: {0: 1})
         code, _ = run_cli("derive", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize("argv,exc", [
+        (("derive", "--family", "heisenberg", "--n", "1", "--a", "2"),
+         ZeroDivisionError("division by zero")),
+        (("verify-paper", "--nmax", "2", "--claim", "H1"), KeyError("k")),
+    ])
+    def test_unexpected_exception_is_internal_error(self, argv, exc, monkeypatch,
+                                                    capsys):
+        # exit 1 would read as a refuted claim, so an unmapped fault exits 3
+        def broken(alg):
+            raise exc
+        monkeypatch.setattr(cli, "der_algebra", broken)
+        monkeypatch.setattr(claims, "der_algebra", broken)
+        code, _ = run_cli(*argv)
+        assert code == 3
+        assert capsys.readouterr().err == "internal error: %s: %s\n" % (
+            type(exc).__name__, exc)
 
 
 class TestAnalyze:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from derleib.algebra import Algebra
 from derleib.catalog import (
@@ -11,6 +12,7 @@ from derleib.catalog import (
     heisenberg_lie,
     jordan,
     kronecker,
+    permute_basis,
     realify_heisenberg,
 )
 from derleib.claims import (
@@ -368,3 +370,40 @@ class TestAlmostInnerSample:
     def test_non_derivation_rejected(self):
         with pytest.raises(ValueError):
             almost_inner_sample(identity(3), heisenberg_lie(1))
+
+
+def _rescale(alg: Algebra, lam) -> Algebra:
+    """The algebra in the basis b_i' = lam_i b_i: [b_i', b_j'] has the
+    coefficient lam_i lam_j c_ijk / lam_k at b_k'."""
+    return Algebra.from_brackets(alg.field, alg.labels, {
+        (i, j): [(k, lam[i] * lam[j] * cf / lam[k]) for k, cf in terms]
+        for (i, j), terms in alg.table.items()})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_derivations_under_rescaled_permuted_basis(seed, data):
+    """Rescaling by rationals makes the structure constants non-integral, so
+    this exercises the lcm scaling of ``Algebra.int_table``."""
+    alg = random_small_algebra(Random(seed))
+    d = alg.dim
+    lam = data.draw(st.lists(st.fractions(-9, 9, max_denominator=9).filter(bool),
+                             min_size=d, max_size=d))
+    perm = data.draw(st.permutations(range(d)))
+    new = permute_basis(_rescale(alg, lam), perm)
+    # new basis vector i is lam[perm[i]] b_perm[i]: p maps new coordinates
+    # to old ones, s = p^-1 maps old to new, and Der(new) = s Der(alg) p
+    p = Mat.from_rows([[lam[r] if r == perm[c] else 0 for c in range(d)]
+                       for r in range(d)])
+    s = Mat.from_rows([[1 / lam[c] if c == perm[r] else 0 for c in range(d)]
+                       for r in range(d)])
+    assert s * p == identity(d)
+    assert new.kind == alg.kind
+    der, der_new = der_algebra(alg), der_algebra(new)
+    assert der_new.dim == der.dim
+    assert der_new.subspace == Subspace.span([(s * m * p).flatten() for m in der.basis],
+                                             d * d, Q)
+    if alg.kind.left_leibniz:
+        assert inner_derivations(new).dim == inner_derivations(alg).dim
+    if alg.commutator_ideal.dim == 1:
+        assert almost_inner_genus1(new).dim == almost_inner_genus1(alg).dim

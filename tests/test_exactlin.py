@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 from random import Random
 
 import pytest
@@ -21,7 +22,17 @@ from derleib.exactlin import (
     sparse_rows,
     sparse_trace,
 )
-from helpers import identity, nullspace, solve, trace, transpose
+from helpers import (
+    FractionEchelon,
+    fraction_coords,
+    fraction_intersect,
+    fraction_kernel,
+    identity,
+    nullspace,
+    solve,
+    trace,
+    transpose,
+)
 
 
 def rand_mat(rng, rows, cols, field=Q):
@@ -280,13 +291,97 @@ class TestSparseKit:
 
 class TestEchelon:
     def test_incremental_rank(self):
-        ech = Echelon(3)
+        ech = Echelon(3, Q)
         assert ech.insert((F(1), F(1), F(0)))
         assert not ech.insert((F(2), F(2), F(0)))
         assert ech.insert({2: F(5)})
         assert ech.rank == 2
         assert ech.contains({0: F(3), 1: F(3), 2: F(7)})
 
+
+
+def _system(rng, field, ncols=None):
+    """Seeded rows over Q or Q(i) that stress the integer echelon: parts
+    with denominators up to 9, about one numerator in five above 2**64,
+    and duplicate, dependent and zero rows among independent ones."""
+    def part():
+        if rng.random() < 0.2:
+            return F(rng.choice((1, -1)) * rng.randint(2 ** 64, 2 ** 70), rng.randint(1, 9))
+        return F(rng.randint(-5, 5), rng.randint(1, 9))
+
+    zero = F(0) if field == Q else GaussRat()
+
+    def entry():
+        if rng.random() < 0.4:
+            return zero
+        return part() if field == Q else GaussRat(part(), part())
+    ncols = ncols or rng.randint(1, 7)
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        shape = rng.random()
+        if rows and shape < 0.15:
+            rows.append(rng.choice(rows))
+        elif len(rows) >= 2 and shape < 0.35:
+            a, b = rng.sample(rows, 2)
+            cf = part()
+            rows.append(tuple(x + cf * y for x, y in zip(a, b)))
+        elif shape < 0.45:
+            rows.append((zero,) * ncols)
+        else:
+            rows.append(tuple(entry() for _ in range(ncols)))
+    return rows, ncols
+
+
+def _assert_projective(ech):
+    """Each row starts at its pivot and is zero at every other pivot; over Q
+    it is a coprime int vector with a positive pivot, over Q(i) pivot one."""
+    for p, row in ech.rows.items():
+        assert min(row) == p
+        assert not any(c != p and c in ech.rows for c in row)
+        if ech.field == Q:
+            assert all(type(v) is int for v in row.values())
+            assert row[p] > 0 and gcd(*row.values()) == 1
+        else:
+            assert row[p] == 1
+
+
+class TestEchelonAgainstFractions:
+    """The integer echelon against the engine's earlier Fraction echelon,
+    ``helpers.FractionEchelon``, and the kernel, intersection and
+    coordinates that were built on it, on the same seeded systems."""
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rows_rank_and_membership(self, field, seed):
+        rng = Random(seed)
+        rows, ncols = _system(rng, field)
+        ech, ref = Echelon(ncols, field), FractionEchelon(ncols)
+        for k, row in enumerate(rows):
+            vec = row if k % 2 else {c: x for c, x in enumerate(row) if x}
+            assert ech.insert(vec) == ref.insert(vec)
+            _assert_projective(ech)
+        assert ech.canonical_rows() == ref.canonical_rows()
+        assert ech.rank == ref.rank
+        for vec in rows + _system(rng, field, ncols)[0]:
+            assert ech.contains(vec) == ref.contains(vec)
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kernel(self, field, seed):
+        rows, ncols = _system(Random(1000 + seed), field)
+        assert kernel_from_rows(rows, ncols, field).rows == \
+            fraction_kernel(rows, ncols, field)
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_intersect_and_coords(self, field, seed):
+        rng = Random(2000 + seed)
+        ru, n = _system(rng, field)
+        rv = _system(rng, field, n)[0]
+        u, v = Subspace.span(ru, n, field), Subspace.span(rv, n, field)
+        assert u.intersect(v).rows == fraction_intersect(u.rows, v.rows, n)
+        for vec in ru + rv:
+            assert u.coords(vec) == fraction_coords(u.rows, vec)
 
 def _oracle_rows(rng, field):
     """Seeded random rows over Q or Q(i): parts in {-3..3}/{1,2}, about 40%

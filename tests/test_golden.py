@@ -42,6 +42,10 @@ GOLDEN = [
     (("derive", "--family", "realify-heisenberg", "--n", "1", "--a", "1",
       "--b", "2", "--table"), 0,
      "cd97889548c27c389187d273dc9377aff196425525ff8bc00c30f2d7bf59669a"),
+    (("derive", "--family", "heisenberg", "--n", "2", "--a", "1+2i", "--json"), 0,
+     "40356da52e8c8f9a547d0977239ba1987d67589254ccc1b1cfc963857512c596"),
+    (("derive", "--family", "heisenberg", "--n", "3", "--a", "1/2", "--table"), 0,
+     "ffbd9338e2d8ebdef814db0215b79d8086b180c2e63f82101942a33fc001a1bb"),
 ]
 
 
