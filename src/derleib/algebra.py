@@ -219,8 +219,9 @@ class Algebra:
         return (terms[-1].is_zero(), nonzero)
 
     def centers(self) -> tuple[Subspace, Subspace, Subspace]:
-        """Left center {x : [x,L]=0}, right center {x : [L,x]=0}, and their meet."""
-        lops, rops = self.ops
+        """Left center {x : [x,L]=0}, right center {x : [L,x]=0}, and their
+        meet; kernels of the operator rows of :attr:`int_table`."""
+        lops, rops = operators(self.int_table, self.dim)
         left = kernel_from_rows((row for m in rops for row in m.values()),
                                 self.dim, self.field)
         right = kernel_from_rows((row for m in lops for row in m.values()),

@@ -2,13 +2,13 @@
 
 Der(L) is the exact nullspace of the linear system collecting the derivation
 identity over all basis pairs, built from the sparse multiplication
-operators ``Algebra.ops``.  The result is wrapped as a
-:class:`MatrixLieAlgebra`: the canonical subspace of row-major flattened
-matrices and the induced abstract Lie algebra, with closure under
-commutators verified during construction.  The check brackets the sparse
-rows of the canonical subspace, since derivation matrices are mostly zero;
-the dense :class:`Mat` basis is only a view, built the first time it is
-read.
+operators of ``Algebra.int_table``, so over Q on Python ints.  The result
+is wrapped as a :class:`MatrixLieAlgebra`: the canonical subspace of
+row-major flattened matrices and the induced abstract Lie algebra, with
+closure under commutators verified during construction.  The check
+brackets the sparse int rows of the subspace's echelon, since derivation
+matrices are mostly zero; the dense :class:`Mat` basis is only a view,
+built the first time it is read.
 """
 
 from __future__ import annotations
@@ -206,9 +206,9 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     comm = alg.commutator_ideal
     if comm.dim != 1:
         raise GenusError("commutator ideal has dimension %d, need 1" % comm.dim)
-    w = comm.rows[0]
+    w, = comm.echelon.rows.values()
     d = alg.dim
-    ann = kernel_from_rows(map(dict, alg.centers()[2].rows), d, alg.field)
-    rank1 = Subspace.span(({r * d + c: x * y for r, x in w for c, y in phi}
-                           for phi in ann.rows), d * d, alg.field)
+    ann = kernel_from_rows(alg.centers()[2].echelon.rows.values(), d, alg.field)
+    rank1 = Subspace.span(({r * d + c: x * y for r, x in w.items() for c, y in phi.items()}
+                           for phi in ann.echelon.rows.values()), d * d, alg.field)
     return MatrixLieAlgebra.from_subspace(der.subspace.intersect(rank1), d)

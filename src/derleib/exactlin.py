@@ -643,7 +643,7 @@ class Subspace:
         """Membership of a vector, or of every basis vector of a subspace."""
         if isinstance(v, Subspace):
             self._check(v)
-            return all(self.echelon.contains(dict(row)) for row in v.rows)
+            return all(map(self.echelon.contains, v.echelon.rows.values()))
         self._check_vector(v)
         return self.echelon.contains(v)
 
@@ -667,10 +667,10 @@ class Subspace:
         self._check(other)
         n = self.ambient_dim
         ech = Echelon(2 * n, self.field)
-        for row in self.rows:
-            ech.insert(dict(row + tuple((c + n, v) for c, v in row)))
-        for row in other.rows:
-            ech.insert(dict(row))
+        for row in self.echelon.rows.values():
+            ech.insert({**row, **{c + n: v for c, v in row.items()}})
+        for row in other.echelon.rows.values():
+            ech.insert(row)
         # a row with pivot >= n is a multiple of one of U ∩ V's basis vectors
         return Subspace.span(({c - n: v for c, v in row.items()}
                               for p, row in ech.rows.items() if p >= n),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .algebra import Algebra
+from .algebra import Algebra, operators
 from .exactlin import (
     Echelon,
     InternalInvariantError,
@@ -105,9 +105,12 @@ def nilradical(alg: Algebra) -> Subspace:
     rad = radical(alg)
     if rad.is_zero():
         return rad
+    # on the int rows of the radical and the operators of the int table:
+    # multiples of its basis and of their adjoints, with the same envelope
     d = alg.dim
-    flats = [sparse_flat(a, d).items() for a in alg.ops[0]]
-    ads = [sparse_rows(sparse_combine(flats, row), d) for row in rad.rows]
+    rows = [row.items() for row in rad.echelon.rows.values()]
+    flats = [sparse_flat(a, d).items() for a in operators(alg.int_table, d)[0]]
+    ads = [sparse_rows(sparse_combine(flats, row), d) for row in rows]
     env_ech = Echelon(d * d, alg.field)
     gens = [a for a in ads if a and env_ech.insert(sparse_flat(a, d))]
     basis = list(gens)
@@ -124,10 +127,10 @@ def nilradical(alg: Algebra) -> Subspace:
     # ad_x lies in the envelope A_R, so it is in the trace radical of A_R
     # iff trace(ad_x b) = 0 for every basis element b of A_R; solve over the
     # radical's coordinates and map the kernel back through its rows
-    rows = ([sparse_trace(a, b) for a in ads] for b in basis)
-    kernel = kernel_from_rows(rows, rad.dim, alg.field)
-    nil = Subspace.span((sparse_combine(rad.rows, row) for row in kernel.rows),
-                        d, alg.field)
+    traces = ([sparse_trace(a, b) for a in ads] for b in basis)
+    kernel = kernel_from_rows(traces, rad.dim, alg.field)
+    nil = Subspace.span((sparse_combine(rows, row.items())
+                         for row in kernel.echelon.rows.values()), d, alg.field)
     _verify_nilradical(alg, nil)
     return nil
 
