@@ -86,7 +86,13 @@ class Algebra:
         """``(left, right)``: for each basis vector b_i, the sparse matrices
         ``{row: {col: coeff}}`` of y -> [b_i, y] and y -> [y, b_i].  Rebuilt
         on every call; the callers that need them often are cached."""
-        return operators(self.table, self.dim)
+        return _operators(self.table, self.dim)
+
+    @property
+    def int_ops(self) -> tuple[list, list]:
+        """:attr:`ops` of :attr:`int_table`, for the callers whose results
+        do not change when every structure constant is scaled alike."""
+        return _operators(self.int_table, self.dim)
 
     # -- bracket ---------------------------------------------------------
 
@@ -145,7 +151,7 @@ class Algebra:
         are homogeneous of degree 2, so over Q they run on Python ints."""
         table = self.int_table
         op = {(j, i): terms for (i, j), terms in table.items()}
-        left, right = map(_left_leibniz, operators(table, self.dim), (table, op))
+        left, right = map(_left_leibniz, self.int_ops, (table, op))
         antisym = op == {key: tuple((k, -cf) for k, cf in terms)
                          for key, terms in table.items()}
         return AlgebraKind(left_leibniz=left, right_leibniz=right,
@@ -221,7 +227,7 @@ class Algebra:
     def centers(self) -> tuple[Subspace, Subspace, Subspace]:
         """Left center {x : [x,L]=0}, right center {x : [L,x]=0}, and their
         meet; kernels of the operator rows of :attr:`int_table`."""
-        lops, rops = operators(self.int_table, self.dim)
+        lops, rops = self.int_ops
         left = kernel_from_rows((row for m in rops for row in m.values()),
                                 self.dim, self.field)
         right = kernel_from_rows((row for m in lops for row in m.values()),
@@ -257,7 +263,7 @@ class Algebra:
                                      brackets)
 
 
-def operators(table: Mapping, dim: int) -> tuple[list, list]:
+def _operators(table: Mapping, dim: int) -> tuple[list, list]:
     """Sparse left and right multiplication operators of a bracket table."""
     left = [{} for _ in range(dim)]
     right = [{} for _ in range(dim)]

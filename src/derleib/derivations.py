@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Algebra, operators
+from .algebra import Algebra
 from .exactlin import (
     InternalInvariantError,
     Mat,
@@ -156,7 +156,7 @@ def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
     """
     d = alg.dim
     table = alg.int_table
-    lops, rops = operators(table, d)
+    lops, rops = alg.int_ops
     rows = []
     for i in range(d):
         bf = lops[i]
@@ -184,9 +184,8 @@ def inner_derivations(alg: Algebra) -> MatrixLieAlgebra:
     if not alg.kind.left_leibniz:
         raise ValueError("inner derivations need a left Leibniz algebra")
     d = alg.dim
-    lops = operators(alg.int_table, d)[0]
     return MatrixLieAlgebra.from_subspace(Subspace.span(
-        (sparse_flat(m, d) for m in lops), d * d, alg.field), d)
+        (sparse_flat(m, d) for m in alg.int_ops[0]), d * d, alg.field), d)
 
 
 class GenusError(ValueError):
@@ -209,6 +208,7 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     w, = comm.echelon.rows.values()
     d = alg.dim
     ann = kernel_from_rows(alg.centers()[2].echelon.rows.values(), d, alg.field)
-    rank1 = Subspace.span(({r * d + c: x * y for r, x in w.items() for c, y in phi.items()}
+    rank1 = Subspace.span(({r * d + c: x * y for r, x in w.items()
+                            for c, y in phi.items()}
                            for phi in ann.echelon.rows.values()), d * d, alg.field)
     return MatrixLieAlgebra.from_subspace(der.subspace.intersect(rank1), d)

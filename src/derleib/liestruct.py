@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .algebra import Algebra, operators
+from .algebra import Algebra
 from .exactlin import (
     Echelon,
     InternalInvariantError,
@@ -109,7 +109,7 @@ def nilradical(alg: Algebra) -> Subspace:
     # multiples of its basis and of their adjoints, with the same envelope
     d = alg.dim
     rows = [row.items() for row in rad.echelon.rows.values()]
-    flats = [sparse_flat(a, d).items() for a in operators(alg.int_table, d)[0]]
+    flats = [sparse_flat(a, d).items() for a in alg.int_ops[0]]
     ads = [sparse_rows(sparse_combine(flats, row), d) for row in rows]
     env_ech = Echelon(d * d, alg.field)
     gens = [a for a in ads if a and env_ech.insert(sparse_flat(a, d))]
