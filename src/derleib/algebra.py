@@ -15,7 +15,6 @@ from typing import Literal, Mapping, Sequence
 
 from .exactlin import (
     Q,
-    Mat,
     Subspace,
     ShapeMismatch,
     axpy,
@@ -119,15 +118,6 @@ class Algebra:
         v = [z] * self.dim
         v[i] = coerce_scalar(1, self.field)
         return tuple(v)
-
-    def adjoint(self, x: Sequence, side: str = "left") -> Mat:
-        """Matrix of ``y -> [x, y]`` (left) or ``y -> [y, x]`` (right)."""
-        cols = []
-        for j in range(self.dim):
-            e = self.basis_vector(j)
-            cols.append(self.bracket(x, e) if side == "left" else self.bracket(e, x))
-        flat = [cols[c][r] for r in range(self.dim) for c in range(self.dim)]
-        return Mat(self.dim, self.dim, self.field, tuple(flat))
 
     # -- identity checks -------------------------------------------------
 

@@ -227,6 +227,7 @@ def realify_heisenberg(n: int, z, order: str = GROUPED) -> Algebra:
     return heisenberg_leibniz(2 * n, param, order)
 
 
+# kept for the benchmark's span recorder, which wraps it by name
 def realify_algebra(alg: Algebra) -> Algebra:
     """Scalar restriction: dimension doubles, brackets induced over Q.
 

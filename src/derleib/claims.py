@@ -38,7 +38,6 @@ from .catalog import (
 from .derivations import (
     MatrixLieAlgebra,
     almost_inner_genus1,
-    commutator,
     der_algebra,
     inner_derivations,
 )
@@ -48,10 +47,13 @@ from .exactlin import (
     Mat,
     Q,
     QI,
+    SparseVec,
     Subspace,
+    axpy,
     format_scalar,
     format_vector,
     sparse_commutator,
+    sparse_flat,
     sparse_rows,
 )
 from .liestruct import nilradical, radical, verify_levi
@@ -66,20 +68,25 @@ SKIPPED = "skipped"
 
 
 # ---------------------------------------------------------------------------
-# named generator matrices
+# named generator matrices, as sparse row-major flats {(r-1)*dim + (c-1): v}
 # ---------------------------------------------------------------------------
 
-def _unit(dim: int, r: int, c: int) -> Mat:
+def _unit(dim: int, r: int, c: int) -> SparseVec:
     """Matrix unit with 1-based indices."""
-    return Mat.unit(dim, dim, r - 1, c - 1)
+    return {(r - 1) * dim + c - 1: 1}
 
 
-def _msum(dim: int, terms) -> Mat:
+def _msum(dim: int, terms) -> SparseVec:
     """Sum of ``v`` times the matrix unit at (r, c), 1-based, per term."""
-    flat = [Fraction(0)] * (dim * dim)
-    for r, c, v in terms:
-        flat[(r - 1) * dim + c - 1] += v
-    return Mat(dim, dim, Q, tuple(flat))
+    return axpy({}, 1, (((r - 1) * dim + c - 1, v) for r, c, v in terms))
+
+
+def _comb(*terms) -> SparseVec:
+    """Sum of ``coeff * flat`` over ``(coeff, flat)`` pairs; zeros vanish."""
+    acc = {}
+    for cf, flat in terms:
+        axpy(acc, cf, flat.items())
+    return acc
 
 
 def _seq(prefix: str, lo: int, hi: int, step: int = 1) -> list:
@@ -259,27 +266,25 @@ def _named_span(der: MatrixLieAlgebra, gens: dict, names) -> Optional[Subspace]:
     return der.coords_span([gens[nm] for nm in names])
 
 
-def _mat_span(mats, mla: MatrixLieAlgebra) -> Subspace:
+def _mat_span(flats, mla: MatrixLieAlgebra) -> Subspace:
     """Span of the flattened matrices in the ambient space of ``mla``."""
-    return Subspace.span((m.flatten() for m in mats),
-                         mla.subspace.ambient_dim, mla.field)
+    return Subspace.span(flats, mla.subspace.ambient_dim, mla.field)
 
 
-def _comm_table_ok(ck: _Checks, gens: dict, expected: dict):
-    """Verify the complete commutator table of the named generators.
+def _comm_table_ok(ck: _Checks, d: int, gens: dict, expected: dict):
+    """Verify the complete commutator table of the named d x d generators.
 
-    ``expected`` maps ordered name pairs to matrices; unlisted pairs must
+    ``expected`` maps ordered name pairs to flats; unlisted pairs must
     commute.  Only one orientation per pair needs listing.
     """
     names = sorted(gens)
-    d = gens[names[0]].rows
-    ops = {nm: sparse_rows(m.sparse(), d) for nm, m in gens.items()}
+    ops = {nm: sparse_rows(m, d) for nm, m in gens.items()}
     for idx, p in enumerate(names):
         for q in names[idx + 1:]:
             m, sign = expected.get((p, q)), 1
             if m is None:
                 m, sign = expected.get((q, p)), -1
-            want = {} if m is None else {c: x * sign for c, x in m.sparse().items()}
+            want = {} if m is None else _comb((sign, m))
             if sparse_commutator(ops[p], ops[q], d) != want:
                 ck.problems.append("[%s,%s] differs from the stated table"
                                    % (p, q))
@@ -313,8 +318,8 @@ def _check_h2(params, seed):
         for k in range(i + 1, n + 1):
             expected[("E%d" % i, "B%d" % k)] = gens["B%d" % (k - i)]
         for k in range(1, n - i + 1):
-            expected[("E%d" % i, "A%d" % k)] = -gens["A%d" % (i + k)]
-    _comm_table_ok(ck, gens, expected)
+            expected[("E%d" % i, "A%d" % k)] = _comb((-1, gens["A%d" % (i + k)]))
+    _comm_table_ok(ck, 2 * n + 1, gens, expected)
     return ck.result("named basis spans Der and the bracket table matches")
 
 
@@ -370,19 +375,14 @@ def _check_h6(params, seed):
     ck.eq("dim Inn", len(names), inn.dim)
     ck.spans_equal("Inn = <A_h..A_n, B_1..B_k>",
                    _mat_span([gens[nm] for nm in names], inn), inn.subspace)
-    # stated left-multiplication formulas, grouped basis
+    # stated left-multiplication formulas, grouped basis; B_0 = A_(n+1) = 0
+    d, lops = alg.dim, alg.ops[0]
     for i in range(1, n + 1):
-        ad = alg.adjoint(alg.basis_vector(i - 1), "left")
-        want = gens["B%d" % i].scale(1 + a)
-        if i > 1:
-            want = want + gens["B%d" % (i - 1)]
-        ck.eq("ad_e%d" % i, want, ad)
+        want = _comb((1 + a, gens["B%d" % i]), (1, gens.get("B%d" % (i - 1), {})))
+        ck.eq("ad_e%d" % i, want, sparse_flat(lops[i - 1], d))
     for j in range(1, n + 1):
-        ad = alg.adjoint(alg.basis_vector(n + j - 1), "left")
-        want = gens["A%d" % j].scale(a - 1)
-        if j < n:
-            want = want + gens["A%d" % (j + 1)]
-        ck.eq("ad_f%d" % j, want, ad)
+        want = _comb((a - 1, gens["A%d" % j]), (1, gens.get("A%d" % (j + 1), {})))
+        ck.eq("ad_f%d" % j, want, sparse_flat(lops[n + j - 1], d))
     return ck.result("Inn has the stated span (h=%d, k=%d; dim %d)"
                      % (h, k, len(names)))
 
@@ -451,11 +451,12 @@ def _check_z4(params, seed):
     solv, _ = struct.is_solvable()
     ck.true("Der not solvable", not solv)
     ck.levi("Levi complement verified", der, [
-        gens["x"] - gens["y"], gens["c%d" % (n + 1)], gens["b%d" % (n + 1)]])
+        _comb((1, gens["x"]), (-1, gens["y"])),
+        gens["c%d" % (n + 1)], gens["b%d" % (n + 1)]])
     rad_names = (_seq("E", 1, n - 1) + _seq("c", 2, n - 1, 2)
                  + _seq("b", n + 3, 2 * n, 2) + _ab(n))
     rad = radical(struct)
-    xplusy = gens["x"] + gens["y"]
+    xplusy = _comb((1, gens["x"]), (1, gens["y"]))
     rad_span = der.coords_span([xplusy] + [gens[nm] for nm in rad_names])
     ck.spans_equal("radical = <x+y,E,c,b,A,B>", rad_span, rad)
     nil = nilradical(struct)
@@ -463,11 +464,13 @@ def _check_z4(params, seed):
     ck.spans_equal("nilradical = radical minus <x+y>", nil_span, nil)
     ck.eq("dim nilradical", 4 * n - 2, nil.dim)
     # flagged misprint probe: the stated sign of [B_i, b_k] for odd n
+    d = 2 * n + 1
     for i in range(1, n + 1):
         for k in range(n + 1, 2 * n + 1, 2):
             if 1 <= k - i <= n and ("b%d" % k) in gens:
-                got = commutator(gens["B%d" % i], gens["b%d" % k])
-                want = gens["A%d" % (k - i)].scale((-1) ** (i + 1))
+                got = sparse_commutator(sparse_rows(gens["B%d" % i], d),
+                                        sparse_rows(gens["b%d" % k], d), d)
+                want = _comb(((-1) ** (i + 1), gens["A%d" % (k - i)]))
                 if got != want:
                     return (DISCREPANCY,
                             "[B_i,b_k] = (-1)^(i+1) A_(k-i) as stated",
@@ -514,10 +517,10 @@ def _check_r2(params, seed):
     ck.eq("dim Der", 9, der.dim)
     rad = radical(struct)
     ab = [gens[nm] for nm in _ab(2)]
-    rad_span = der.coords_span([gens["x"] + gens["y"], gens["E"]] + ab)
+    rad_span = der.coords_span([_comb((1, gens["x"]), (1, gens["y"])), gens["E"]] + ab)
     ck.spans_equal("radical = <x+y,E,A,B>", rad_span, rad)
     ck.levi("Levi <x-y,F,G> verified", der,
-            [gens["x"] - gens["y"], gens["F"], gens["G"]])
+            [_comb((1, gens["x"]), (-1, gens["y"])), gens["F"], gens["G"]])
     nil = nilradical(struct)
     ck.spans_equal("nilradical = <A,B>", der.coords_span(ab), nil)
     ck.eq("nilradical abelian", 0, struct.product_space(nil, nil).dim)
@@ -553,9 +556,9 @@ def _check_r3(params, seed):
         else:
             d3 = build(rand_qi(), rand_qi(), rand_qi(), rand_qi())
         alpha, beta = d3.at(0, 0), d3.at(1, 1)
-        ck.true("sample %d is a derivation" % t, der3.contains(d3))
+        ck.true("sample %d is a derivation" % t, der3.contains(d3.flatten()))
         real = realify_derivation(d3)
-        member = real is not None and der5.contains(real)
+        member = real is not None and der5.contains(real.flatten())
         expected = (alpha == beta) and not alpha.im
         if member != expected:
             ck.problems.append(
@@ -573,12 +576,10 @@ def _check_r3(params, seed):
     ck.true("family realifies", all(r is not None for r in real_fam))
     gens = l5r_gens()
     scaled = _msum(5, [(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (5, 5, 2)])
-    want = Subspace.span([scaled.flatten()] +
-                         [gens[nm].flatten() for nm in _ab(2)],
-                         25, Q)
+    want = Subspace.span([scaled] + [gens[nm] for nm in _ab(2)], 25, Q)
     got = Subspace.span([r.flatten() for r in real_fam], 25, Q)
     ck.eq("iff-family span", want, got)
-    ck.true("iff-family inside Der", all(der5.contains(r) for r in real_fam))
+    ck.true("iff-family inside Der", all(der5.contains(r.flatten()) for r in real_fam))
     return ck.result("realification enters Der iff alpha = beta real; "
                      "the family matches the corner-2a matrices")
 
@@ -607,7 +608,8 @@ def _check_k3(params, seed):
     gens = kron_gens(n)
     ck = _Checks()
     ck.levi("Levi complement verified", der, [
-        gens["x"] - gens["y"], gens["c%d" % (n + 1)], gens["b%d" % (n + 1)]])
+        _comb((1, gens["x"]), (-1, gens["y"])),
+        gens["c%d" % (n + 1)], gens["b%d" % (n + 1)]])
     return ck.result("Levi complement <x-y, c_(n+1), b_(n+1)> verified")
 
 
@@ -638,17 +640,12 @@ def _check_k5(params, seed):
     ck.eq("Inn abelian", 0, inn.structure.commutator_ideal.dim)
     ck.spans_equal("Inn = <A,B>",
                    _mat_span([gens[nm] for nm in _ab(n)], inn), inn.subspace)
+    d, lops = alg.dim, alg.ops[0]  # B_0 = A_(n+1) = 0
     for i in range(1, n + 1):
-        ad = alg.adjoint(alg.basis_vector(2 * i - 2), "left")
-        want = gens["B%d" % i]
-        if i > 1:
-            want = want + gens["B%d" % (i - 1)]
-        ck.eq("ad_e%d = B_(i-1)+B_i" % i, want, ad)
-        ad = alg.adjoint(alg.basis_vector(2 * i - 1), "left")
-        want = gens["A%d" % i]
-        if i < n:
-            want = want - gens["A%d" % (i + 1)]
-        ck.eq("ad_f%d = A_i - A_(i+1)" % i, want, ad)
+        want = _comb((1, gens["B%d" % i]), (1, gens.get("B%d" % (i - 1), {})))
+        ck.eq("ad_e%d = B_(i-1)+B_i" % i, want, sparse_flat(lops[2 * i - 2], d))
+        want = _comb((1, gens["A%d" % i]), (-1, gens.get("A%d" % (i + 1), {})))
+        ck.eq("ad_f%d = A_i - A_(i+1)" % i, want, sparse_flat(lops[2 * i - 1], d))
     return ck.result("Inn = <A,B> isomorphic to F^2n via the left multiplications")
 
 
@@ -686,17 +683,17 @@ def _check_d1(params, seed):
     dim = 2 * n + 2
     for i in range(1, n + 2):
         for k in range(1, n + 1):
-            ek = gens["E%d" % k]
-            row = [(c, ek.at(i - 1, c)) for c in range(dim) if ek.at(i - 1, c)]
+            row = sorted((c % dim, v) for c, v in gens["E%d" % k].items()
+                         if c // dim == i - 1)
             if not row:
                 continue
             if len(row) != 1 or abs(row[0][1]) != 1 or not (n + 1 <= row[0][0] <= 2 * n):
                 ck.problems.append("E%d row %d is not a single +-1 unit" % (k, i))
                 continue
             c, eps = row[0]
-            expected[("A%d" % i, "E%d" % k)] = gens["A%d" % (c + 1)].scale(eps)
+            expected[("A%d" % i, "E%d" % k)] = _comb((eps, gens["A%d" % (c + 1)]))
     flagged = _Checks()
-    _comm_table_ok(flagged, gens, expected)
+    _comm_table_ok(flagged, dim, gens, expected)
     if flagged.problems:
         return (DISCREPANCY, "bracket table with [x,E_i] = [E_i,y] = E_i",
                 "; ".join(flagged.problems))
@@ -732,7 +729,8 @@ def _check_d4(params, seed):
     gens = dieu_gens(n)
     ck = _Checks()
     ck.eq("dim Inn", 2 * n, inn.dim)
-    cons = [gens["A%d" % k] - gens["A%d" % (k + 1)] for k in range(1, n + 1)]
+    cons = [_comb((1, gens["A%d" % k]), (-1, gens["A%d" % (k + 1)]))
+            for k in range(1, n + 1)]
     cons += [gens["A%d" % j] for j in range(n + 2, 2 * n + 2)]
     ck.spans_equal("Inn = {sum of mu over the first n+1 columns is zero}",
                    _mat_span(cons, inn), inn.subspace)
@@ -756,7 +754,7 @@ def _check_d5(params, seed):
         e, a1, a2, a3 = gens["E1"], gens["A1"], gens["A2"], gens["A3"]
         table = {("x", "E1"): e, ("E1", "y"): e, ("x", "A3"): a3,
                  ("y", "A1"): a1, ("y", "A2"): a2, ("A1", "E1"): a3}
-        _comm_table_ok(ck, gens, table)
+        _comm_table_ok(ck, 4, gens, table)
         return ck.result("the six-dimensional worked example matches")
     if n == 2:
         ck.eq("dim Der", 9, der.dim)

@@ -10,9 +10,9 @@ sparse echelon rows and makes dense tuples only as a view.  Operators are
 sparse matrices ``{row: {column: value}}`` without zero entries, handled by
 the kit :func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`,
 :func:`sparse_trace`, :func:`sparse_flat`, :func:`sparse_rows` and
-:func:`sparse_commutator`; :class:`Mat` is the dense matrix of the public
-API.  Values are immutable after construction, so every operation is safe
-to call concurrently.
+:func:`sparse_commutator`.  :class:`Mat` is dense, for the catalog's parameter
+matrices and the CLI's dense view.  Values are immutable after construction,
+so every operation is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -461,23 +461,7 @@ class Mat:
         if same_shape and (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("shape mismatch")
 
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check(other, True)
-        return Mat(self.rows, self.cols, self.field,
-                   tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check(other, True)
-        return Mat(self.rows, self.cols, self.field,
-                   tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, self.field, tuple(-a for a in self.entries))
-
-    def scale(self, s) -> "Mat":
-        s = coerce_scalar(s, self.field)
-        return Mat(self.rows, self.cols, self.field, tuple(s * a for a in self.entries))
-
+    # kept for the benchmark's span recorder, which wraps it by name
     def __mul__(self, other: "Mat") -> "Mat":
         self._check(other, False)
         if self.cols != other.rows:

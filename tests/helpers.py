@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
+from derleib import claims
 from derleib.algebra import Algebra, AlgebraKind
 from derleib.derivations import is_derivation
 from derleib.exactlin import (
@@ -35,6 +36,62 @@ def identity(n: int, field: str = Q) -> Mat:
     for k in range(n):
         flat[k * n + k] = o
     return Mat(n, n, field, tuple(flat))
+
+
+def lincomb(*terms) -> Mat:
+    """``sum c * m`` over the ``(c, m)`` pairs of dense matrices of one
+    shape and field, entry by entry."""
+    first = terms[0][1]
+    flat = [scalar_zero(first.field)] * len(first.entries)
+    for c, m in terms:
+        assert (m.rows, m.cols, m.field) == (first.rows, first.cols, first.field)
+        c = coerce_scalar(c, m.field)
+        flat = [x + c * y for x, y in zip(flat, m.entries)]
+    return Mat(first.rows, first.cols, first.field, tuple(flat))
+
+
+def to_mat(flat: SparseVec, d: int, field: str = Q) -> Mat:
+    """The d x d matrix of a sparse row-major flattening."""
+    z = scalar_zero(field)
+    return Mat(d, d, field, tuple(coerce_scalar(flat.get(i, z), field)
+                                  for i in range(d * d)))
+
+
+def adjoint(alg: Algebra, x, side: str = "left") -> Mat:
+    """Matrix of ``y -> [x, y]`` (left) or ``y -> [y, x]`` (right), column
+    by column through ``alg.bracket``."""
+    cols = []
+    for j in range(alg.dim):
+        e = alg.basis_vector(j)
+        cols.append(alg.bracket(x, e) if side == "left" else alg.bracket(e, x))
+    flat = [cols[c][r] for r in range(alg.dim) for c in range(alg.dim)]
+    return Mat(alg.dim, alg.dim, alg.field, tuple(flat))
+
+
+class Flat(dict):
+    """A sparse row-major flattening that adds and subtracts, so that a test
+    can write sums of named generators as ``gens["x"] - gens["y"]``."""
+
+    def __add__(self, other):
+        return Flat(axpy(dict(self), 1, other.items()))
+
+    def __sub__(self, other):
+        return Flat(axpy(dict(self), -1, other.items()))
+
+
+def j0_gens(n: int) -> dict:
+    """:func:`derleib.claims.j0_gens` with :class:`Flat` values."""
+    return {nm: Flat(f) for nm, f in claims.j0_gens(n).items()}
+
+
+def kron_gens(n: int) -> dict:
+    """:func:`derleib.claims.kron_gens` with :class:`Flat` values."""
+    return {nm: Flat(f) for nm, f in claims.kron_gens(n).items()}
+
+
+def l5r_gens() -> dict:
+    """:func:`derleib.claims.l5r_gens` with :class:`Flat` values."""
+    return {nm: Flat(f) for nm, f in claims.l5r_gens().items()}
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -247,7 +304,7 @@ def charpoly(m: Mat) -> list:
     ck = -trace(mk)
     coeffs.append(ck)
     for k in range(2, n + 1):
-        mk = m * (mk + identity(n, m.field).scale(ck))
+        mk = m * lincomb((1, mk), (ck, identity(n, m.field)))
         ck = -trace(mk) / k
         coeffs.append(ck)
     return coeffs
@@ -263,7 +320,7 @@ def mat_power_is_zero(m: Mat, exponent: int) -> bool:
 
 
 def ad_nilpotent(alg: Algebra, vec) -> bool:
-    return mat_power_is_zero(alg.adjoint(vec, "left"), alg.dim)
+    return mat_power_is_zero(adjoint(alg, vec, "left"), alg.dim)
 
 
 def random_vector(rng: Random, dim: int):
@@ -332,7 +389,7 @@ def naive_structure(mla) -> Algebra:
     brackets = {}
     for s, a in enumerate(mla.basis):
         for t, b in enumerate(mla.basis):
-            cs = mla.subspace.coords((a * b - b * a).flatten())
+            cs = mla.subspace.coords(lincomb((1, a * b), (-1, b * a)).flatten())
             assert cs is not None, "bracket %d, %d escapes the span" % (s, t)
             brackets[(s, t)] = list(enumerate(cs))
     return Algebra.from_brackets(mla.field, ["m%d" % (k + 1) for k in range(mla.dim)],

@@ -9,7 +9,7 @@ from derleib.catalog import dieudonne, heisenberg_leibniz, heisenberg_lie, \
 from derleib.derivations import der_algebra, is_derivation
 from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace
 
-from helpers import naive_bracket, naive_kind, nullspace, random_small_algebra
+from helpers import adjoint, naive_bracket, naive_kind, nullspace, random_small_algebra
 
 
 def vec(alg, **coords):
@@ -181,8 +181,8 @@ class TestSparsePathsOracle:
         d = alg.dim
         e = [alg.basis_vector(i) for i in range(d)]
         left, right = alg.ops
-        lads = [alg.adjoint(v, "left") for v in e]
-        rads = [alg.adjoint(v, "right") for v in e]
+        lads = [adjoint(alg, v, "left") for v in e]
+        rads = [adjoint(alg, v, "right") for v in e]
         for i in range(d):
             assert _dense(left[i], d, Q) == lads[i]
             assert _dense(right[i], d, Q) == rads[i]
@@ -320,17 +320,17 @@ class TestQuotient:
 class TestAdjoint:
     def test_central_element(self):
         h3 = heisenberg_lie(1)
-        assert h3.adjoint(vec(h3, z=1), "left").is_zero()
+        assert adjoint(h3, vec(h3, z=1), "left").is_zero()
 
     def test_adjoint_in_zero_parameter_family(self):
         # grouped basis {e1,e2,f1,f2,z}: ad_e1 sends f1 to (1+a) z with a = 0
         l5 = heisenberg_leibniz(2, jordan(F(0), 2))
-        ad = l5.adjoint(vec(l5, e1=1), "left")
+        ad = adjoint(l5, vec(l5, e1=1), "left")
         assert ad == Mat.unit(5, 5, 4, 2)
 
     def test_right_adjoint(self):
         l3 = heisenberg_leibniz(1, jordan(F(2), 1))
-        ad = l3.adjoint(vec(l3, e1=1), "right")
+        ad = adjoint(l3, vec(l3, e1=1), "right")
         # [f1, e1] = (a-1) z = z
         assert ad == Mat.unit(3, 3, 2, 1)
 
@@ -339,7 +339,7 @@ class TestAdjoint:
                     dieudonne(2)):
             assert alg.kind.left_leibniz
             for i in range(alg.dim):
-                ad = alg.adjoint(alg.basis_vector(i), "left")
+                ad = adjoint(alg, alg.basis_vector(i), "left")
                 assert is_derivation(ad, alg)
 
     def test_dim_zero_everywhere(self):

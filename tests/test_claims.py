@@ -18,7 +18,7 @@ from derleib.derivations import is_derivation
 from derleib.dsl import report_json
 from derleib.exactlin import Mat
 
-from helpers import identity
+from helpers import identity, lincomb, to_mat
 
 REG = {c.id: c for c in registry()}
 
@@ -37,15 +37,16 @@ def test_commutator_table_check():
     x = Mat.from_rows([[0, 1], [0, 0]])
     y = Mat.from_rows([[0, 0], [1, 0]])
     h = Mat.from_rows([[1, 0], [0, -1]])
-    gens = {"h": h, "x": x, "y": y}
+    gens = {"h": h.sparse(), "x": x.sparse(), "y": y.sparse()}
 
     def problems(expected):
         ck = claims._Checks()
-        claims._comm_table_ok(ck, gens, expected)
+        claims._comm_table_ok(ck, 2, gens, expected)
         return ck.problems
-    good = {("x", "y"): h, ("h", "x"): x.scale(2), ("y", "h"): y.scale(2)}
+    good = {("x", "y"): h.sparse(), ("h", "x"): lincomb((2, x)).sparse(),
+            ("y", "h"): lincomb((2, y)).sparse()}
     assert problems(good) == []
-    assert problems({**good, ("y", "h"): y.scale(-2)}) == \
+    assert problems({**good, ("y", "h"): lincomb((-2, y)).sparse()}) == \
         ["[h,y] differs from the stated table"]
     del good[("x", "y")]  # an unlisted pair must commute
     assert problems(good) == ["[x,y] differs from the stated table"]
@@ -96,12 +97,12 @@ class TestIndividualClaims:
             gens = dieu_gens(n)
             assert len(gens) == 3 * n + 3
             for name, m in gens.items():
-                assert is_derivation(m, alg), (n, name)
+                assert is_derivation(to_mat(m, alg.dim), alg), (n, name)
 
     def test_h2_refutes_a_generator_outside_der(self, monkeypatch):
         named = claims.heis_grouped_gens
         monkeypatch.setattr(claims, "heis_grouped_gens",
-                            lambda n: {**named(n), "x": identity(2 * n + 1)})
+                            lambda n: {**named(n), "x": identity(2 * n + 1).sparse()})
         r = run_claim(REG["H2"], {"n": 2, "a": F(2)})
         assert r.status == "refuted"
         assert "x is a derivation" in r.actual
@@ -119,7 +120,7 @@ class TestIndividualClaims:
         r = run_claim(REG["R2"], {"n": 1})
         assert r.actual == "Levi <x-y,F,G> verified: failed(not-subalgebra)"
         monkeypatch.setattr(claims, "l5r_gens",
-                            lambda: {**l5r(), "G": identity(5)})
+                            lambda: {**l5r(), "G": identity(5).sparse()})
         r = run_claim(REG["R2"], {"n": 1})
         assert r.actual == "Levi generators lie in Der"
 
@@ -127,8 +128,7 @@ class TestIndividualClaims:
         """The c_h / b_h entries at n = 2 by hand, 1-based (row, col): the
         Kronecker signs start at -1 and the J_0 signs at +1."""
         def entries(gens):
-            return {name: {(r + 1, c + 1): m.at(r, c) for r in range(m.rows)
-                           for c in range(m.cols) if m.at(r, c)}
+            return {name: {(i // 5 + 1, i % 5 + 1): v for i, v in m.items()}
                     for name, m in gens.items() if name[0] in "bc"}
         assert entries(kron_gens(2)) == {"c3": {(3, 2): -1, (1, 4): 1},
                                          "b3": {(4, 1): -1, (2, 3): 1}}

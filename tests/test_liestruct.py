@@ -14,7 +14,6 @@ from derleib.catalog import (
     kronecker,
     realify_heisenberg,
 )
-from derleib.claims import kron_gens, l5r_gens
 from derleib.derivations import MatrixLieAlgebra, der_algebra
 from derleib.exactlin import (
     GaussRat,
@@ -35,10 +34,13 @@ from derleib.liestruct import (
 from helpers import (
     ad_nilpotent,
     is_semisimple,
+    kron_gens,
+    l5r_gens,
     naive_nilradical,
     random_small_algebra,
     random_solvable_lie,
     random_vector,
+    to_mat,
 )
 
 
@@ -252,7 +254,8 @@ def test_nilradical_matches_naive_envelope(case):
 def _sl2_triple():
     gens = kron_gens(2)
     return MatrixLieAlgebra.from_matrices(
-        [gens["x"] - gens["y"], gens["c3"], gens["b3"]], 5, Q).structure
+        [to_mat(m, 5) for m in (gens["x"] - gens["y"], gens["c3"], gens["b3"])],
+        5, Q).structure
 
 
 class TestNilradicalEdges:
@@ -330,7 +333,7 @@ class TestLevi:
         mats = [gens["x"] - gens["y"], gens["c3"], gens["b3"]]
         s = der.coords_span(mats)
         assert verify_levi(der.structure, s).verified
-        triple = MatrixLieAlgebra.from_matrices(mats, 5, Q)
+        triple = MatrixLieAlgebra.from_matrices([to_mat(m, 5) for m in mats], 5, Q)
         assert triple.dim == 3
         assert is_semisimple(triple.structure)
 
