@@ -124,6 +124,38 @@ class TestIndividualClaims:
         r = run_claim(REG["R2"], {"n": 1})
         assert r.actual == "Levi generators lie in Der"
 
+    # Every shipped output confirms H6, K5 and Z4, so only a wrong generator
+    # reaches their comparisons of stated and computed matrices.
+
+    def test_h6_refutes_a_wrong_left_multiplication(self, monkeypatch):
+        # 2 B_1 spans what B_1 spans, so only the ad_e formulas differ
+        named = claims.heis_grouped_gens
+        monkeypatch.setattr(claims, "heis_grouped_gens", lambda n: {
+            **named(n), "B1": claims._comb((2, named(n)["B1"]))})
+        r = run_claim(REG["H6"], {"n": 2, "a": F(2)})
+        assert r.status == "refuted"
+        assert r.actual.startswith("ad_e1: expected") and "ad_e2: " in r.actual
+        assert "ad_f" not in r.actual and "Inn" not in r.actual
+
+    def test_k5_refutes_a_wrong_left_multiplication(self, monkeypatch):
+        named = claims.kron_gens
+        monkeypatch.setattr(claims, "kron_gens", lambda n: {
+            **named(n), "A1": claims._comb((2, named(n)["A1"]))})
+        r = run_claim(REG["K5"], {"n": 2})
+        assert r.status == "refuted"
+        assert r.actual.startswith("ad_f1 = A_i - A_(i+1): expected")
+        assert "ad_e" not in r.actual and "Inn" not in r.actual
+
+    def test_z4_sign_probe_flips_with_b2(self, monkeypatch):
+        # -b_2 leaves every span unchanged; only the [B_1, b_2] sign differs
+        assert run_claim(REG["Z4"], {"n": 1}).status == "confirmed"
+        named = claims.j0_gens
+        monkeypatch.setattr(claims, "j0_gens", lambda n: {
+            **named(n), "b2": claims._comb((-1, named(n)["b2"]))})
+        r = run_claim(REG["Z4"], {"n": 1})
+        assert r.status == "discrepancy"
+        assert r.actual == "[B1,b2] computes to the opposite sign"
+
     def test_mixing_generators_written_out_at_n2(self):
         """The c_h / b_h entries at n = 2 by hand, 1-based (row, col): the
         Kronecker signs start at -1 and the J_0 signs at +1."""

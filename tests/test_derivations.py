@@ -412,7 +412,15 @@ def test_derivations_under_rescaled_permuted_basis(seed, data):
     assert der_new.dim == der.dim
     assert der_new.subspace == Subspace.span([(s * m * p).flatten() for m in der.basis],
                                              d * d, Q)
+    # the same table read over Q(i): the pivot-one Q(i) echelon must find
+    # the canonical rows the int Q echelon finds, value for value
+    over_qi = Algebra.from_brackets(QI, new.labels, new.table)
+    assert over_qi.kind == new.kind
+    der_qi = der_algebra(over_qi)
+    assert der_qi.field == QI and der_qi.subspace.rows == der_new.subspace.rows
     if alg.kind.left_leibniz:
         assert inner_derivations(new).dim == inner_derivations(alg).dim
+        assert inner_derivations(over_qi).dim == inner_derivations(new).dim
     if alg.commutator_ideal.dim == 1:
         assert almost_inner_genus1(new).dim == almost_inner_genus1(alg).dim
+        assert almost_inner_genus1(over_qi).dim == almost_inner_genus1(new).dim

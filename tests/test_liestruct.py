@@ -341,6 +341,34 @@ class TestLevi:
         assert not is_semisimple(der_algebra(dieudonne(1)).structure)
 
 
+def _sympy_derived_dims(der):
+    """Derived-series dimensions of a matrix Lie algebra from dense sympy
+    commutators of its basis matrices, each term reduced by sympy's rref."""
+    sympy = pytest.importorskip("sympy")
+    d = der.ambient_dim
+    term = [sympy.Matrix(d, d, [sympy.Rational(x.numerator, x.denominator)
+                                for x in m.entries]) for m in der.basis]
+    dims = [len(term)]
+    while term:
+        comms = [a * b - b * a for k, a in enumerate(term) for b in term[k + 1:]]
+        rref, pivots = sympy.Matrix([list(c) for c in comms] or [[0] * d * d]).rref()
+        term = [sympy.Matrix(d, d, list(rref.row(k))) for k in range(len(pivots))]
+        dims.append(len(term))
+    return dims
+
+
+@pytest.mark.parametrize("alg, dims", [
+    (heisenberg_leibniz(8, jordan(F(0), 8), INTERLEAVED), [33, 27, 23, 15, 0]),
+    (kronecker(7, INTERLEAVED), [28, 23, 19, 11, 0]),
+], ids=["zero-parameter n=8", "kronecker n=7"])
+def test_derived_series_of_der_against_sympy(alg, dims):
+    """The solvability-class finding (Z3 refuted at n=8, K4 at n=7) read
+    independently of the engine's own brackets and echelon."""
+    der = der_algebra(alg)
+    assert _sympy_derived_dims(der) == dims
+    assert [t.dim for t in der.structure.series("derived")] == dims
+
+
 class TestStructureReport:
     def test_report_fields(self):
         g = der_algebra(kronecker(1, INTERLEAVED)).structure
