@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .algebra import Algebra
+from .algebra import MAX_DIM, Algebra
 from .exactlin import (
     GaussRat,
     Mat,
@@ -31,10 +31,20 @@ def _field_of(a) -> str:
     return QI if isinstance(a, GaussRat) and a.im else Q
 
 
-def jordan(a, n: int, field: Optional[str] = None) -> Mat:
-    """Lower-bidiagonal n x n Jordan block with eigenvalue ``a``."""
+def _check_n(n: int, dim: int):
+    """``n >= 1``, and ``dim``, the dimension of the algebra it gives, at most
+    :data:`MAX_DIM`; checked before anything of that size is built."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if dim > MAX_DIM:
+        raise ValueError("n=%d gives dimension %d, above the limit of %d"
+                         % (n, dim, MAX_DIM))
+
+
+def jordan(a, n: int, field: Optional[str] = None) -> Mat:
+    """Lower-bidiagonal n x n Jordan block with eigenvalue ``a``, the
+    parameter of a (2n+1)-dimensional Heisenberg-type algebra."""
+    _check_n(n, 2 * n + 1)
     field = field or _field_of(a)
     m = [[scalar_zero(field)] * n for _ in range(n)]
     av = coerce_scalar(a, field)
@@ -148,8 +158,7 @@ def heisenberg_leibniz(n: int, a: Mat, order: str = GROUPED) -> Algebra:
     """(2n+1)-dimensional algebra with [e_i,f_j] = (d_ij + a_ij) z and
     [f_j,e_i] = (-d_ij + a_ij) z; the zero parameter gives the Heisenberg
     Lie algebra."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n, 2 * n + 1)
     if a.rows != n or a.cols != n:
         raise ShapeMismatch("parameter matrix must be %d x %d" % (n, n))
     field = a.field
@@ -169,6 +178,7 @@ def heisenberg_leibniz(n: int, a: Mat, order: str = GROUPED) -> Algebra:
 
 
 def heisenberg_lie(n: int, order: str = GROUPED, field: str = Q) -> Algebra:
+    _check_n(n, 2 * n + 1)
     return heisenberg_leibniz(n, Mat.zero(n, n, field), order)
 
 
@@ -176,8 +186,7 @@ def heisenberg_lie(n: int, order: str = GROUPED, field: str = Q) -> Algebra:
 def kronecker(n: int, order: str = GROUPED, field: str = Q) -> Algebra:
     """(2n+1)-dimensional Kronecker algebra: [e_i,f_i] = [f_i,e_i] = z and
     [e_i,f_{i-1}] = z, [f_{i-1},e_i] = -z."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n, 2 * n + 1)
     zidx = 2 * n
     one = coerce_scalar(1, field)
     brackets = {}
@@ -194,8 +203,7 @@ def kronecker(n: int, order: str = GROUPED, field: str = Q) -> Algebra:
 @lru_cache(maxsize=None)
 def dieudonne(n: int, field: str = Q) -> Algebra:
     """(2n+2)-dimensional Dieudonne algebra on {e_1..e_{2n+1}, z}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n, 2 * n + 2)
     labels = ["e%d" % (i + 1) for i in range(2 * n + 1)] + ["z"]
     zidx = 2 * n + 1
     one = coerce_scalar(1, field)
@@ -220,6 +228,7 @@ def realify_heisenberg(n: int, z, order: str = GROUPED) -> Algebra:
     """Real (4n+1)-dimensional form of the complex Heisenberg-type algebra
     with Jordan parameter ``z = a + bi``: the parameter matrix is realified
     entrywise and the algebra rebuilt over Q."""
+    _check_n(n, 4 * n + 1)
     zq = z if isinstance(z, GaussRat) else GaussRat(z)
     if not zq.im:
         raise ValueError("parameter must have a nonzero imaginary part")
@@ -296,8 +305,11 @@ def realify_derivation(dmat: Mat) -> Optional[Mat]:
     return Mat.from_rows(out, Q)
 
 
-FAMILIES = ("heisenberg-lie", "heisenberg", "kronecker", "dieudonne",
-            "realify-heisenberg")
+# the parameters each family takes besides n
+_PARAMS = {"heisenberg-lie": ("order",), "heisenberg": ("a", "order"),
+           "kronecker": ("order",), "dieudonne": (),
+           "realify-heisenberg": ("a", "b", "order")}
+FAMILIES = tuple(_PARAMS)
 
 
 def _real_part(x, default):
@@ -331,7 +343,15 @@ class FamilySpec:
         return " ".join(parts)
 
     def build(self) -> Algebra:
+        """The algebra; a parameter the family does not take is an error."""
         f = self.family
+        if f not in _PARAMS:
+            raise ValueError("unknown family %r" % (f,))
+        given = {"a": self.a is not None, "b": self.b is not None,
+                 "order": self.order != GROUPED}
+        extra = [k for k, v in given.items() if v and k not in _PARAMS[f]]
+        if extra:
+            raise ValueError("family %s does not take %s" % (f, ", ".join(extra)))
         if f == "heisenberg-lie":
             return heisenberg_lie(self.n, self.order)
         if f == "heisenberg":
@@ -343,8 +363,7 @@ class FamilySpec:
             return kronecker(self.n, self.order)
         if f == "dieudonne":
             return dieudonne(self.n)
-        if f == "realify-heisenberg":
-            a = _real_part(self.a, 0)
-            b = _real_part(self.b, 1)
-            return realify_heisenberg(self.n, GaussRat(a, b), self.order)
-        raise ValueError("unknown family %r" % (f,))
+        # realify-heisenberg
+        a = _real_part(self.a, 0)
+        b = _real_part(self.b, 1)
+        return realify_heisenberg(self.n, GaussRat(a, b), self.order)

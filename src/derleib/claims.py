@@ -226,6 +226,11 @@ class _Checks:
             self.problems.append("%s: expected %s, actual %s"
                                  % (label, expected, actual))
 
+    def flat_eq(self, label: str, d: int, expected: SparseVec, actual: SparseVec):
+        """:meth:`eq` on two flattened d x d matrices, printed by :func:`_fmt_flat`."""
+        if expected != actual:
+            self.eq(label, _fmt_flat(expected, d), _fmt_flat(actual, d))
+
     def true(self, label: str, cond: bool, detail: str = ""):
         if not cond:
             self.problems.append(label + ((": " + detail) if detail else ""))
@@ -256,6 +261,12 @@ class _Checks:
         if not self.problems:
             return (CONFIRMED, summary, summary)
         return (REFUTED, summary, "; ".join(self.problems))
+
+
+def _fmt_flat(flat: SparseVec, d: int) -> str:
+    """Sorted 1-based ``(row, col): value`` pairs, the convention of :func:`_msum`."""
+    return "{%s}" % ", ".join("(%d, %d): %s" % (i // d + 1, i % d + 1, format_scalar(v))
+                              for i, v in sorted(flat.items()))
 
 
 def _fmt_sub(s: Subspace) -> str:
@@ -379,10 +390,10 @@ def _check_h6(params, seed):
     d, lops = alg.dim, alg.ops[0]
     for i in range(1, n + 1):
         want = _comb((1 + a, gens["B%d" % i]), (1, gens.get("B%d" % (i - 1), {})))
-        ck.eq("ad_e%d" % i, want, sparse_flat(lops[i - 1], d))
+        ck.flat_eq("ad_e%d" % i, d, want, sparse_flat(lops[i - 1], d))
     for j in range(1, n + 1):
         want = _comb((a - 1, gens["A%d" % j]), (1, gens.get("A%d" % (j + 1), {})))
-        ck.eq("ad_f%d" % j, want, sparse_flat(lops[n + j - 1], d))
+        ck.flat_eq("ad_f%d" % j, d, want, sparse_flat(lops[n + j - 1], d))
     return ck.result("Inn has the stated span (h=%d, k=%d; dim %d)"
                      % (h, k, len(names)))
 
@@ -578,7 +589,7 @@ def _check_r3(params, seed):
     scaled = _msum(5, [(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (5, 5, 2)])
     want = Subspace.span([scaled] + [gens[nm] for nm in _ab(2)], 25, Q)
     got = Subspace.span([r.flatten() for r in real_fam], 25, Q)
-    ck.eq("iff-family span", want, got)
+    ck.spans_equal("iff-family span", want, got)
     ck.true("iff-family inside Der", all(der5.contains(r.flatten()) for r in real_fam))
     return ck.result("realification enters Der iff alpha = beta real; "
                      "the family matches the corner-2a matrices")
@@ -643,9 +654,11 @@ def _check_k5(params, seed):
     d, lops = alg.dim, alg.ops[0]  # B_0 = A_(n+1) = 0
     for i in range(1, n + 1):
         want = _comb((1, gens["B%d" % i]), (1, gens.get("B%d" % (i - 1), {})))
-        ck.eq("ad_e%d = B_(i-1)+B_i" % i, want, sparse_flat(lops[2 * i - 2], d))
+        ck.flat_eq("ad_e%d = B_(i-1)+B_i" % i, d, want,
+                   sparse_flat(lops[2 * i - 2], d))
         want = _comb((1, gens["A%d" % i]), (-1, gens.get("A%d" % (i + 1), {})))
-        ck.eq("ad_f%d = A_i - A_(i+1)" % i, want, sparse_flat(lops[2 * i - 1], d))
+        ck.flat_eq("ad_f%d = A_i - A_(i+1)" % i, d, want,
+                   sparse_flat(lops[2 * i - 1], d))
     return ck.result("Inn = <A,B> isomorphic to F^2n via the left multiplications")
 
 
@@ -655,8 +668,8 @@ def _check_k6(params, seed):
     d_k = der_algebra(kronecker(n, GROUPED)).subspace
     d_ja = der_algebra(_heis(n, a)).subspace
     ck = _Checks()
-    ck.eq("Der(J_0) meet Der(kronecker) = Der(J_a)",
-          d_ja, d_j0.intersect(d_k))
+    ck.spans_equal("Der(J_0) meet Der(kronecker) = Der(J_a)",
+                   d_ja, d_j0.intersect(d_k))
     return ck.result("Der(J_0) meet Der(kronecker) equals Der(J_a)")
 
 
@@ -717,8 +730,8 @@ def _check_d3(params, seed):
     n = params["n"]
     struct = der_algebra(dieudonne(n)).structure
     ck = _Checks()
-    ck.eq("nilradical = commutator ideal", struct.commutator_ideal,
-          nilradical(struct))
+    ck.spans_equal("nilradical = commutator ideal", struct.commutator_ideal,
+                   nilradical(struct))
     return ck.result("nilradical coincides with the commutator ideal")
 
 

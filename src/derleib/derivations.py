@@ -5,11 +5,11 @@ identity over all basis pairs, built from the sparse multiplication
 operators of ``Algebra.int_table``, so over Q on Python ints.  The result
 is wrapped as a :class:`MatrixLieAlgebra`: the canonical subspace of
 row-major flattened matrices and the induced abstract Lie algebra, with
-closure under commutators verified during construction.  The check
-brackets the sparse int rows of the subspace's echelon, since derivation
-matrices are mostly zero.  A matrix is passed to ``contains``, ``coords``
-and ``coords_span`` by its row-major flattening, a dense tuple or a sparse
-dict; the dense :class:`Mat` basis is only a view, built when first read.
+closure under commutators verified during construction on the subspace's
+sparse rows, since derivation matrices are mostly zero.  A matrix is passed
+to ``contains``, ``coords`` and ``coords_span`` by its row-major flattening,
+a dense tuple or a sparse dict; the dense :class:`Mat` basis is only a view,
+built when first read.
 """
 
 from __future__ import annotations
@@ -105,25 +105,21 @@ class MatrixLieAlgebra:
     @classmethod
     def from_subspace(cls, sub: Subspace, ambient_dim: int) -> "MatrixLieAlgebra":
         """Wrap a subspace of flattened ambient_dim x ambient_dim matrices; a
-        bracket in it reduces to zero, and its pivot values are its coordinates.
-        The brackets run on the rows of ``sub.echelon``: over Q each is the
-        canonical row times its pivot value, so a pivot value of the bracket
-        of two rows is divided by the product of their pivots."""
+        bracket of two of its rows lies in it, and its values at the pivots,
+        divided by the two rows' pivot values, are its coordinates."""
         d = ambient_dim
-        ech = sub.echelon
-        rows = [ech.rows[p] for p in sub.pivots]
-        ops = [sparse_rows(row, d) for row in rows]
+        index = {p: k for k, p in enumerate(sub.pivots)}
+        ops = [sparse_rows(dict(row), d) for row in sub.erows]
         brackets = {}
         for s in range(len(ops)):
             for t in range(s + 1, len(ops)):
                 flat = sparse_commutator(ops[s], ops[t], d)
-                if ech.reduce(flat):
+                if not sub.contains(flat):
                     raise ClosureError("commutator of basis elements %d, %d "
                                        "escapes the span" % (s, t))
-                # 1 over Q(i), whose rows have pivot one
-                n = rows[s][sub.pivots[s]] * rows[t][sub.pivots[t]]
-                cs = [(k, flat[p] if n == 1 else Fraction(flat[p], n))
-                      for k, p in enumerate(sub.pivots) if p in flat]
+                n = sub.erows[s][0][1] * sub.erows[t][0][1]
+                cs = [(index[p], flat[p] if n == 1 else Fraction(flat[p], n))
+                      for p in sorted(flat) if p in index]
                 brackets[(s, t)] = cs
                 brackets[(t, s)] = [(k, -cf) for k, cf in cs]
         labels = ["m%d" % (k + 1) for k in range(sub.dim)]
@@ -209,10 +205,9 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     comm = alg.commutator_ideal
     if comm.dim != 1:
         raise GenusError("commutator ideal has dimension %d, need 1" % comm.dim)
-    w, = comm.echelon.rows.values()
+    w, = comm.erows
     d = alg.dim
-    ann = kernel_from_rows(alg.centers()[2].echelon.rows.values(), d, alg.field)
-    rank1 = Subspace.span(({r * d + c: x * y for r, x in w.items()
-                            for c, y in phi.items()}
-                           for phi in ann.echelon.rows.values()), d * d, alg.field)
+    ann = kernel_from_rows(map(dict, alg.centers()[2].erows), d, alg.field)
+    rank1 = Subspace.span(({r * d + c: x * y for r, x in w for c, y in phi}
+                           for phi in ann.erows), d * d, alg.field)
     return MatrixLieAlgebra.from_subspace(der.subspace.intersect(rank1), d)

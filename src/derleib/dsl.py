@@ -21,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .algebra import Algebra
+from .algebra import MAX_DIM, Algebra
 from .exactlin import Q, QI, axpy, coerce_scalar, format_scalar, parse_scalar
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -95,6 +95,8 @@ class _Parser:
                 self.error("bad basis label %r" % w, lineno, col)
             if w in labels:
                 self.error("duplicate basis label %r" % w, lineno, col)
+            if len(labels) == MAX_DIM:
+                self.error("more than %d basis labels" % MAX_DIM, lineno, col)
             labels.append(w)
         index = {lbl: i for i, lbl in enumerate(labels)}
 

@@ -6,7 +6,7 @@ row operations in an :class:`Echelon` over the field its caller names: over
 Q on projective rows of Python ints, divided by their pivots only when the
 canonical rows are read, over Q(i) on pivot-one rows.  Vectors are dense
 tuples or sparse ``{column: value}`` dicts; a :class:`Subspace` stores
-sparse echelon rows and makes dense tuples only as a view.  Operators are
+its echelon rows and makes canonical and dense rows as views.  Operators are
 sparse matrices ``{row: {column: value}}`` without zero entries, handled by
 the kit :func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`,
 :func:`sparse_trace`, :func:`sparse_flat`, :func:`sparse_rows` and
@@ -397,14 +397,17 @@ class Echelon:
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
+    def erows(self) -> tuple:
+        """The rows in pivot order, as ``(column, value)`` pairs in ascending
+        column order: unique to the row space, the form a Subspace stores."""
+        return tuple(tuple(sorted(self.rows[p].items())) for p in sorted(self.rows))
+
     def canonical_rows(self) -> tuple:
-        """The rows in pivot order, each divided by its pivot, as
-        ``(column, value)`` pairs in ascending column order: the canonical
-        sparse basis."""
+        """:meth:`erows` divided by their pivots: the canonical sparse basis."""
         if self.field != Q:
-            return tuple(tuple(sorted(self.rows[p].items())) for p in sorted(self.rows))
-        return tuple(tuple((c, Fraction(v, row[p])) for c, v in sorted(row.items()))
-                     for p, row in sorted(self.rows.items()))
+            return self.erows()
+        return tuple(tuple((c, Fraction(v, row[0][1])) for c, v in row)
+                     for row in self.erows())
 
 
 @dataclass(frozen=True)
@@ -557,27 +560,27 @@ def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
             v = {f: one}
             v.update((p, -row[f]) for p, row in hits)
         out.insert(v)
-    return Subspace(ncols, field, out.canonical_rows())
+    return Subspace(ncols, field, out.erows())
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^n stored by its canonical reduced-echelon rows:
-    ``(column, value)`` pairs in ascending column order, the pivot first with
-    value one.  Equal subspaces have identical rows, so structural equality
-    decides subspace equality; ``basis`` is the dense view of the rows.
+    """A subspace of F^n stored by its :meth:`Echelon.erows`, which are
+    unique to it, so structural equality decides subspace equality; ``rows``
+    (the canonical pivot-one rows) and ``basis`` (their dense tuples) are
+    views built when read.
     """
 
     ambient_dim: int
     field: str
-    rows: tuple  # canonical sparse RREF rows, no zero rows
+    erows: tuple  # echelon rows in pivot order, no zero rows
 
     @classmethod
     def span(cls, vectors: Iterable, ambient_dim: int, field: str = Q) -> "Subspace":
         ech = Echelon(ambient_dim, field)
         for v in vectors:
             ech.insert(v)
-        return cls(ambient_dim, field, ech.canonical_rows())
+        return cls(ambient_dim, field, ech.erows())
 
     @classmethod
     def zero(cls, ambient_dim: int, field: str = Q) -> "Subspace":
@@ -585,15 +588,20 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int, field: str = Q) -> "Subspace":
-        one = scalar_one(field)
+        one = 1 if field == Q else GaussRat(1)
         return cls(ambient_dim, field, tuple(((k, one),) for k in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.erows)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.erows
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The canonical reduced-echelon rows, pivot one."""
+        return self._ech.canonical_rows()
 
     @cached_property
     def basis(self) -> tuple:
@@ -605,15 +613,13 @@ class Subspace:
     @cached_property
     def pivots(self) -> tuple:
         """Pivot column of each row, in row order."""
-        return tuple(row[0][0] for row in self.rows)
+        return tuple(row[0][0] for row in self.erows)
 
     @cached_property
-    def echelon(self) -> Echelon:
-        """The rows as an :class:`Echelon` to reduce against; read only.
-        Over Q each is the canonical row times the lcm of its denominators,
-        which is then its pivot value."""
+    def _ech(self) -> Echelon:
+        """The rows as an :class:`Echelon` to reduce against; read only."""
         ech = Echelon(self.ambient_dim, self.field)
-        ech.rows = {row[0][0]: _row_of(dict(row), self.field) for row in self.rows}
+        ech.rows = {row[0][0]: dict(row) for row in self.erows}
         return ech
 
     def _check(self, other: "Subspace"):
@@ -627,9 +633,9 @@ class Subspace:
         """Membership of a vector, or of every basis vector of a subspace."""
         if isinstance(v, Subspace):
             self._check(v)
-            return all(map(self.echelon.contains, v.echelon.rows.values()))
+            return all(map(self._ech.contains, map(dict, v.erows)))
         self._check_vector(v)
-        return self.echelon.contains(v)
+        return self._ech.contains(v)
 
     def _check_vector(self, v):
         """A dense vector must have the ambient length, a sparse one only
@@ -643,7 +649,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.span(map(dict, self.rows + other.rows),
+        return Subspace.span(map(dict, self.erows + other.erows),
                              self.ambient_dim, self.field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -651,10 +657,10 @@ class Subspace:
         self._check(other)
         n = self.ambient_dim
         ech = Echelon(2 * n, self.field)
-        for row in self.echelon.rows.values():
-            ech.insert({**row, **{c + n: v for c, v in row.items()}})
-        for row in other.echelon.rows.values():
-            ech.insert(row)
+        for row in self.erows:
+            ech.insert({**dict(row), **{c + n: v for c, v in row}})
+        for row in other.erows:
+            ech.insert(dict(row))
         # a row with pivot >= n is a multiple of one of U ∩ V's basis vectors
         return Subspace.span(({c - n: v for c, v in row.items()}
                               for p, row in ech.rows.items() if p >= n),
@@ -665,7 +671,7 @@ class Subspace:
         ``v`` reduces to zero, and then its values at the pivots are the
         coordinates, because the basis is in reduced echelon form."""
         self._check_vector(v)
-        if self.echelon.reduce(v):
+        if self._ech.reduce(v):
             return None
         if isinstance(v, dict):
             zero = scalar_zero(self.field)

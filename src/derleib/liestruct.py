@@ -105,12 +105,9 @@ def nilradical(alg: Algebra) -> Subspace:
     rad = radical(alg)
     if rad.is_zero():
         return rad
-    # on the int rows of the radical and the operators of the int table:
-    # multiples of its basis and of their adjoints, with the same envelope
     d = alg.dim
-    rows = [row.items() for row in rad.echelon.rows.values()]
     flats = [sparse_flat(a, d).items() for a in alg.int_ops[0]]
-    ads = [sparse_rows(sparse_combine(flats, row), d) for row in rows]
+    ads = [sparse_rows(sparse_combine(flats, row), d) for row in rad.erows]
     env_ech = Echelon(d * d, alg.field)
     gens = [a for a in ads if a and env_ech.insert(sparse_flat(a, d))]
     basis = list(gens)
@@ -129,8 +126,8 @@ def nilradical(alg: Algebra) -> Subspace:
     # radical's coordinates and map the kernel back through its rows
     traces = ([sparse_trace(a, b) for a in ads] for b in basis)
     kernel = kernel_from_rows(traces, rad.dim, alg.field)
-    nil = Subspace.span((sparse_combine(rows, row.items())
-                         for row in kernel.echelon.rows.values()), d, alg.field)
+    nil = Subspace.span((sparse_combine(rad.erows, row) for row in kernel.erows),
+                        d, alg.field)
     _verify_nilradical(alg, nil)
     return nil
 

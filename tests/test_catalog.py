@@ -3,6 +3,8 @@ from random import Random
 
 import pytest
 
+from derleib import catalog
+from derleib.algebra import MAX_DIM, Algebra
 from derleib.catalog import (
     FamilySpec,
     INTERLEAVED,
@@ -211,3 +213,44 @@ class TestFamilySpec:
     def test_name_is_stable(self):
         assert FamilySpec("heisenberg", 2, a=F(1, 2)).name() == \
             "heisenberg n=2 a=1/2"
+
+    @pytest.mark.parametrize("spec,extra", [
+        (FamilySpec("kronecker", 1, a=F(5), b=F(7)), "a, b"),
+        (FamilySpec("heisenberg", 1, b=F(7)), "b"),
+        (FamilySpec("heisenberg-lie", 1, a=F(5)), "a"),
+        (FamilySpec("dieudonne", 1, a=F(5)), "a"),
+        (FamilySpec("dieudonne", 1, order=INTERLEAVED), "order"),
+    ])
+    def test_a_parameter_the_family_does_not_take_is_rejected(self, spec, extra):
+        with pytest.raises(ValueError, match="family %s does not take %s$"
+                           % (spec.family, extra)):
+            spec.build()
+
+
+# the parameter of the largest Heisenberg-type algebra within the cap
+_J_CAP = jordan(F(2), (MAX_DIM - 1) // 2)
+
+
+@pytest.mark.parametrize("build,dim_of", [
+    (lambda n: jordan(F(2), n), lambda n: 2 * n + 1),
+    (lambda n: heisenberg_leibniz(n, _J_CAP), lambda n: 2 * n + 1),
+    (heisenberg_lie, lambda n: 2 * n + 1),
+    (kronecker, lambda n: 2 * n + 1),
+    (dieudonne, lambda n: 2 * n + 2),
+    (lambda n: realify_heisenberg(n, GaussRat(0, 1)), lambda n: 4 * n + 1),
+])
+def test_dimension_cap(build, dim_of, monkeypatch):
+    """The first n whose algebra is larger than MAX_DIM is rejected before
+    any matrix or bracket table is built; the n below it builds."""
+    n = next(n for n in range(1, MAX_DIM) if dim_of(n) > MAX_DIM)
+    build(n - 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the cap")
+    with monkeypatch.context() as m:
+        m.setattr(catalog.Mat, "from_rows", classmethod(refuse))
+        m.setattr(catalog.Mat, "zero", classmethod(refuse))
+        m.setattr(Algebra, "from_brackets", classmethod(refuse))
+        with pytest.raises(ValueError, match="gives dimension %d, above the "
+                           "limit of %d" % (dim_of(n), MAX_DIM)):
+            build(n)

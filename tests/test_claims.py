@@ -16,7 +16,7 @@ from derleib.claims import (
 from derleib.catalog import dieudonne, kronecker
 from derleib.derivations import is_derivation
 from derleib.dsl import report_json
-from derleib.exactlin import Mat
+from derleib.exactlin import Mat, Subspace
 
 from helpers import identity, lincomb, to_mat
 
@@ -136,6 +136,11 @@ class TestIndividualClaims:
         assert r.status == "refuted"
         assert r.actual.startswith("ad_e1: expected") and "ad_e2: " in r.actual
         assert "ad_f" not in r.actual and "Inn" not in r.actual
+        # 1-based (row, col) entries of the operator y -> [e_i, y]; z is row 5
+        assert r.actual == ("ad_e1: expected {(5, 3): 6}, actual {(5, 3): 3}; "
+                            "ad_e2: expected {(5, 3): 2, (5, 4): 3}, "
+                            "actual {(5, 3): 1, (5, 4): 3}")
+        assert "Fraction(" not in r.actual
 
     def test_k5_refutes_a_wrong_left_multiplication(self, monkeypatch):
         named = claims.kron_gens
@@ -145,6 +150,19 @@ class TestIndividualClaims:
         assert r.status == "refuted"
         assert r.actual.startswith("ad_f1 = A_i - A_(i+1): expected")
         assert "ad_e" not in r.actual and "Inn" not in r.actual
+        assert r.actual == ("ad_f1 = A_i - A_(i+1): expected {(5, 1): 2, (5, 3): -1}, "
+                            "actual {(5, 1): 1, (5, 3): -1}")
+        assert "Fraction(" not in r.actual
+
+    def test_d3_prints_a_span_mismatch_as_canonical_rows(self, monkeypatch):
+        monkeypatch.setattr(claims, "nilradical",
+                            lambda alg: Subspace.zero(alg.dim, alg.field))
+        r = run_claim(REG["D3"], {"n": 1})
+        assert r.status == "refuted"
+        assert r.actual == ("nilradical = commutator ideal: stated span "
+                            "{[0, 1, 0, 0, 0, 0]; [0, 0, 0, 1, 0, 0]; "
+                            "[0, 0, 0, 0, 1, 0]; [0, 0, 0, 0, 0, 1]} "
+                            "!= computed span {}")
 
     def test_z4_sign_probe_flips_with_b2(self, monkeypatch):
         # -b_2 leaves every span unchanged; only the [B_1, b_2] sign differs

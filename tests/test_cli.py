@@ -4,6 +4,7 @@ import json
 import pytest
 
 from derleib import claims, cli, derivations
+from derleib.algebra import MAX_DIM
 from derleib.cli import main
 from derleib.catalog import kronecker
 from derleib.dsl import parse, to_algebra
@@ -97,6 +98,36 @@ class TestDerive:
         code, text = run_cli("derive", *argv)
         assert code == 2 and text == ""
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,extra", [
+        (("--family", "kronecker", "--n", "1", "--a", "5", "--b", "7"), "a, b"),
+        (("--family", "heisenberg", "--n", "1", "--b", "7"), "b"),
+        (("--family", "heisenberg-lie", "--n", "1", "--a", "5"), "a"),
+        (("--family", "dieudonne", "--n", "1", "--order", "interleaved"), "order"),
+    ])
+    def test_unused_family_parameter_is_usage_error(self, argv, extra, capsys):
+        code, text = run_cli("derive", *argv)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: family %s does not take %s\n" % (
+            argv[1], extra)
+
+    def test_one_over_the_size_cap_is_usage_error(self, tmp_path, monkeypatch,
+                                                  capsys):
+        """MAX_DIM + 1 from a family and from a definition file exits 2
+        before any derivation system is built."""
+        def refuse(alg):
+            raise AssertionError("built a system past the cap")
+        monkeypatch.setattr(cli, "der_algebra", refuse)
+        n = MAX_DIM // 2  # dieudonne n has dimension 2n + 2, MAX_DIM + 1 here
+        assert run_cli("derive", "--family", "dieudonne", "--n", str(n)) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: n=%d gives dimension %d, above the limit of %d\n"
+            % (n, 2 * n + 2, MAX_DIM))
+        path = tmp_path / "big.alg"
+        path.write_text("algebra big field Q\nbasis %s\nend\n"
+                        % " ".join("x%d" % k for k in range(MAX_DIM + 1)))
+        assert run_cli("derive", str(path)) == (2, "")
+        assert "more than %d basis labels" % MAX_DIM in capsys.readouterr().err
 
     def test_closure_failure_is_internal_error(self, tmp_path, monkeypatch):
         # labels unique to this test, so no cached Der(L) bypasses the check

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from derleib.algebra import MAX_DIM
 from derleib.catalog import kronecker
 from derleib.dsl import (
     AlgebraDoc,
@@ -106,6 +107,16 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.line, exc.value.col) == (line, col)
+
+    def test_basis_longer_than_the_cap(self):
+        labels = ["x%d" % k for k in range(MAX_DIM + 1)]
+        basis = "basis " + " ".join(labels)
+        with pytest.raises(ParseError) as exc:
+            parse("algebra a field Q\n%s\nend" % basis)
+        assert exc.value.msg == "more than %d basis labels" % MAX_DIM
+        assert (exc.value.line, exc.value.col) == (2, basis.index(labels[-1]) + 1)
+        assert len(parse("algebra a field Q\n%s\nend" % basis[:basis.rindex(" ")]).labels) \
+            == MAX_DIM
 
     def test_imaginary_scalar_in_rational_field(self):
         with pytest.raises(ParseError):

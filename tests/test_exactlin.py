@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from math import gcd
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -396,6 +397,54 @@ def _oracle_rows(rng, field):
     ncols = rng.randint(1, 6)
     return [tuple(entry() for _ in range(ncols))
             for _ in range(rng.randint(1, 5))], ncols
+
+
+class TestStoredForm:
+    """``Subspace.erows`` is the one stored row form: unique to the subspace,
+    so any spanning set gives the same rows and hash, and every constructor
+    stores what ``span`` stores."""
+
+    @staticmethod
+    def _assert_stored_form(sub):
+        assert all(list(row) == sorted(row) for row in sub.erows)
+        assert list(sub.pivots) == sorted(sub.pivots)
+        _assert_projective(SimpleNamespace(
+            field=sub.field, rows={row[0][0]: dict(row) for row in sub.erows}))
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_any_spanning_set_gives_the_same_rows(self, field, seed):
+        rng = Random(3000 + seed)
+        rows, n = _system(rng, field)
+        sub = Subspace.span(rows, n, field)
+        self._assert_stored_form(sub)
+
+        def scalar():
+            x = F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+            return x if field == Q else GaussRat(x, rng.randint(-3, 3))
+        def rescaled(row, plus=None):
+            cf = scalar()
+            return tuple(cf * x + (plus[c] if plus else 0) for c, x in enumerate(row))
+        other = [rescaled(row) for row in rows]
+        other += [rescaled(rng.choice(rows), rng.choice(rows)), rng.choice(rows)]
+        rng.shuffle(other)
+        other = [{c: x for c, x in enumerate(row) if x} if k % 2 else row
+                 for k, row in enumerate(other)]
+        alt = Subspace.span(other, n, field)
+        assert alt.erows == sub.erows and alt == sub and hash(alt) == hash(sub)
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_constructor_stores_the_span_form(self, field, seed):
+        rng = Random(4000 + seed)
+        ru, n = _system(rng, field)
+        rv = _system(rng, field, n)[0]
+        u, v = Subspace.span(ru, n, field), Subspace.span(rv, n, field)
+        for sub in (Subspace.full(n, field), Subspace.zero(n, field),
+                    kernel_from_rows(ru, n, field), u.intersect(v), u.sum(v)):
+            self._assert_stored_form(sub)
+            again = Subspace.span(sub.basis, n, field)
+            assert sub.erows == again.erows and hash(sub) == hash(again)
 
 
 class TestSparseRowsAgainstSympy:
