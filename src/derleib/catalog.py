@@ -56,45 +56,6 @@ def jordan(a, n: int, field: Optional[str] = None) -> Mat:
     return Mat.from_rows(m, field)
 
 
-def companion(coeffs: Sequence, field: str = Q) -> Mat:
-    """Companion matrix of the monic polynomial x^m + c_{m-1}x^{m-1}+...+c_0.
-
-    ``coeffs`` lists (c_0, ..., c_{m-1}).
-    """
-    m = len(coeffs)
-    if m < 1:
-        raise ValueError("empty coefficient list")
-    rows = [[scalar_zero(field)] * m for _ in range(m)]
-    one = coerce_scalar(1, field)
-    for i in range(1, m):
-        rows[i][i - 1] = one
-    for i, cf in enumerate(coeffs):
-        rows[i][m - 1] = rows[i][m - 1] - coerce_scalar(cf, field)
-    return Mat.from_rows(rows, field)
-
-
-def real_block(a, b, n: int) -> Mat:
-    """The 2n x 2n block-bidiagonal matrix with R = [[a, b], [-b, a]] blocks.
-
-    R realifies the complex number a + bi; identity 2x2 blocks sit under the
-    diagonal.  Requires b != 0 (otherwise the complex parameter is real).
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if not b:
-        raise ValueError("real_block requires b != 0")
-    m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        m[2 * i][2 * i] = a
-        m[2 * i][2 * i + 1] = b
-        m[2 * i + 1][2 * i] = -b
-        m[2 * i + 1][2 * i + 1] = a
-        if i:
-            m[2 * i][2 * i - 2] = Fraction(1)
-            m[2 * i + 1][2 * i - 1] = Fraction(1)
-    return Mat.from_rows(m, Q)
-
-
 def realify_parameter(a: Mat) -> Mat:
     """Entrywise realification: each x + yi becomes the block [[x, y], [-y, x]]."""
     if a.field != QI:
@@ -177,51 +138,49 @@ def heisenberg_leibniz(n: int, a: Mat, order: str = GROUPED) -> Algebra:
     return _maybe_interleave(alg, n, order)
 
 
-def heisenberg_lie(n: int, order: str = GROUPED, field: str = Q) -> Algebra:
+def heisenberg_lie(n: int, order: str = GROUPED) -> Algebra:
     _check_n(n, 2 * n + 1)
-    return heisenberg_leibniz(n, Mat.zero(n, n, field), order)
+    return heisenberg_leibniz(n, Mat.zero(n, n), order)
 
 
 @lru_cache(maxsize=None)
-def kronecker(n: int, order: str = GROUPED, field: str = Q) -> Algebra:
+def kronecker(n: int, order: str = GROUPED) -> Algebra:
     """(2n+1)-dimensional Kronecker algebra: [e_i,f_i] = [f_i,e_i] = z and
     [e_i,f_{i-1}] = z, [f_{i-1},e_i] = -z."""
     _check_n(n, 2 * n + 1)
     zidx = 2 * n
-    one = coerce_scalar(1, field)
     brackets = {}
     for i in range(n):
-        brackets[(i, n + i)] = [(zidx, one)]
-        brackets[(n + i, i)] = [(zidx, one)]
+        brackets[(i, n + i)] = [(zidx, 1)]
+        brackets[(n + i, i)] = [(zidx, 1)]
     for i in range(1, n):
-        brackets[(i, n + i - 1)] = [(zidx, one)]
-        brackets[(n + i - 1, i)] = [(zidx, -one)]
-    alg = Algebra.from_brackets(field, _ef_labels(n), brackets)
+        brackets[(i, n + i - 1)] = [(zidx, 1)]
+        brackets[(n + i - 1, i)] = [(zidx, -1)]
+    alg = Algebra.from_brackets(Q, _ef_labels(n), brackets)
     return _maybe_interleave(alg, n, order)
 
 
 @lru_cache(maxsize=None)
-def dieudonne(n: int, field: str = Q) -> Algebra:
+def dieudonne(n: int) -> Algebra:
     """(2n+2)-dimensional Dieudonne algebra on {e_1..e_{2n+1}, z}."""
     _check_n(n, 2 * n + 2)
     labels = ["e%d" % (i + 1) for i in range(2 * n + 1)] + ["z"]
     zidx = 2 * n + 1
-    one = coerce_scalar(1, field)
     brackets = {}
 
     def add(i, j, cf):
         # 1-based indices from the defining bracket list
         brackets.setdefault((i - 1, j - 1), []).append((zidx, cf))
 
-    add(1, n + 2, one)
+    add(1, n + 2, 1)
     for i in range(2, n + 1):
-        add(i, n + i, one)
-        add(i, n + i + 1, one)
-    add(n + 1, 2 * n + 1, one)
+        add(i, n + i, 1)
+        add(i, n + i + 1, 1)
+    add(n + 1, 2 * n + 1, 1)
     for i in range(n + 2, 2 * n + 2):
-        add(i, i - n, one)
-        add(i, i - n - 1, -one)
-    return Algebra.from_brackets(field, labels, brackets)
+        add(i, i - n, 1)
+        add(i, i - n - 1, -1)
+    return Algebra.from_brackets(Q, labels, brackets)
 
 
 def realify_heisenberg(n: int, z, order: str = GROUPED) -> Algebra:
@@ -328,7 +287,7 @@ class FamilySpec:
 
     family: str
     n: int
-    a: object = None  # scalar parameter, or the full matrix for heisenberg
+    a: object = None  # scalar parameter
     b: object = None
     order: str = GROUPED
 
@@ -355,8 +314,6 @@ class FamilySpec:
         if f == "heisenberg-lie":
             return heisenberg_lie(self.n, self.order)
         if f == "heisenberg":
-            if isinstance(self.a, Mat):
-                return heisenberg_leibniz(self.n, self.a, self.order)
             a = 0 if self.a is None else self.a
             return heisenberg_leibniz(self.n, jordan(a, self.n), self.order)
         if f == "kronecker":

@@ -25,6 +25,7 @@ from .derivations import GenusError, almost_inner_genus1, der_algebra, \
     inner_derivations
 from .dsl import Report
 from .exactlin import (
+    Q,
     QI,
     InternalInvariantError,
     Subspace,
@@ -55,7 +56,7 @@ def _load_algebra(args) -> tuple[str, Algebra]:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
         doc = dsl.parse(text)
-        return doc.name, dsl.to_algebra(doc)
+        return doc.name, doc.algebra
     spec = _family_spec(args)
     return spec.name(), spec.build()
 
@@ -144,14 +145,9 @@ def cmd_derive(args, out) -> int:
         for m in mla.basis:
             out.write(m.pretty() + "\n\n")
     if args.table:
-        struct = der.structure
         out.write("induced bracket table on the canonical Der basis:\n")
-        for (i, j), terms in struct.table.items():
-            rhs = " + ".join(
-                ("%s %s" % (format_scalar(cf), struct.labels[k]))
-                if cf != 1 else struct.labels[k]
-                for k, cf in terms)
-            out.write("[%s,%s] = %s\n" % (struct.labels[i], struct.labels[j], rhs))
+        for line in dsl.bracket_lines(der.structure):
+            out.write(line + "\n")
     return 0
 
 
@@ -195,13 +191,13 @@ def cmd_analyze(args, out) -> int:
 
 def cmd_catalog(args, out) -> int:
     alg = _family_spec(args).build()
-    doc = dsl.from_algebra("%s_%d" % (args.family.replace("-", "_"), args.n), alg)
-    out.write(dsl.serialize(doc))
+    name = "%s_%d" % (args.family.replace("-", "_"), args.n)
+    out.write(dsl.serialize(dsl.AlgebraDoc(name, alg)))
     return 0
 
 
 def cmd_verify(args, out) -> int:
-    a_values = (tuple(_parse_a(tok) for tok in args.a.split(","))
+    a_values = (tuple(parse_scalar(tok, Q) for tok in args.a.split(","))
                 if args.a else claims.DEFAULT_A)
     only = set(args.claim) if args.claim else None
     report = claims.run_all(nmax=args.nmax, a_values=a_values,

@@ -9,7 +9,7 @@ Document grammar (one entry per line, ``#`` starts a comment):
 Scalars use the shared exact syntax (``3``, ``-1/2``, ``1+1i``, ``i``).
 Brackets are listed pairwise: nothing is assumed antisymmetric, so both
 ``[e,f]`` and ``[f,e]`` appear when both are nonzero.  Omitted brackets are
-zero, and duplicate entries are errors.
+zero, and each bracket is listed at most once, even when its terms cancel.
 
 Report JSON is machine-diffable: fixed key order, and every scalar is an
 exact string, never a float.
@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import MAX_DIM, Algebra
-from .exactlin import Q, QI, axpy, coerce_scalar, format_scalar, parse_scalar
+from .exactlin import Q, QI, format_scalar, parse_scalar
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _LEXEME = re.compile(r"[\[\],=]|[^\s\[\],=]+")
@@ -38,13 +38,10 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class AlgebraDoc:
-    """A parsed algebra document in canonical entry order."""
+    """A named algebra: what a definition document parses to."""
 
     name: str
-    field: str
-    labels: tuple
-    # ((i, j), ((coeff, k), ...)) sorted by (i, j); coefficients nonzero
-    entries: tuple
+    algebra: Algebra
 
 
 def _words(line: str):
@@ -100,7 +97,7 @@ class _Parser:
             labels.append(w)
         index = {lbl: i for i, lbl in enumerate(labels)}
 
-        entries = {}
+        brackets = {}  # every listed key, even when its terms cancel
         while True:
             lineno, words = self.next_line("bracket entry or 'end'")
             toks = [w for w, _ in words]
@@ -110,19 +107,17 @@ class _Parser:
                     or toks[5] != "=":
                 self.error("expected '[a,b] = term (+ term)*' or 'end'",
                            lineno, words[0][1])
-            for w, col, what in ((toks[1], words[1][1], "left"),
-                                 (toks[3], words[3][1], "right")):
+            for w, col in ((toks[1], words[1][1]), (toks[3], words[3][1])):
                 if w not in index:
                     self.error("undeclared label %r" % w, lineno, col)
             key = (index[toks[1]], index[toks[3]])
-            if key in entries:
+            if key in brackets:
                 self.error("duplicate entry for [%s,%s]" % (toks[1], toks[3]),
                            lineno, words[1][1])
-            coeffs = {}
-            terms = words[6:]
+            terms = brackets[key] = []
             # split on standalone '+' separators
             groups = [[]]
-            for w, col in terms:
+            for w, col in words[6:]:
                 if w == "+":
                     groups.append([])
                 else:
@@ -134,8 +129,7 @@ class _Parser:
                         self.error("malformed term %r" % w, lineno, col)
                     if w not in index:
                         self.error("undeclared label %r" % w, lineno, col)
-                    k = index[w]
-                    cf = coerce_scalar(1, fld)
+                    terms.append((index[w], 1))
                 elif len(grp) == 2:
                     (sw, scol), (lw, lcol) = grp
                     try:
@@ -144,50 +138,38 @@ class _Parser:
                         self.error(str(exc), lineno, scol)
                     if lw not in index:
                         self.error("undeclared label %r" % lw, lineno, lcol)
-                    k = index[lw]
+                    terms.append((index[lw], cf))
                 else:
                     self.error("malformed term", lineno,
                                grp[0][1] if grp else words[-1][1])
-                axpy(coeffs, cf, ((k, 1),))
-            if coeffs:
-                entries[key] = tuple((coeffs[k], k) for k in sorted(coeffs))
         if self.pos < len(self.lines):
             lineno, words = self.lines[self.pos]
             self.error("unexpected input after 'end'", lineno, words[0][1])
-        return AlgebraDoc(name, fld, tuple(labels),
-                          tuple((k, entries[k]) for k in sorted(entries)))
+        return AlgebraDoc(name, Algebra.from_brackets(fld, labels, brackets))
 
 
 def parse(text: str) -> AlgebraDoc:
     return _Parser(text).parse()
 
 
+def bracket_lines(alg: Algebra) -> list:
+    """One ``[a,b] = terms`` line per nonzero bracket, in table order."""
+    labels = alg.labels
+    lines = []
+    for (i, j), terms in alg.table.items():
+        rhs = " + ".join(labels[k] if cf == 1
+                         else "%s %s" % (format_scalar(cf), labels[k])
+                         for k, cf in terms)
+        lines.append("[%s,%s] = %s" % (labels[i], labels[j], rhs))
+    return lines
+
+
 def serialize(doc: AlgebraDoc) -> str:
     """Canonical text: entries in basis order, zero entries omitted."""
-    out = ["algebra %s field %s" % (doc.name, doc.field),
-           "basis %s" % " ".join(doc.labels)]
-    for (i, j), terms in doc.entries:
-        parts = []
-        for cf, k in terms:
-            if cf == 1:
-                parts.append(doc.labels[k])
-            else:
-                parts.append("%s %s" % (format_scalar(cf), doc.labels[k]))
-        out.append("[%s,%s] = %s" % (doc.labels[i], doc.labels[j],
-                                     " + ".join(parts)))
-    out.append("end")
+    alg = doc.algebra
+    out = ["algebra %s field %s" % (doc.name, alg.field),
+           "basis %s" % " ".join(alg.labels), *bracket_lines(alg), "end"]
     return "\n".join(out) + "\n"
-
-
-def to_algebra(doc: AlgebraDoc) -> Algebra:
-    brackets = {key: [(k, cf) for cf, k in terms] for key, terms in doc.entries}
-    return Algebra.from_brackets(doc.field, doc.labels, brackets)
-
-
-def from_algebra(name: str, alg: Algebra) -> AlgebraDoc:
-    entries = tuple((key, tuple((cf, k) for k, cf in terms))
-                    for key, terms in alg.table.items())
-    return AlgebraDoc(name, alg.field, alg.labels, entries)
 
 
 @dataclass(frozen=True)

@@ -171,11 +171,12 @@ def scalar_parts(x: Scalar) -> tuple[Fraction, Fraction]:
 
 
 _RAT = "[+-]?[0-9]+(?:/[0-9]+)?"
+# a real token, or an optional real part followed by an imaginary part
+_SCALAR = _re.compile("(%s)|(?:(%s)(?=[+-]))?([+-]?(?:[0-9]+(?:/[0-9]+)?)?)i"
+                      % (_RAT, _RAT))
 
 
 def _rational(part: str, text: str) -> Fraction:
-    if not _re.fullmatch(_RAT, part):
-        raise ValueError("malformed scalar %r" % (text,))
     try:
         return Fraction(part)
     except ZeroDivisionError:
@@ -189,31 +190,19 @@ def parse_scalar(text: str, field: str = QI) -> Scalar:
     nonzero.  A value with a nonzero imaginary part is rejected when
     ``field`` is ``Q``.
     """
-    tok = text.strip()
-    if not tok or any(ch.isspace() for ch in tok):
+    m = _SCALAR.fullmatch(text.strip())
+    if m is None:
         raise ValueError("malformed scalar %r" % (text,))
-    if tok.endswith("i"):
-        body = tok[:-1]
-        split = None
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
-                split = k
-                break
-        if split is None:
-            re_part, im_part = "", body
-        else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im = _F1
-        elif im_part == "-":
-            im = -_F1
-        else:
-            im = _rational(im_part, text)
-        re = _rational(re_part, text) if re_part else _F0
-        if field == Q and im:
-            raise FieldMismatch("imaginary scalar %r in field Q" % (text,))
-        return coerce_scalar(GaussRat(re, im), field)
-    return coerce_scalar(_rational(tok, text), field)
+    real, re_part, im_part = m.groups()
+    if real is not None:
+        return coerce_scalar(_rational(real, text), field)
+    if im_part in ("", "+", "-"):
+        im_part += "1"  # a bare sign is the unit
+    im = _rational(im_part, text)
+    re = _rational(re_part, text) if re_part else _F0
+    if field == Q and im:
+        raise FieldMismatch("imaginary scalar %r in field Q" % (text,))
+    return coerce_scalar(GaussRat(re, im), field)
 
 
 def format_scalar(x: Scalar) -> str:

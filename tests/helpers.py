@@ -1,5 +1,6 @@
 """Shared test utilities: independent oracles kept deliberately naive."""
 
+import re
 from fractions import Fraction
 from random import Random
 from typing import Optional
@@ -9,6 +10,7 @@ from derleib.algebra import Algebra, AlgebraKind
 from derleib.derivations import is_derivation
 from derleib.exactlin import (
     Echelon,
+    FieldMismatch,
     GaussRat,
     InternalInvariantError,
     Mat,
@@ -317,6 +319,65 @@ def mat_power_is_zero(m: Mat, exponent: int) -> bool:
         if acc.is_zero():
             return True
     return acc.is_zero()
+
+
+def real_block(a, b, n: int) -> Mat:
+    """The 2n x 2n block-bidiagonal matrix with R = [[a, b], [-b, a]] blocks,
+    identity 2x2 blocks under the diagonal: the realified Jordan block of
+    a + bi, built entry by entry.  Requires b != 0."""
+    a = Fraction(a)
+    b = Fraction(b)
+    if not b:
+        raise ValueError("real_block requires b != 0")
+    m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        m[2 * i][2 * i] = a
+        m[2 * i][2 * i + 1] = b
+        m[2 * i + 1][2 * i] = -b
+        m[2 * i + 1][2 * i + 1] = a
+        if i:
+            m[2 * i][2 * i - 2] = Fraction(1)
+            m[2 * i + 1][2 * i - 1] = Fraction(1)
+    return Mat.from_rows(m, Q)
+
+
+def _split_rational(part: str, text: str) -> Fraction:
+    if not re.fullmatch("[+-]?[0-9]+(?:/[0-9]+)?", part):
+        raise ValueError("malformed scalar %r" % (text,))
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in scalar %r" % (text,)) from None
+
+
+def split_parse_scalar(text: str, field: str = QI):
+    """The scalar grammar parsed by hand: a token ending in ``i`` is split at
+    its last sign that follows a digit; the oracle for ``parse_scalar``."""
+    tok = text.strip()
+    if not tok or any(ch.isspace() for ch in tok):
+        raise ValueError("malformed scalar %r" % (text,))
+    if tok.endswith("i"):
+        body = tok[:-1]
+        split = None
+        for k in range(len(body) - 1, 0, -1):
+            if body[k] in "+-" and body[k - 1] not in "+-/":
+                split = k
+                break
+        if split is None:
+            re_part, im_part = "", body
+        else:
+            re_part, im_part = body[:split], body[split:]
+        if im_part in ("", "+"):
+            im = Fraction(1)
+        elif im_part == "-":
+            im = Fraction(-1)
+        else:
+            im = _split_rational(im_part, text)
+        re_ = _split_rational(re_part, text) if re_part else Fraction(0)
+        if field == Q and im:
+            raise FieldMismatch("imaginary scalar %r in field Q" % (text,))
+        return coerce_scalar(GaussRat(re_, im), field)
+    return coerce_scalar(_split_rational(tok, text), field)
 
 
 def ad_nilpotent(alg: Algebra, vec) -> bool:

@@ -8,7 +8,6 @@ from derleib.algebra import MAX_DIM, Algebra
 from derleib.catalog import (
     FamilySpec,
     INTERLEAVED,
-    companion,
     dieudonne,
     heisenberg_leibniz,
     heisenberg_lie,
@@ -16,7 +15,6 @@ from derleib.catalog import (
     jordan,
     kronecker,
     permute_basis,
-    real_block,
     realify_algebra,
     realify_derivation,
     realify_heisenberg,
@@ -24,7 +22,7 @@ from derleib.catalog import (
 )
 from derleib.derivations import der_algebra
 from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace
-from helpers import charpoly, mat_power_is_zero, transpose
+from helpers import charpoly, mat_power_is_zero, real_block, transpose
 
 
 def vec(alg, **coords):
@@ -85,7 +83,7 @@ class TestParameterMatrices:
         z = GaussRat(F(1, 2), F(-3))
         assert realify_parameter(jordan(z, 3, QI)) == real_block(F(1, 2), F(-3), 3)
 
-    def test_companion_char_poly_matches_jordan(self):
+    def test_jordan_char_poly(self):
         # expand (x - a)^n and compare characteristic polynomials
         a = F(3, 2)
         for n in (1, 2, 3, 4):
@@ -94,14 +92,12 @@ class TestParameterMatrices:
                 coeffs = [c for c in coeffs] + [F(0)]
                 for k in range(len(coeffs) - 1, 0, -1):
                     coeffs[k] -= a * coeffs[k - 1]
-            c = companion(list(reversed(coeffs[1:])), Q)
-            assert charpoly(c) == coeffs
             assert charpoly(jordan(a, n)) == coeffs
 
-    def test_companion_nilpotency_index(self):
-        c = companion([F(0)] * 4, Q)  # x^4
-        assert mat_power_is_zero(c, 4)
-        assert not mat_power_is_zero(c, 3)
+    def test_jordan_nilpotency_index(self):
+        j = jordan(F(0), 4)
+        assert mat_power_is_zero(j, 4)
+        assert not mat_power_is_zero(j, 3)
 
 
 class TestKroneckerDieudonne:

@@ -7,7 +7,7 @@ from derleib import claims, cli, derivations
 from derleib.algebra import MAX_DIM
 from derleib.cli import main
 from derleib.catalog import kronecker
-from derleib.dsl import parse, to_algebra
+from derleib.dsl import parse
 
 SQUARE_DOC = """algebra sq field Q
 basis e z
@@ -194,7 +194,7 @@ class TestCatalog:
     def test_emitted_document_round_trips(self):
         code, text = run_cli("catalog", "--family", "kronecker", "--n", "3")
         assert code == 0
-        alg = to_algebra(parse(text))
+        alg = parse(text).algebra
         assert alg == kronecker(3)
 
     def test_realified_emission(self):
@@ -202,7 +202,7 @@ class TestCatalog:
                              "--n", "1", "--a", "0", "--b", "1",
                              "--order", "interleaved")
         assert code == 0
-        alg = to_algebra(parse(text))
+        alg = parse(text).algebra
         assert alg.dim == 5
 
     def test_gaussian_parameter_document(self):
@@ -210,7 +210,7 @@ class TestCatalog:
                              "--a", "1+1i")
         assert code == 0
         assert "field Qi" in text
-        alg = to_algebra(parse(text))
+        alg = parse(text).algebra
         assert alg.field == "Qi"
 
 
@@ -249,6 +249,20 @@ class TestVerify:
         assert code == 0
         doc = json.loads(text)
         assert {c["id"] for c in doc["claims"]} == {"H1"}
+
+    @pytest.mark.parametrize("argv,tok", [
+        (("--a", "i", "--claim", "R1"), "i"),
+        (("--a", "2,1+2i"), "1+2i"),
+    ])
+    def test_imaginary_parameter_is_usage_error(self, argv, tok, monkeypatch,
+                                                capsys):
+        def refuse(**kwargs):
+            raise AssertionError("a claim ran")
+        monkeypatch.setattr(claims, "run_all", refuse)
+        code, text = run_cli("verify-paper", "--nmax", "1", *argv)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == \
+            "error: imaginary scalar %r in field Q\n" % tok
 
     def test_unknown_claim_is_usage_error(self, capsys):
         code, text = run_cli("verify-paper", "--nmax", "1", "--claim", "ZZ")

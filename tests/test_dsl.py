@@ -4,17 +4,15 @@ from random import Random
 
 import pytest
 
-from derleib.algebra import MAX_DIM
+from derleib.algebra import MAX_DIM, Algebra
 from derleib.catalog import kronecker
 from derleib.dsl import (
     AlgebraDoc,
     ParseError,
     Report,
-    from_algebra,
     parse,
     report_json,
     serialize,
-    to_algebra,
 )
 from derleib.exactlin import GaussRat, Q
 
@@ -29,9 +27,9 @@ end
 class TestParse:
     def test_heisenberg_document(self):
         doc = parse(H3_DOC)
-        assert doc.name == "h3" and doc.field == Q
-        assert doc.labels == ("e", "f", "z")
-        alg = to_algebra(doc)
+        alg = doc.algebra
+        assert doc.name == "h3" and alg.field == Q
+        assert alg.labels == ("e", "f", "z")
         assert alg.table == {(0, 1): ((2, 1),), (1, 0): ((2, -1),)}
         assert alg.kind.lie
 
@@ -39,24 +37,24 @@ class TestParse:
         text = "# heading\nalgebra a field Q  # trailing\n\nbasis x y\n" \
                "[x,y] = 2 y\nend\n"
         doc = parse(text)
-        assert doc.entries == (((0, 1), ((F(2), 1),)),)
+        assert doc.algebra.table == {(0, 1): ((1, F(2)),)}
 
     def test_terms_combine(self):
         doc = parse("algebra a field Q\nbasis x y\n[x,x] = y + y\nend")
-        assert doc.entries == (((0, 0), ((F(2), 1),)),)
+        assert doc.algebra.table == {(0, 0): ((1, F(2)),)}
         doc = parse("algebra a field Q\nbasis x y\n[x,x] = y + -1 y\nend")
-        assert doc.entries == ()
+        assert doc.algebra.table == {}
 
     def test_gaussian_scalar_round_trip(self):
         text = "algebra a field Qi\nbasis e f z\n[e,f] = 1+1i z\nend"
         doc = parse(text)
-        ((_, terms),) = doc.entries
-        assert terms == ((GaussRat(1, 1), 2),)
+        (terms,) = doc.algebra.table.values()
+        assert terms == ((2, GaussRat(1, 1)),)
         assert parse(serialize(doc)) == doc
 
     def test_round_trip_identity_on_canonical_docs(self):
         for alg, name in ((kronecker(3), "k3"), (kronecker(1), "k1")):
-            doc = from_algebra(name, alg)
+            doc = AlgebraDoc(name, alg)
             assert parse(serialize(doc)) == doc
 
     def test_serialize_parse_idempotent(self):
@@ -66,8 +64,8 @@ class TestParse:
         assert serialize(parse(once)) == once
 
     def test_catalog_pipeline(self):
-        doc = from_algebra("k3", kronecker(3))
-        reparsed = to_algebra(parse(serialize(doc)))
+        doc = AlgebraDoc("k3", kronecker(3))
+        reparsed = parse(serialize(doc)).algebra
         assert reparsed == kronecker(3)
         assert reparsed.kind == kronecker(3).kind
 
@@ -108,6 +106,14 @@ class TestParseErrors:
             parse(text)
         assert (exc.value.line, exc.value.col) == (line, col)
 
+    @pytest.mark.parametrize("first", ["y + -1 y", "0 y"])
+    def test_duplicate_of_a_cancelled_entry(self, first):
+        text = "algebra a field Q\nbasis x y\n[x,x] = %s\n[x,x] = 2 y\nend" % first
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (4, 2)
+        assert exc.value.msg == "duplicate entry for [x,x]"
+
     def test_basis_longer_than_the_cap(self):
         labels = ["x%d" % k for k in range(MAX_DIM + 1)]
         basis = "basis " + " ".join(labels)
@@ -115,7 +121,8 @@ class TestParseErrors:
             parse("algebra a field Q\n%s\nend" % basis)
         assert exc.value.msg == "more than %d basis labels" % MAX_DIM
         assert (exc.value.line, exc.value.col) == (2, basis.index(labels[-1]) + 1)
-        assert len(parse("algebra a field Q\n%s\nend" % basis[:basis.rindex(" ")]).labels) \
+        assert len(parse("algebra a field Q\n%s\nend" % basis[:basis.rindex(" ")])
+                   .algebra.labels) \
             == MAX_DIM
 
     def test_imaginary_scalar_in_rational_field(self):
@@ -140,11 +147,10 @@ def random_doc(rng: Random) -> AlgebraDoc:
             seen.add(k)
             cf = F(rng.randint(-5, 5), rng.choice((1, 2, 3)))
             if cf:
-                terms.append((cf, k))
+                terms.append((k, cf))
         if terms:
-            entries[(i, j)] = tuple(sorted(terms, key=lambda t: t[1]))
-    return AlgebraDoc("fuzz", Q, tuple(labels),
-                      tuple((k, entries[k]) for k in sorted(entries)))
+            entries[(i, j)] = terms
+    return AlgebraDoc("fuzz", Algebra.from_brackets(Q, labels, entries))
 
 
 class TestFuzz:

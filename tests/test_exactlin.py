@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction as F
+from itertools import product
 from math import gcd
 from random import Random
 from types import SimpleNamespace
@@ -31,6 +33,7 @@ from helpers import (
     identity,
     nullspace,
     solve,
+    split_parse_scalar,
     trace,
     transpose,
 )
@@ -59,6 +62,29 @@ class TestScalars:
         with pytest.raises(ValueError):
             parse_scalar("1+1i", Q)
         assert parse_scalar("5/3", Q) == F(5, 3)
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    def test_parse_agrees_with_the_split_parser(self, field):
+        """Every token of length <= 5 over ``012/+-i`` gives the same value
+        and type, or the same exception class.  The messages may differ only
+        on a malformed token that also holds a zero denominator, e.g.
+        ``i+1/0i``: the split parser reads the denominator first."""
+        def outcome(parse, tok):
+            try:
+                v = parse(tok, field)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return type(v), v
+
+        for length in range(6):
+            for chars in product("012/+-i", repeat=length):
+                tok = "".join(chars)
+                new, old = outcome(parse_scalar, tok), outcome(split_parse_scalar, tok)
+                if new != old:
+                    assert new[0] is old[0] is ValueError, tok
+                    assert new[1].startswith("malformed"), tok
+                    assert old[1].startswith("zero denominator"), tok
+                    assert re.search("/0+(?![0-9])", tok), tok
 
     def test_gauss_arithmetic(self):
         i = GaussRat(0, 1)

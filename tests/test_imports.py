@@ -1,0 +1,58 @@
+"""Every name a module of the package imports is used in it.
+
+A stdlib stand-in for a linter's unused-import rule: each ``src/derleib``
+module is parsed with :mod:`ast`, and an imported name counts as used when
+it is read anywhere in the module, appears in a string annotation, or is
+listed in ``__all__`` (a re-export).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "derleib"
+
+
+def _imported(tree):
+    """``{name: line}`` of the names bound by the module's imports."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                names[name] = node.lineno
+    return names
+
+
+def _used(tree):
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    for ann in annotations:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                        if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used(tree)
+    unused = sorted("%s (line %d)" % (name, line)
+                    for name, line in _imported(tree).items() if name not in used)
+    assert not unused, "%s imports unused names: %s" % (path.name, ", ".join(unused))
