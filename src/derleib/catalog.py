@@ -241,27 +241,12 @@ def realify_derivation(dmat: Mat) -> Optional[Mat]:
     """
     if dmat.field != QI or dmat.rows != dmat.cols:
         raise ValueError("expected a square matrix over Qi")
-    dd = dmat.rows
-    d = dd - 1
-    out = [[Fraction(0)] * (2 * d + 1) for _ in range(2 * d + 1)]
-    for j in range(d):
-        if dmat.at(j, d):
-            return None  # commutator-line column must be (0,...,0,gamma)
-        for k in range(d):
-            x, y = scalar_parts(dmat.at(j, k))
-            out[2 * j][2 * k] = x
-            out[2 * j][2 * k + 1] = y
-            out[2 * j + 1][2 * k] = -y
-            out[2 * j + 1][2 * k + 1] = x
-    for k in range(d):
-        x, y = scalar_parts(dmat.at(d, k))
-        out[2 * d][2 * k] = x
-        out[2 * d][2 * k + 1] = y
-    gr, gi = scalar_parts(dmat.at(d, d))
-    if gi:
-        return None  # the commutator-line eigenvalue must be real
-    out[2 * d][2 * d] = gr
-    return Mat.from_rows(out, Q)
+    d = dmat.rows - 1
+    if any(dmat.col(d)[:d]) or scalar_parts(dmat.at(d, d))[1]:
+        return None
+    # drop row and column 2d+1, the imaginary copy of the commutator line
+    real = realify_parameter(dmat)
+    return Mat.from_rows([real.row(r)[:2 * d + 1] for r in range(2 * d + 1)], Q)
 
 
 # the parameters each family takes besides n

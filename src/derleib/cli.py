@@ -33,7 +33,7 @@ from .exactlin import (
     format_vector,
     parse_scalar,
 )
-from .liestruct import NotLie, structure_report
+from .liestruct import NotLie, killing, nilradical, radical, verify_levi
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -179,13 +179,14 @@ def cmd_analyze(args, out) -> int:
     if not alg.kind.lie:
         out.write("Lie-specific analysis skipped (not a Lie algebra)\n")
         return 0
-    levi = _parse_levi(args.levi, alg) if args.levi else None
-    rep = structure_report(alg, levi)
-    out.write("Killing rank: %d\n" % rep.killing_rank)
-    _print_subspace("radical", rep.radical, out)
-    _print_subspace("nilradical", rep.nilradical, out)
-    if rep.levi is not None:
-        out.write("Levi candidate: %s\n" % rep.levi)
+    candidate = _parse_levi(args.levi, alg) if args.levi else None
+    rad, nil = radical(alg), nilradical(alg)
+    levi = verify_levi(alg, candidate) if candidate is not None else None
+    out.write("Killing rank: %d\n" % killing(alg).rank)
+    _print_subspace("radical", rad, out)
+    _print_subspace("nilradical", nil, out)
+    if levi is not None:
+        out.write("Levi candidate: %s\n" % levi)
     return 0
 
 
@@ -197,8 +198,12 @@ def cmd_catalog(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    a_values = (tuple(parse_scalar(tok, Q) for tok in args.a.split(","))
-                if args.a else claims.DEFAULT_A)
+    a_values = claims.DEFAULT_A
+    if args.a is not None:
+        a_values = tuple(parse_scalar(tok, Q) for tok in args.a.split(","))
+        for k, a in enumerate(a_values):
+            if a in a_values[:k]:
+                raise ValueError("repeated --a value %s" % format_scalar(a))
     only = set(args.claim) if args.claim else None
     report = claims.run_all(nmax=args.nmax, a_values=a_values,
                             seed=args.seed, only=only)

@@ -519,14 +519,6 @@ class Mat:
             for r in range(self.rows))
 
 
-def rref(m: Mat) -> tuple[Mat, int]:
-    """Reduced row-echelon form of ``m`` and its rank; row space preserved."""
-    sub = Subspace.span((m.row(r) for r in range(m.rows)), m.cols, m.field)
-    pad = (scalar_zero(m.field),) * ((m.rows - sub.dim) * m.cols)
-    return Mat(m.rows, m.cols, m.field,
-               tuple(x for row in sub.basis for x in row) + pad), sub.dim
-
-
 def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
     """Canonical basis of the common kernel of sparse/dense constraint rows:
     for each free column f, x_f = 1 and x_p = -row[f] / row[p] at the pivot

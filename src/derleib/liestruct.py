@@ -27,7 +27,6 @@ from .exactlin import (
     Mat,
     Subspace,
     kernel_from_rows,
-    rref,
     scalar_zero,
     sparse_combine,
     sparse_flat,
@@ -52,7 +51,8 @@ class KillingForm:
 
     @property
     def rank(self) -> int:
-        return rref(self.gram)[1]
+        g = self.gram
+        return Subspace.span(map(g.row, range(g.rows)), g.cols, g.field).dim
 
     def value(self, x, y):
         gx = self.gram.apply(y)
@@ -128,6 +128,8 @@ def nilradical(alg: Algebra) -> Subspace:
     kernel = kernel_from_rows(traces, rad.dim, alg.field)
     nil = Subspace.span((sparse_combine(rad.erows, row) for row in kernel.erows),
                         d, alg.field)
+    if not rad.contains(nil):
+        raise InternalInvariantError("nilradical escapes the radical")
     _verify_nilradical(alg, nil)
     return nil
 
@@ -166,36 +168,7 @@ def verify_levi(alg: Algebra, s: Subspace) -> LeviResult:
     form = killing(alg)
     k = s.dim
     gram = [[form.value(a, b) for b in s.basis] for a in s.basis]
-    if k and rref(Mat.from_rows(gram, alg.field))[1] != k:
+    if Subspace.span(gram, k, alg.field).dim != k:
         return LeviResult(False, "degenerate")
     return LeviResult(True)
 
-
-@dataclass(frozen=True)
-class StructureReport:
-    lower_central_dims: tuple
-    derived_dims: tuple
-    center_dim: int
-    killing_rank: int
-    radical: Subspace
-    nilradical: Subspace
-    levi: Optional[LeviResult]
-
-
-def structure_report(alg: Algebra, levi_candidate: Optional[Subspace] = None
-                     ) -> StructureReport:
-    _require_lie(alg)
-    rad = radical(alg)
-    nil = nilradical(alg)
-    if not rad.contains(nil):
-        raise InternalInvariantError("nilradical escapes the radical")
-    levi = verify_levi(alg, levi_candidate) if levi_candidate is not None else None
-    return StructureReport(
-        lower_central_dims=tuple(t.dim for t in alg.series("lower_central")),
-        derived_dims=tuple(t.dim for t in alg.series("derived")),
-        center_dim=alg.centers()[2].dim,
-        killing_rank=killing(alg).rank,
-        radical=rad,
-        nilradical=nil,
-        levi=levi,
-    )

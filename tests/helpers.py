@@ -22,8 +22,8 @@ from derleib.exactlin import (
     axpy,
     coerce_scalar,
     kernel_from_rows,
-    rref,
     scalar_one,
+    scalar_parts,
     scalar_zero,
     sparse_flat,
     sparse_mul,
@@ -341,6 +341,34 @@ def real_block(a, b, n: int) -> Mat:
     return Mat.from_rows(m, Q)
 
 
+def entrywise_realify_derivation(dmat: Mat) -> Optional[Mat]:
+    """Real form of a derivation-shaped complex matrix, entry by entry:
+    each coordinate k < d becomes the pair (2k, 2k+1) through the block
+    [[x, y], [-y, x]], the commutator line d stays one coordinate.  None
+    when that line's column is nonzero above the diagonal or its diagonal
+    entry is imaginary."""
+    d = dmat.rows - 1
+    out = [[Fraction(0)] * (2 * d + 1) for _ in range(2 * d + 1)]
+    for j in range(d):
+        if dmat.at(j, d):
+            return None
+        for k in range(d):
+            x, y = scalar_parts(dmat.at(j, k))
+            out[2 * j][2 * k] = x
+            out[2 * j][2 * k + 1] = y
+            out[2 * j + 1][2 * k] = -y
+            out[2 * j + 1][2 * k + 1] = x
+    for k in range(d):
+        x, y = scalar_parts(dmat.at(d, k))
+        out[2 * d][2 * k] = x
+        out[2 * d][2 * k + 1] = y
+    gr, gi = scalar_parts(dmat.at(d, d))
+    if gi:
+        return None
+    out[2 * d][2 * d] = gr
+    return Mat.from_rows(out, Q)
+
+
 def _split_rational(part: str, text: str) -> Fraction:
     if not re.fullmatch("[+-]?[0-9]+(?:/[0-9]+)?", part):
         raise ValueError("malformed scalar %r" % (text,))
@@ -523,7 +551,7 @@ def random_small_algebra(rng: Random) -> Algebra:
     while True:
         cols = [random_vector(rng, dim) for _ in range(dim)]
         p = Mat.from_rows([[cols[c][r] for c in range(dim)] for r in range(dim)])
-        if rref(p)[1] == dim:
+        if nullspace(p).dim == 0:
             break
     return Algebra.from_brackets(Q, alg.labels, {
         (i, j): list(enumerate(solve(p, alg.bracket(cols[i], cols[j]))))

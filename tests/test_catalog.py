@@ -22,7 +22,13 @@ from derleib.catalog import (
 )
 from derleib.derivations import der_algebra
 from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace
-from helpers import charpoly, mat_power_is_zero, real_block, transpose
+from helpers import (
+    charpoly,
+    entrywise_realify_derivation,
+    mat_power_is_zero,
+    real_block,
+    transpose,
+)
 
 
 def vec(alg, **coords):
@@ -154,6 +160,29 @@ class TestRealify:
         assert r.at(4, 0) == 3 and r.at(4, 2) == 0 and r.at(4, 3) == 1
         assert r.at(4, 4) == 2
 
+
+    def test_realify_derivation_matches_entrywise_oracle(self):
+        """Random Q(i) matrices of size 2-5; about half keep the commutator
+        line's column zero above the diagonal and its diagonal entry real,
+        so both the None and the realified branches are exercised."""
+        rng = Random(14)
+
+        def part():
+            return F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+        outcomes = set()
+        for _ in range(300):
+            s = rng.randint(2, 5)
+            rows = [[GaussRat(part(), part()) for _ in range(s)] for _ in range(s)]
+            if rng.random() < 0.7:
+                for j in range(s - 1):
+                    rows[j][s - 1] = GaussRat(0)
+            if rng.random() < 0.7:
+                rows[-1][-1] = GaussRat(rows[-1][-1].re)
+            m = Mat.from_rows(rows, QI)
+            r = realify_derivation(m)
+            assert r == entrywise_realify_derivation(m)
+            outcomes.add(r is None)
+        assert outcomes == {True, False}
 
 class TestPermutations:
     def test_identity_permutation(self):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from derleib import claims, cli, derivations
-from derleib.algebra import MAX_DIM
+from derleib.algebra import MAX_DIM, Algebra
 from derleib.cli import main
 from derleib.catalog import kronecker
 from derleib.dsl import parse
@@ -190,6 +190,23 @@ class TestAnalyze:
         assert "nilradical (dim 5)" in text
 
 
+    def test_centers_computed_once(self, tmp_path, monkeypatch):
+        """The centers line and the Lie analysis share one computation."""
+        code, text = run_cli("catalog", "--family", "heisenberg-lie", "--n", "3")
+        assert code == 0
+        path = tmp_path / "h7.alg"
+        path.write_text(text)
+        calls = []
+        centers = Algebra.centers
+
+        def counted(alg):
+            calls.append(alg)
+            return centers(alg)
+        monkeypatch.setattr(Algebra, "centers", counted)
+        code, text = run_cli("analyze", str(path), "--der")
+        assert code == 0 and "nilradical (dim" in text
+        assert len(calls) == 1
+
 class TestCatalog:
     def test_emitted_document_round_trips(self):
         code, text = run_cli("catalog", "--family", "kronecker", "--n", "3")
@@ -263,6 +280,22 @@ class TestVerify:
         assert code == 2 and text == ""
         assert capsys.readouterr().err == \
             "error: imaginary scalar %r in field Q\n" % tok
+
+    @pytest.mark.parametrize("value,err", [
+        ("", "malformed scalar ''"),
+        ("2,2", "repeated --a value 2"),
+        ("2,4/2", "repeated --a value 2"),
+        ("1/2,3,-1,3", "repeated --a value 3"),
+    ])
+    def test_empty_or_repeated_parameter_is_usage_error(self, value, err,
+                                                        monkeypatch, capsys):
+        def refuse(**kwargs):
+            raise AssertionError("a claim ran")
+        monkeypatch.setattr(claims, "run_all", refuse)
+        code, text = run_cli("verify-paper", "--nmax", "1", "--a", value,
+                             "--claim", "H1")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: %s\n" % err
 
     def test_unknown_claim_is_usage_error(self, capsys):
         code, text = run_cli("verify-paper", "--nmax", "1", "--claim", "ZZ")

@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and every
+private module-level helper is read in it.
 
-A stdlib stand-in for a linter's unused-import rule: each ``src/derleib``
-module is parsed with :mod:`ast`, and an imported name counts as used when
-it is read anywhere in the module, appears in a string annotation, or is
-listed in ``__all__`` (a re-export).
+A stdlib stand-in for a linter's unused-import and dead-code rules: each
+``src/derleib`` module is parsed with :mod:`ast`, and a name counts as used
+when it is read anywhere in the module, appears in a string annotation, or
+is listed in ``__all__`` (a re-export).  A private helper's reads inside
+its own definition (recursion) do not count.
 """
 
 import ast
@@ -56,3 +58,17 @@ def test_no_unused_imports(path):
     unused = sorted("%s (line %d)" % (name, line)
                     for name, line in _imported(tree).items() if name not in used)
     assert not unused, "%s imports unused names: %s" % (path.name, ", ".join(unused))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_private_helpers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    dead = []
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            rest = ast.Module([n for n in tree.body if n is not node], [])
+            if node.name not in _used(rest):
+                dead.append("%s (line %d)" % (node.name, node.lineno))
+    assert not dead, "%s defines unread private helpers: %s" % (
+        path.name, ", ".join(dead))

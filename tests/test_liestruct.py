@@ -28,7 +28,6 @@ from derleib.liestruct import (
     killing,
     nilradical,
     radical,
-    structure_report,
     verify_levi,
 )
 from helpers import (
@@ -376,9 +375,7 @@ def test_derived_series_of_der_against_sympy(alg, dims):
 class TestStructureReport:
     def test_report_fields(self):
         g = der_algebra(kronecker(1, INTERLEAVED)).structure
-        rep = structure_report(g)
-        assert rep.derived_dims == (4, 2, 0)
-        assert rep.center_dim == 0
-        assert rep.radical.dim == 4
-        assert rep.nilradical.dim == 2
-        assert rep.levi is None
+        assert tuple(t.dim for t in g.series("derived")) == (4, 2, 0)
+        assert g.centers()[2].dim == 0
+        assert radical(g).dim == 4
+        assert nilradical(g).dim == 2
