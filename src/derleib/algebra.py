@@ -20,7 +20,6 @@ from .exactlin import (
     axpy,
     coerce_scalar,
     kernel_from_rows,
-    scalar_zero,
     sparse_combine,
     sparse_commutator,
     sparse_flat,
@@ -83,10 +82,6 @@ class Algebra:
                 table[(i, j)] = terms
         return cls(field, tuple(labels), table)
 
-    @classmethod
-    def abelian(cls, dim: int, field: str = "Q", prefix: str = "e") -> "Algebra":
-        return cls.from_brackets(field, ["%s%d" % (prefix, k + 1) for k in range(dim)], {})
-
     @property
     def ops(self) -> tuple[list, list]:
         """``(left, right)``: for each basis vector b_i, the sparse matrices
@@ -99,32 +94,6 @@ class Algebra:
         """:attr:`ops` of :attr:`int_table`, for the callers whose results
         do not change when every structure constant is scaled alike."""
         return _operators(self.int_table, self.dim)
-
-    # -- bracket ---------------------------------------------------------
-
-    def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        """Bilinear extension of the structure constants."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ShapeMismatch("vector length != algebra dimension")
-        table = self.table
-        out = [scalar_zero(self.field)] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in ys:
-                terms = table.get((i, j))
-                if terms:
-                    f = xi * yj
-                    for k, cf in terms:
-                        out[k] = out[k] + f * cf
-        return tuple(out)
-
-    def basis_vector(self, i: int) -> tuple:
-        z = scalar_zero(self.field)
-        v = [z] * self.dim
-        v[i] = coerce_scalar(1, self.field)
-        return tuple(v)
 
     # -- identity checks -------------------------------------------------
 
@@ -227,13 +196,6 @@ class Algebra:
         right = kernel_from_rows((row for m in lops for row in m.values()),
                                  self.dim, self.field)
         return left, right, left.intersect(right)
-
-    def leib_ideal(self) -> Subspace:
-        """Span of the squares; generated by [b_i,b_j] + [b_j,b_i] (char != 2)."""
-        t = self.table
-        vecs = (axpy(dict(t.get((i, j), ())), 1, t.get((j, i), ()))
-                for i in range(self.dim) for j in range(i, self.dim))
-        return Subspace.span(vecs, self.dim, self.field)
 
     def quotient(self, ideal: Subspace) -> "Algebra":
         """Algebra induced on the non-pivot coordinates of the ideal's basis."""

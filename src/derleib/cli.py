@@ -167,6 +167,8 @@ def cmd_analyze(args, out) -> int:
     if args.der:
         alg = der_algebra(alg).structure
         name += " derivation algebra"
+    # parsed before the first output line, so bad input prints nothing
+    candidate = _parse_levi(args.levi, alg) if args.levi is not None else None
     out.write("algebra %s: dim %d over %s\n" % (name, alg.dim, alg.field))
     out.write("classify: %s\n" % _kind_line(alg))
     lower = alg.series("lower_central")
@@ -179,7 +181,6 @@ def cmd_analyze(args, out) -> int:
     if not alg.kind.lie:
         out.write("Lie-specific analysis skipped (not a Lie algebra)\n")
         return 0
-    candidate = _parse_levi(args.levi, alg) if args.levi else None
     rad, nil = radical(alg), nilradical(alg)
     levi = verify_levi(alg, candidate) if candidate is not None else None
     out.write("Killing rank: %d\n" % killing(alg).rank)

@@ -10,9 +10,10 @@ its echelon rows and makes canonical and dense rows as views.  Operators are
 sparse matrices ``{row: {column: value}}`` without zero entries, handled by
 the kit :func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`,
 :func:`sparse_trace`, :func:`sparse_flat`, :func:`sparse_rows` and
-:func:`sparse_commutator`.  :class:`Mat` is dense, for the catalog's parameter
-matrices and the CLI's dense view.  Values are immutable after construction,
-so every operation is safe to call concurrently.
+:func:`sparse_commutator`, the only matrix arithmetic here.  :class:`Mat`
+is dense storage with views, for the catalog's parameter matrices and the
+CLI's dense view.  Values are immutable after construction, so every
+operation is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ class FieldMismatch(ValueError):
     """Raised when values from different scalar fields are combined."""
 
 
-class ShapeMismatch(ValueError):
-    """Raised on incompatible matrix/vector shapes or ambient dimensions."""
+class ShapeMismatch(Exception):
+    """Raised on incompatible matrix/vector shapes or ambient dimensions: an
+    internal fault, since every user input is checked where it is parsed."""
 
 
 class InternalInvariantError(RuntimeError):
@@ -131,9 +133,6 @@ class GaussRat:
         if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
-
-    def conjugate(self):
-        return GaussRat(self.re, -self.im)
 
     def __repr__(self):
         return "GaussRat(%s, %s)" % (self.re, self.im)
@@ -401,7 +400,8 @@ class Echelon:
 
 @dataclass(frozen=True)
 class Mat:
-    """Dense matrix, row-major, over a single scalar field."""
+    """Dense matrix, row-major, over a single scalar field: storage and
+    views; its product is :func:`sparse_mul`'s."""
 
     rows: int
     cols: int
@@ -429,15 +429,6 @@ class Mat:
         z = scalar_zero(field)
         return cls(rows, cols, field, (z,) * (rows * cols))
 
-    @classmethod
-    def unit(cls, rows: int, cols: int, r: int, c: int, field: str = Q, value=1) -> "Mat":
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise ShapeMismatch("entry (%d, %d) outside %dx%d" % (r, c, rows, cols))
-        z = scalar_zero(field)
-        flat = [z] * (rows * cols)
-        flat[r * cols + c] = coerce_scalar(value, field)
-        return cls(rows, cols, field, tuple(flat))
-
     def at(self, r: int, c: int) -> Scalar:
         return self.entries[r * self.cols + c]
 
@@ -459,41 +450,9 @@ class Mat:
         if self.cols != other.rows:
             raise ShapeMismatch("cannot multiply %dx%d by %dx%d"
                                 % (self.rows, self.cols, other.rows, other.cols))
-        n, m, k = self.rows, other.cols, self.cols
-        z = scalar_zero(self.field)
-        out = [z] * (n * m)
-        a, b = self.entries, other.entries
-        for r in range(n):
-            base = r * k
-            orow = r * m
-            for t in range(k):
-                av = a[base + t]
-                if not av:
-                    continue
-                bbase = t * m
-                for c in range(m):
-                    bv = b[bbase + c]
-                    if bv:
-                        out[orow + c] = out[orow + c] + av * bv
-        return Mat(n, m, self.field, tuple(out))
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product (columns hold images of basis vectors)."""
-        if len(vec) != self.cols:
-            raise ShapeMismatch("vector length %d != %d" % (len(vec), self.cols))
-        z = scalar_zero(self.field)
-        out = [z] * self.rows
-        for c, xv in enumerate(vec):
-            if not xv:
-                continue
-            for r in range(self.rows):
-                e = self.entries[r * self.cols + c]
-                if e:
-                    out[r] = out[r] + e * xv
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
+        a, b = (sparse_rows(m.sparse(), m.cols) for m in (self, other))
+        return Mat.unflatten(sparse_flat(sparse_mul(a, b), other.cols),
+                             self.rows, other.cols, self.field)
 
     def flatten(self) -> tuple:
         """Row-major flattening; the fixed convention for matrix subspaces."""
@@ -504,7 +463,11 @@ class Mat:
         return {i: x for i, x in enumerate(self.entries) if x}
 
     @classmethod
-    def unflatten(cls, vec: Sequence, rows: int, cols: int, field: str) -> "Mat":
+    def unflatten(cls, vec, rows: int, cols: int, field: str) -> "Mat":
+        """The matrix of a row-major flattening, dense or sparse."""
+        if isinstance(vec, dict):
+            z = scalar_zero(field)
+            vec = [vec.get(i, z) for i in range(rows * cols)]
         if len(vec) != rows * cols:
             raise ShapeMismatch("flat length %d != %d*%d" % (len(vec), rows, cols))
         return cls(rows, cols, field, tuple(vec))

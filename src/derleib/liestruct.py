@@ -27,7 +27,6 @@ from .exactlin import (
     Mat,
     Subspace,
     kernel_from_rows,
-    scalar_zero,
     sparse_combine,
     sparse_flat,
     sparse_mul,
@@ -54,11 +53,6 @@ class KillingForm:
         g = self.gram
         return Subspace.span(map(g.row, range(g.rows)), g.cols, g.field).dim
 
-    def value(self, x, y):
-        gx = self.gram.apply(y)
-        return sum((xi * gi for xi, gi in zip(x, gx) if xi),
-                   scalar_zero(self.gram.field))
-
 
 def _gram(alg: Algebra) -> Mat:
     """Gram matrix of (x, y) -> trace(ad_x ad_y) on the basis; uncached."""
@@ -74,11 +68,13 @@ def killing(alg: Algebra) -> KillingForm:
     return KillingForm(_gram(alg))
 
 
-def _killing_orthogonal(alg: Algebra, gram: Mat) -> Subspace:
-    """Orthogonal of the derived algebra under the form with Gram matrix ``gram``."""
-    derived = alg.commutator_ideal
-    return kernel_from_rows((gram.apply(v) for v in derived.basis),
-                            alg.dim, alg.field)
+def _orthogonal(sub: Subspace, gram: Mat) -> Subspace:
+    """Orthogonal of ``sub`` under the symmetric form with Gram matrix
+    ``gram``: the kernel of the products x G over the echelon rows x of
+    ``sub``, which are multiples of its canonical rows."""
+    x = dict(enumerate(map(dict, sub.erows)))
+    rows = sparse_mul(x, sparse_rows(gram.sparse(), gram.cols)).values()
+    return kernel_from_rows(rows, sub.ambient_dim, sub.field)
 
 
 @lru_cache(maxsize=None)
@@ -88,10 +84,10 @@ def radical(alg: Algebra) -> Subspace:
     of a Lie algebra by an ideal is Lie, so the check reads the quotient's
     Gram matrix without classifying it again."""
     _require_lie(alg)
-    rad = _killing_orthogonal(alg, killing(alg).gram)
+    rad = _orthogonal(alg.commutator_ideal, killing(alg).gram)
     if rad.dim < alg.dim:
         q = alg.quotient(rad)
-        if _killing_orthogonal(q, _gram(q)).dim != 0:
+        if _orthogonal(q.commutator_ideal, _gram(q)).dim != 0:
             raise InternalInvariantError("radical self-check failed")
     return rad
 
@@ -165,10 +161,8 @@ def verify_levi(alg: Algebra, s: Subspace) -> LeviResult:
     rad = radical(alg)
     if s.intersect(rad).dim != 0 or s.sum(rad).dim != alg.dim:
         return LeviResult(False, "not-complement")
-    form = killing(alg)
-    k = s.dim
-    gram = [[form.value(a, b) for b in s.basis] for a in s.basis]
-    if Subspace.span(gram, k, alg.field).dim != k:
+    # the form is degenerate on s iff some nonzero x in s is orthogonal to s
+    if not s.intersect(_orthogonal(s, killing(alg).gram)).is_zero():
         return LeviResult(False, "degenerate")
     return LeviResult(True)
 

@@ -7,7 +7,6 @@ from typing import Optional
 
 from derleib import claims
 from derleib.algebra import Algebra, AlgebraKind
-from derleib.derivations import is_derivation
 from derleib.exactlin import (
     Echelon,
     FieldMismatch,
@@ -30,6 +29,67 @@ from derleib.exactlin import (
     sparse_trace,
 )
 from derleib.liestruct import killing
+
+
+def abelian(dim: int, field: str = Q) -> Algebra:
+    return Algebra.from_brackets(field, ["e%d" % (k + 1) for k in range(dim)], {})
+
+
+def basis_vector(alg: Algebra, i: int) -> tuple:
+    """The i-th standard basis vector of the algebra, dense."""
+    return tuple(scalar_one(alg.field) if k == i else scalar_zero(alg.field)
+                 for k in range(alg.dim))
+
+
+def unit(d: int, r: int, c: int, field: str = Q, value=1) -> Mat:
+    """The d x d matrix with ``value`` at (r, c) and zeros elsewhere."""
+    return to_mat({r * d + c: value}, d, field)
+
+
+def matmul(a: Mat, b: Mat) -> Mat:
+    """Dense product ``a b``, row by row of ``a``; the oracle for
+    ``Mat.__mul__``."""
+    if a.field != b.field:
+        raise FieldMismatch("mixed fields %s and %s" % (a.field, b.field))
+    if a.cols != b.rows:
+        raise ShapeMismatch("cannot multiply %dx%d by %dx%d"
+                            % (a.rows, a.cols, b.rows, b.cols))
+    n, m, k = a.rows, b.cols, a.cols
+    out = [scalar_zero(a.field)] * (n * m)
+    for r in range(n):
+        for t in range(k):
+            av = a.entries[r * k + t]
+            if not av:
+                continue
+            for c in range(m):
+                bv = b.entries[t * m + c]
+                if bv:
+                    out[r * m + c] = out[r * m + c] + av * bv
+    return Mat(n, m, a.field, tuple(out))
+
+
+def matvec(m: Mat, vec) -> tuple:
+    """Dense matrix-vector product; columns hold images of basis vectors."""
+    if len(vec) != m.cols:
+        raise ShapeMismatch("vector length %d != %d" % (len(vec), m.cols))
+    out = [scalar_zero(m.field)] * m.rows
+    for c, xv in enumerate(vec):
+        if not xv:
+            continue
+        for r in range(m.rows):
+            e = m.entries[r * m.cols + c]
+            if e:
+                out[r] = out[r] + e * xv
+    return tuple(out)
+
+
+def naive_commutator(a: Mat, b: Mat) -> Mat:
+    """``a b - b a`` through :func:`matmul`; the oracle for ``commutator``."""
+    return lincomb((1, matmul(a, b)), (-1, matmul(b, a)))
+
+
+def is_zero(m: Mat) -> bool:
+    return not any(m.entries)
 
 
 def identity(n: int, field: str = Q) -> Mat:
@@ -61,11 +121,12 @@ def to_mat(flat: SparseVec, d: int, field: str = Q) -> Mat:
 
 def adjoint(alg: Algebra, x, side: str = "left") -> Mat:
     """Matrix of ``y -> [x, y]`` (left) or ``y -> [y, x]`` (right), column
-    by column through ``alg.bracket``."""
+    by column through :func:`naive_bracket`."""
     cols = []
     for j in range(alg.dim):
-        e = alg.basis_vector(j)
-        cols.append(alg.bracket(x, e) if side == "left" else alg.bracket(e, x))
+        e = basis_vector(alg, j)
+        cols.append(naive_bracket(alg, x, e) if side == "left"
+                    else naive_bracket(alg, e, x))
     flat = [cols[c][r] for r in range(alg.dim) for c in range(alg.dim)]
     return Mat(alg.dim, alg.dim, alg.field, tuple(flat))
 
@@ -232,6 +293,25 @@ def solve(m: Mat, b) -> Optional[tuple]:
     return tuple(x)
 
 
+def bilinear(gram: Mat, x, y):
+    """``x^T G y`` for the Gram matrix G of a bilinear form."""
+    return sum((a * b for a, b in zip(x, matvec(gram, y))), scalar_zero(gram.field))
+
+
+def naive_radical(alg: Algebra) -> Subspace:
+    """The Killing-orthogonal of [L, L] the dense way: the Gram matrix from
+    traces of products of :func:`adjoint` matrices, [L, L] spanned by the
+    naive brackets of basis vectors, and the kernel of G v over its
+    canonical basis.  Not checked on the quotient."""
+    e = [basis_vector(alg, i) for i in range(alg.dim)]
+    ads = [adjoint(alg, x) for x in e]
+    gram = Mat.from_rows([[trace(matmul(a, b)) for b in ads] for a in ads], alg.field)
+    derived = Subspace.span((naive_bracket(alg, x, y) for x in e for y in e),
+                            alg.dim, alg.field)
+    return nullspace(Mat.from_rows([matvec(gram, v) for v in derived.basis]
+                                   or [[0] * alg.dim], alg.field))
+
+
 def is_semisimple(alg: Algebra) -> bool:
     """Cartan criterion: nondegenerate Killing form."""
     return killing(alg).rank == alg.dim
@@ -279,7 +359,7 @@ def almost_inner_sample(d: Mat, alg: Algebra, trials: int = 40,
     failing x as a witness, or None when all trials pass.  A pass is
     evidence, not a proof.
     """
-    if not is_derivation(d, alg):
+    if not naive_is_derivation(d, alg):
         raise ValueError("input is not a derivation")
     rng = Random(seed)
     dim = alg.dim
@@ -287,12 +367,12 @@ def almost_inner_sample(d: Mat, alg: Algebra, trials: int = 40,
         x = tuple(_random_scalar(rng, alg.field) for _ in range(dim))
         cols = []
         for j in range(dim):
-            ej = alg.basis_vector(j)
-            cols.append(alg.bracket(ej, x))
-            cols.append(alg.bracket(x, ej))
+            ej = basis_vector(alg, j)
+            cols.append(naive_bracket(alg, ej, x))
+            cols.append(naive_bracket(alg, x, ej))
         m = Mat(dim, 2 * dim, alg.field,
                 tuple(cols[c][r] for r in range(dim) for c in range(2 * dim)))
-        if solve(m, d.apply(x)) is None:
+        if solve(m, matvec(d, x)) is None:
             return x
     return None
 
@@ -306,7 +386,7 @@ def charpoly(m: Mat) -> list:
     ck = -trace(mk)
     coeffs.append(ck)
     for k in range(2, n + 1):
-        mk = m * lincomb((1, mk), (ck, identity(n, m.field)))
+        mk = matmul(m, lincomb((1, mk), (ck, identity(n, m.field))))
         ck = -trace(mk) / k
         coeffs.append(ck)
     return coeffs
@@ -315,10 +395,10 @@ def charpoly(m: Mat) -> list:
 def mat_power_is_zero(m: Mat, exponent: int) -> bool:
     acc = identity(m.rows, m.field)
     for _ in range(exponent):
-        acc = acc * m
-        if acc.is_zero():
+        acc = matmul(acc, m)
+        if is_zero(acc):
             return True
-    return acc.is_zero()
+    return is_zero(acc)
 
 
 def real_block(a, b, n: int) -> Mat:
@@ -466,9 +546,37 @@ def naive_bracket(alg: Algebra, x, y) -> tuple:
     table, whatever the vectors' supports."""
     out = [scalar_zero(alg.field)] * alg.dim
     for (i, j), terms in alg.table.items():
-        for k, cf in terms:
-            out[k] = out[k] + x[i] * y[j] * cf
+        if x[i] and y[j]:
+            for k, cf in terms:
+                out[k] = out[k] + x[i] * y[j] * cf
     return tuple(out)
+
+
+def naive_is_derivation(d: Mat, alg: Algebra) -> bool:
+    """d([x,y]) = [d(x),y] + [x,d(y)] on all basis pairs (enough by
+    bilinearity), through :func:`naive_bracket` and :func:`matvec`."""
+    if d.rows != alg.dim or d.cols != alg.dim:
+        raise ShapeMismatch("matrix is %dx%d, algebra dimension is %d"
+                            % (d.rows, d.cols, alg.dim))
+    e = [basis_vector(alg, i) for i in range(alg.dim)]
+    cols = [d.col(j) for j in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            lhs = matvec(d, naive_bracket(alg, e[i], e[j]))
+            r1 = naive_bracket(alg, cols[i], e[j])
+            r2 = naive_bracket(alg, e[i], cols[j])
+            if any(a - b - c for a, b, c in zip(lhs, r1, r2)):
+                return False
+    return True
+
+
+def leib_ideal(alg: Algebra) -> Subspace:
+    """Span of the squares [x, x]: of [b_i, b_i] and [b_i, b_j] + [b_j, b_i]
+    (char != 2)."""
+    e = [basis_vector(alg, i) for i in range(alg.dim)]
+    return Subspace.span((tuple(a + b for a, b in zip(naive_bracket(alg, x, y),
+                                                       naive_bracket(alg, y, x)))
+                          for x in e for y in e), alg.dim, alg.field)
 
 
 def naive_structure(mla) -> Algebra:
@@ -478,7 +586,7 @@ def naive_structure(mla) -> Algebra:
     brackets = {}
     for s, a in enumerate(mla.basis):
         for t, b in enumerate(mla.basis):
-            cs = mla.subspace.coords(lincomb((1, a * b), (-1, b * a)).flatten())
+            cs = mla.subspace.coords(naive_commutator(a, b).flatten())
             assert cs is not None, "bracket %d, %d escapes the span" % (s, t)
             brackets[(s, t)] = list(enumerate(cs))
     return Algebra.from_brackets(mla.field, ["m%d" % (k + 1) for k in range(mla.dim)],
@@ -487,9 +595,11 @@ def naive_structure(mla) -> Algebra:
 
 def naive_kind(alg: Algebra) -> AlgebraKind:
     """Both Leibniz identities and antisymmetry, evaluated densely on every
-    basis triple through ``alg.bracket``."""
-    e = [alg.basis_vector(i) for i in range(alg.dim)]
-    br = alg.bracket
+    basis triple through :func:`naive_bracket`."""
+    e = [basis_vector(alg, i) for i in range(alg.dim)]
+
+    def br(x, y):
+        return naive_bracket(alg, x, y)
 
     def add(u, v):
         return tuple(a + b for a, b in zip(u, v))
@@ -554,5 +664,5 @@ def random_small_algebra(rng: Random) -> Algebra:
         if nullspace(p).dim == 0:
             break
     return Algebra.from_brackets(Q, alg.labels, {
-        (i, j): list(enumerate(solve(p, alg.bracket(cols[i], cols[j]))))
+        (i, j): list(enumerate(solve(p, naive_bracket(alg, cols[i], cols[j]))))
         for i in range(dim) for j in range(dim)})

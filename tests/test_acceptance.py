@@ -7,7 +7,6 @@ single PASS/FAIL line; a FAIL line lists the offending sub-checks.
 from fractions import Fraction as F
 from random import Random
 
-from derleib.algebra import Algebra
 from derleib.catalog import (
     INTERLEAVED,
     dieudonne,
@@ -30,8 +29,9 @@ from derleib.derivations import (
 from derleib.dsl import ParseError, parse, serialize
 from derleib.exactlin import GaussRat, Mat, Q, Subspace
 from derleib.liestruct import nilradical, verify_levi
-from helpers import ad_nilpotent, adjoint, is_semisimple, j0_gens, kron_gens, lincomb
-from helpers import random_solvable_lie, random_vector, to_mat, transpose
+from helpers import ad_nilpotent, adjoint, basis_vector, is_semisimple, j0_gens, kron_gens
+from helpers import leib_ideal, matmul, naive_is_derivation, random_solvable_lie
+from helpers import random_vector, to_mat, transpose
 
 REG = {c.id: c for c in registry()}
 GENERIC_A = (F(2), F(1, 2), F(-3))
@@ -181,11 +181,11 @@ def test_criterion_4_kronecker():
               inn.structure.product_space(inn.structure.full_space(),
                                           inn.structure.full_space()).is_zero())
         for i in range(1, n + 1):
-            ad_e = adjoint(alg, alg.basis_vector(2 * i - 2), "left")
+            ad_e = adjoint(alg, basis_vector(alg, 2 * i - 2), "left")
             want = gens["B%d" % i] + (gens["B%d" % (i - 1)] if i > 1 else {})
             check(failures, "%s: ad_e%d = B_(i-1)+B_i" % (tag, i),
                   ad_e == to_mat(want, 2 * n + 1))
-            ad_f = adjoint(alg, alg.basis_vector(2 * i - 1), "left")
+            ad_f = adjoint(alg, basis_vector(alg, 2 * i - 1), "left")
             want = gens["A%d" % i] - (gens["A%d" % (i + 1)] if i < n else {})
             check(failures, "%s: ad_f%d = A_i - A_(i+1)" % (tag, i),
                   ad_f == to_mat(want, 2 * n + 1))
@@ -220,14 +220,13 @@ def test_criterion_5_dieudonne():
         check(failures, "%s: dim Inn = 2n" % tag, inn.dim == 2 * n)
         check(failures, "%s: dim AIDer = 2n+1" % tag, aid.dim == 2 * n + 1)
         dim = 2 * n + 2
-        zero_sum = [lincomb((1, Mat.unit(dim, dim, dim - 1, k, Q)),
-                            (-1, Mat.unit(dim, dim, dim - 1, k + 1, Q))) for k in range(n)]
-        zero_sum += [Mat.unit(dim, dim, dim - 1, j, Q)
-                     for j in range(n + 1, 2 * n + 1)]
+        last = (dim - 1) * dim  # flat index of the last row's first entry
+        zero_sum = [to_mat({last + k: 1, last + k + 1: -1}, dim) for k in range(n)]
+        zero_sum += [to_mat({last + j: 1}, dim) for j in range(n + 1, 2 * n + 1)]
         check(failures, "%s: Inn carries the zero-sum constraint" % tag,
               inn.subspace == Subspace.span([m.flatten() for m in zero_sum],
                                             dim * dim, Q))
-        probe = Mat.unit(dim, dim, dim - 1, n, Q)
+        probe = to_mat({last + n: 1}, dim)
         check(failures, "%s: mu_(n+1) unit is a derivation" % tag,
               is_derivation(probe, alg))
         check(failures, "%s: mu_(n+1) unit is almost inner" % tag,
@@ -279,9 +278,9 @@ def test_criterion_7_property_suites():
         inn = inner_derivations(alg)
         aid = almost_inner_genus1(alg)
         check(failures, "%s: Der basis are derivations" % tag,
-              all(is_derivation(m, alg) for m in der.basis))
+              all(naive_is_derivation(m, alg) for m in der.basis))
         check(failures, "%s: Inn basis are derivations" % tag,
-              all(is_derivation(m, alg) for m in inn.basis))
+              all(naive_is_derivation(m, alg) for m in inn.basis))
         check(failures, "%s: Inn inside AIDer" % tag,
               aid.subspace.contains(inn.subspace))
         check(failures, "%s: AIDer inside Der" % tag,
@@ -291,7 +290,7 @@ def test_criterion_7_property_suites():
                   for d in der.basis for w in inn.basis))
         # (e) the quotient by the squares ideal is a Lie algebra
         check(failures, "%s: quotient by Leib ideal is Lie" % tag,
-              alg.quotient(alg.leib_ideal()).kind.lie)
+              alg.quotient(leib_ideal(alg)).kind.lie)
     # (c) der_algebra commutes with basis permutation by conjugation
     rng = Random(42)
     for tag, alg in (("heisenberg n=2 a=2", _heis(2, F(2))),
@@ -303,7 +302,7 @@ def test_criterion_7_property_suites():
         p = Mat.from_rows([[1 if r == perm[c] else 0 for c in range(d)]
                            for r in range(d)])
         pinv = transpose(p)
-        conj = Subspace.span([(pinv * m * p).flatten()
+        conj = Subspace.span([matmul(matmul(pinv, m), p).flatten()
                               for m in der_algebra(alg).basis], d * d, Q)
         check(failures, "%s: Der commutes with permutation" % tag,
               der_algebra(permute_basis(alg, perm)).subspace == conj)
@@ -313,7 +312,7 @@ def test_criterion_7_property_suites():
     for k in range(20):
         g, expected_idx = random_solvable_lie(rng)
         nil = nilradical(g)
-        expected = Subspace.span([g.basis_vector(i) for i in expected_idx],
+        expected = Subspace.span([basis_vector(g, i) for i in expected_idx],
                                  g.dim, Q)
         check(failures, "random solvable %d: nilradical matches oracle" % k,
               nil == expected)

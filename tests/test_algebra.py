@@ -6,10 +6,12 @@ import pytest
 from derleib.algebra import Algebra, AlgebraKind, NotAnIdeal
 from derleib.catalog import dieudonne, heisenberg_leibniz, heisenberg_lie, \
     jordan, kronecker
-from derleib.derivations import der_algebra, is_derivation
+from derleib.derivations import der_algebra
 from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace
 
-from helpers import adjoint, naive_bracket, naive_kind, nullspace, random_small_algebra
+from helpers import abelian, adjoint, basis_vector, is_zero, leib_ideal, \
+    naive_bracket, naive_is_derivation, naive_kind, nullspace, \
+    random_small_algebra, unit
 
 
 def vec(alg, **coords):
@@ -19,15 +21,20 @@ def vec(alg, **coords):
     return tuple(v)
 
 
+def line(alg, v):
+    return Subspace.span([v], alg.dim)
+
+
 class TestBracket:
     def test_heisenberg_pairing(self):
         h3 = heisenberg_lie(1)
-        assert h3.bracket(vec(h3, e1=1), vec(h3, f1=1)) == vec(h3, z=1)
+        assert naive_bracket(h3, vec(h3, e1=1), vec(h3, f1=1)) == vec(h3, z=1)
+        assert h3.product_space(line(h3, vec(h3, e1=1)),
+                                line(h3, vec(h3, f1=1))) == line(h3, vec(h3, z=1))
 
     def test_bilinearity_zero(self):
         h3 = heisenberg_lie(1)
-        zero = (F(0),) * 3
-        assert h3.bracket(vec(h3, e1=1), zero) == zero
+        assert h3.product_space(line(h3, vec(h3, e1=1)), Subspace.zero(3)).is_zero()
 
     def test_dieudonne_n1_table(self):
         # oracle: the defining bracket list instantiated by hand at n=1
@@ -36,7 +43,7 @@ class TestBracket:
                     ("e3", "e2"): 1, ("e3", "e1"): -1}
         for a in d1.labels:
             for b in d1.labels:
-                got = d1.bracket(vec(d1, **{a: 1}), vec(d1, **{b: 1}))
+                got = naive_bracket(d1, vec(d1, **{a: 1}), vec(d1, **{b: 1}))
                 want = vec(d1, z=expected.get((a, b), 0))
                 assert got == want, (a, b)
 
@@ -121,8 +128,10 @@ class TestKindOracle:
         # [e2,e3] + [e3,e2] = -e3 acts on e2 from the left, [-e3, e2] = e3,
         # so it fails for (e3, e2, e2)
         alg = _table_algebra(3, [((0, 2), 2, 1), ((2, 1), 2, -1)])
-        e = [alg.basis_vector(i) for i in range(3)]
-        br = alg.bracket
+        e = [basis_vector(alg, i) for i in range(3)]
+
+        def br(x, y):
+            return naive_bracket(alg, x, y)
 
         def holds(x, y, z):
             return br(x, br(y, z)) == tuple(
@@ -160,9 +169,9 @@ def _random_scalar(rng, field):
 
 
 class TestSparsePathsOracle:
-    """The table-driven bracket, ``ops``, ``centers`` and ``leib_ideal``
-    against dense computations on the same random algebras as the kind
-    oracle, over Q and over Q(i)."""
+    """The table-driven bracket of ``product_space``, ``ops`` and
+    ``centers`` against dense computations on the same random algebras as
+    the kind oracle, over Q and over Q(i)."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_bracket(self, seed):
@@ -173,13 +182,15 @@ class TestSparsePathsOracle:
             for _ in range(5):
                 x = tuple(_random_scalar(rng, field) for _ in range(a.dim))
                 y = tuple(_random_scalar(rng, field) for _ in range(a.dim))
-                assert a.bracket(x, y) == naive_bracket(a, x, y)
+                u, v = (Subspace.span([w], a.dim, field) for w in (x, y))
+                assert a.product_space(u, v) == Subspace.span(
+                    [naive_bracket(a, x, y)], a.dim, field)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_operators_centers_leib(self, seed):
         alg = random_small_algebra(Random(seed))
         d = alg.dim
-        e = [alg.basis_vector(i) for i in range(d)]
+        e = [basis_vector(alg, i) for i in range(d)]
         left, right = alg.ops
         lads = [adjoint(alg, v, "left") for v in e]
         rads = [adjoint(alg, v, "right") for v in e]
@@ -193,10 +204,6 @@ class TestSparsePathsOracle:
         assert lc == nullspace(Mat.from_rows(lrows))
         assert rc == nullspace(Mat.from_rows(rrows))
         assert both == nullspace(Mat.from_rows(lrows + rrows))
-        squares = [tuple(a + b for a, b in zip(naive_bracket(alg, x, y),
-                                                naive_bracket(alg, y, x)))
-                   for x in e for y in e]
-        assert alg.leib_ideal() == Subspace.span(squares, d)
 
 
 class TestProductSpaceAndSeries:
@@ -241,7 +248,7 @@ class TestProductSpaceAndSeries:
         assert h3.commutator_ideal == Subspace.span([vec(h3, z=1)], 3)
 
     def test_abelian_series(self):
-        ab = Algebra.abelian(3)
+        ab = abelian(3)
         terms = ab.series("lower_central")
         assert [t.dim for t in terms] == [3, 0]
 
@@ -270,7 +277,7 @@ class TestProductSpaceAndSeries:
 
 class TestCentersAndLeib:
     def test_abelian_centers(self):
-        ab = Algebra.abelian(2)
+        ab = abelian(2)
         left, right, center = ab.centers()
         assert left.dim == right.dim == center.dim == 2
 
@@ -289,9 +296,10 @@ class TestCentersAndLeib:
         assert center == Subspace.span([vec(l3, z=1)], 3)
 
     def test_leib_ideal(self):
-        assert heisenberg_lie(2).leib_ideal().is_zero()
+        """The oracle against the values worked out by hand."""
+        assert leib_ideal(heisenberg_lie(2)).is_zero()
         l5 = heisenberg_leibniz(2, jordan(F(2), 2))
-        assert l5.leib_ideal() == Subspace.span([vec(l5, z=1)], 5)
+        assert leib_ideal(l5) == Subspace.span([vec(l5, z=1)], 5)
 
 
 class TestQuotient:
@@ -302,7 +310,7 @@ class TestQuotient:
 
     def test_quotient_by_leib_is_lie(self):
         l5 = heisenberg_leibniz(2, jordan(F(2), 2))
-        q = l5.quotient(l5.leib_ideal())
+        q = l5.quotient(leib_ideal(l5))
         assert q.dim == 4 and q.kind.lie
 
     def test_dieudonne_mod_commutator(self):
@@ -320,27 +328,28 @@ class TestQuotient:
 class TestAdjoint:
     def test_central_element(self):
         h3 = heisenberg_lie(1)
-        assert adjoint(h3, vec(h3, z=1), "left").is_zero()
+        assert is_zero(adjoint(h3, vec(h3, z=1), "left"))
 
     def test_adjoint_in_zero_parameter_family(self):
         # grouped basis {e1,e2,f1,f2,z}: ad_e1 sends f1 to (1+a) z with a = 0
         l5 = heisenberg_leibniz(2, jordan(F(0), 2))
         ad = adjoint(l5, vec(l5, e1=1), "left")
-        assert ad == Mat.unit(5, 5, 4, 2)
+        assert ad == unit(5, 4, 2)
 
     def test_right_adjoint(self):
         l3 = heisenberg_leibniz(1, jordan(F(2), 1))
         ad = adjoint(l3, vec(l3, e1=1), "right")
         # [f1, e1] = (a-1) z = z
-        assert ad == Mat.unit(3, 3, 2, 1)
+        assert ad == unit(3, 2, 1)
 
     def test_left_adjoints_are_derivations(self):
         for alg in (heisenberg_leibniz(2, jordan(F(2), 2)), kronecker(2),
                     dieudonne(2)):
             assert alg.kind.left_leibniz
             for i in range(alg.dim):
-                ad = adjoint(alg, alg.basis_vector(i), "left")
-                assert is_derivation(ad, alg)
+                ad = adjoint(alg, basis_vector(alg, i), "left")
+                assert naive_is_derivation(ad, alg)
+                assert der_algebra(alg).contains(ad.sparse())
 
     def test_dim_zero_everywhere(self):
         empty = Algebra.from_brackets(Q, [], {})

@@ -8,6 +8,7 @@ from derleib.algebra import MAX_DIM, Algebra
 from derleib.cli import main
 from derleib.catalog import kronecker
 from derleib.dsl import parse
+from derleib.exactlin import ShapeMismatch
 
 SQUARE_DOC = """algebra sq field Q
 basis e z
@@ -144,6 +145,9 @@ class TestDerive:
         (("derive", "--family", "heisenberg", "--n", "1", "--a", "2"),
          ZeroDivisionError("division by zero")),
         (("verify-paper", "--nmax", "2", "--claim", "H1"), KeyError("k")),
+        # no input reaches a shape check, so a failed one is the engine's fault
+        (("derive", "--family", "kronecker", "--n", "1"),
+         ShapeMismatch("matrix is 2x2, algebra dimension is 3")),
     ])
     def test_unexpected_exception_is_internal_error(self, argv, exc, monkeypatch,
                                                     capsys):
@@ -180,6 +184,13 @@ class TestAnalyze:
         code, _ = run_cli("analyze", "--family", "heisenberg-lie", "--n", "1",
                           "--levi", "1,0")
         assert code == 2
+
+    @pytest.mark.parametrize("levi", ["", " ", "1,0", "0,x,1", "0,0,1;1"])
+    def test_bad_levi_is_usage_error_before_any_output(self, levi, capsys):
+        code, text = run_cli("analyze", "--family", "heisenberg-lie", "--n", "1",
+                             "--levi", levi)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_der_flag_analyzes_the_derivation_algebra(self):
         code, text = run_cli("analyze", "--family", "kronecker", "--n", "2",

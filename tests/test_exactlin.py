@@ -30,6 +30,8 @@ from helpers import (
     fraction_intersect,
     fraction_kernel,
     identity,
+    matmul,
+    matvec,
     nullspace,
     solve,
     split_parse_scalar,
@@ -148,7 +150,7 @@ class TestNullspace:
             m = rand_mat(rng, 6, 6)
             ker = nullspace(m)
             for v in ker.basis:
-                assert not any(m.apply(v))
+                assert not any(matvec(m, v))
 
     def test_rank_nullity(self):
         rng = Random(13)
@@ -173,9 +175,9 @@ class TestSolve:
         for _ in range(8):
             m = rand_mat(rng, 4, 5)
             xs = tuple(F(rng.randint(-3, 3)) for _ in range(5))
-            b = m.apply(xs)
+            b = matvec(m, xs)
             x = solve(m, b)
-            assert x is not None and m.apply(x) == b
+            assert x is not None and matvec(m, x) == b
 
     def test_inconsistent_is_none(self):
         m = Mat.from_rows([[1, 1], [1, 1]])
@@ -285,9 +287,9 @@ class TestMatShape:
         lambda: Mat.zero(-2, -2),
         lambda: Mat.zero(2, -1),
         lambda: identity(-1),
-        lambda: Mat.unit(2, 2, 0, 3),
-        lambda: Mat.unit(2, 2, 2, 0),
-        lambda: Mat.unit(2, 2, -1, 0),
+        lambda: Mat.from_rows([[1, 2], [3]]),
+        lambda: Mat.unflatten((F(0),) * 3, 2, 2, Q),
+        lambda: Mat.zero(2, 3) * Mat.zero(2, 3),
         lambda: Mat(2, 2, Q, (F(0),) * 3),
     ])
     def test_invalid_shape_rejected(self, build):
@@ -297,7 +299,7 @@ class TestMatShape:
     def test_empty_and_unit(self):
         assert Mat.zero(0, 3).entries == ()
         assert identity(0).entries == ()
-        assert Mat.unit(2, 3, 1, 2).entries == (F(0),) * 5 + (F(1),)
+        assert Mat.unflatten({5: F(1)}, 2, 3, Q).entries == (F(0),) * 5 + (F(1),)
 
 
 def _sparse(m: Mat) -> dict:
@@ -313,10 +315,31 @@ class TestSparseKit:
                                     for _ in range(4)] for _ in range(4)], field)
                     for _ in range(2))
             sa, sb = _sparse(a), _sparse(b)
-            assert sparse_mul(sa, sb) == _sparse(a * b)
-            assert sparse_trace(sa, sb) == trace(a * b)
+            assert sparse_mul(sa, sb) == _sparse(matmul(a, b))
+            assert sparse_trace(sa, sb) == trace(matmul(a, b))
             assert sparse_flat(sa, 4) == {i: x for i, x in enumerate(a.entries) if x}
             assert sparse_rows(sparse_flat(sa, 4), 4) == sa
+
+
+class TestMatMul:
+    """``Mat.__mul__`` delegates to :func:`sparse_mul`; the dense oracle
+    multiplies entry by entry.  Its field and shape checks are in
+    ``TestSubspace.test_field_mismatch`` and ``TestMatShape``."""
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    def test_against_dense_oracle(self, field):
+        rng = Random(29)
+
+        def entry():
+            x = F(rng.choice((0, 0, 1, -2, 3)), rng.choice((1, 2)))
+            return x if field == Q else GaussRat(x, rng.choice((0, 0, 1, F(-1, 3))))
+        for _ in range(60):
+            n, k, m = (rng.randint(0, 4) for _ in range(3))
+            a, b = (Mat.unflatten([entry() for _ in range(r * c)], r, c, field)
+                    for r, c in ((n, k), (k, m)))
+            got = a * b
+            assert got == matmul(a, b), (n, k, m)
+            assert (got.rows, got.cols, got.field) == (n, m, field)
 
 
 class TestEchelon:

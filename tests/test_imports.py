@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in it, and every
-private module-level helper is read in it.
+"""Every name a module of the package imports is used in it, every
+private module-level helper is read in it, and every public function, class
+and method is read somewhere in the package.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules: each
 ``src/derleib`` module is parsed with :mod:`ast`, and a name counts as used
@@ -12,6 +13,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from test_span_targets import _targets
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "derleib"
 
@@ -72,3 +75,34 @@ def test_no_dead_private_helpers(path):
                 dead.append("%s (line %d)" % (node.name, node.lineno))
     assert not dead, "%s defines unread private helpers: %s" % (
         path.name, ", ".join(dead))
+
+
+def _public_defs(tree):
+    """``(qualified name, name, line)`` of the module's public functions and
+    classes and of the public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield "%s.%s" % (node.name, sub.name), sub.name, sub.lineno
+
+
+def test_no_dead_public_api():
+    """Every public function, class and method of the package is read by
+    some module of it (as a name or an attribute), re-exported in
+    ``__all__``, or wrapped by the benchmark's span recorder.  The check
+    goes by name: a method passes when any read shares its name, even one
+    that resolves to another class."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = {path.split(".")[-1] for _, path in _targets()}
+    for tree in trees.values():
+        read |= _used(tree)
+        read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    dead = ["%s:%s (line %d)" % (name, qual, line)
+            for name, tree in trees.items()
+            for qual, short, line in _public_defs(tree) if short not in read]
+    assert not dead, "public API that nothing reads: %s" % ", ".join(dead)

@@ -31,11 +31,18 @@ from derleib.liestruct import (
     verify_levi,
 )
 from helpers import (
+    abelian,
     ad_nilpotent,
+    basis_vector,
+    bilinear,
     is_semisimple,
+    is_zero,
     kron_gens,
     l5r_gens,
+    naive_bracket,
     naive_nilradical,
+    naive_radical,
+    nullspace,
     random_small_algebra,
     random_solvable_lie,
     random_vector,
@@ -73,8 +80,8 @@ def rotation_swap_counterexample():
 
 class TestKilling:
     def test_abelian_zero_form(self):
-        form = killing(Algebra.abelian(3))
-        assert form.gram.is_zero() and form.rank == 0
+        form = killing(abelian(3))
+        assert is_zero(form.gram) and form.rank == 0
 
     def test_two_dim_solvable(self):
         form = killing(two_dim_solvable())
@@ -82,16 +89,13 @@ class TestKilling:
 
     def test_invariance_on_basis_triples(self):
         g = der_algebra(dieudonne(1)).structure
-        form = killing(g)
-        for i in range(g.dim):
-            for j in range(g.dim):
-                for k in range(g.dim):
-                    lhs = form.value(g.bracket(g.basis_vector(i),
-                                               g.basis_vector(j)),
-                                     g.basis_vector(k))
-                    rhs = form.value(g.basis_vector(i),
-                                     g.bracket(g.basis_vector(j),
-                                               g.basis_vector(k)))
+        gram = killing(g).gram
+        e = [basis_vector(g, i) for i in range(g.dim)]
+        for x in e:
+            for y in e:
+                for z in e:
+                    lhs = bilinear(gram, naive_bracket(g, x, y), z)
+                    rhs = bilinear(gram, x, naive_bracket(g, y, z))
                     assert lhs == rhs
 
     def test_requires_lie(self):
@@ -137,7 +141,7 @@ class TestNilradical:
         g = rotation_swap_counterexample()
         assert g.kind.lie
         form = killing(g)
-        assert form.gram.is_zero()  # Killing-orthogonal would be all of g
+        assert is_zero(form.gram)  # Killing-orthogonal would be all of g
         nil = nilradical(g)
         assert nil.dim == 4
         assert not nil.contains(tuple(F(x) for x in (1, 0, 0, 0, 0)))
@@ -158,7 +162,7 @@ class TestNilradical:
         for _ in range(6):
             g, expected_idx = random_solvable_lie(rng)
             nil = nilradical(g)
-            expected = Subspace.span([g.basis_vector(i) for i in expected_idx],
+            expected = Subspace.span([basis_vector(g, i) for i in expected_idx],
                                      g.dim, Q)
             assert nil == expected
             for v in nil.basis:
@@ -254,6 +258,13 @@ def test_nilradical_matches_naive_envelope(case):
     assert nilradical(g) == naive_nilradical(g)
 
 
+@pytest.mark.parametrize("case", NAIVE_NILRADICAL_CASES,
+                         ids=[name for name, _ in NAIVE_NILRADICAL_CASES])
+def test_radical_matches_dense_killing_orthogonal(case):
+    g = case[1]
+    assert radical(g) == naive_radical(g)
+
+
 def _sl2_triple():
     gens = kron_gens(2)
     return MatrixLieAlgebra.from_matrices(
@@ -271,7 +282,7 @@ class TestNilradicalEdges:
         # gl2 = sl2 + <c>: the radical is the centre, where ad_c = 0
         sl2 = _sl2_triple()
         g = Algebra.from_brackets(Q, sl2.labels + ("c",), sl2.table)
-        centre = Subspace.span([g.basis_vector(3)], 4, Q)
+        centre = Subspace.span([basis_vector(g, 3)], 4, Q)
         assert radical(g) == centre
         assert nilradical(g) == centre == naive_nilradical(g)
 
@@ -281,7 +292,7 @@ class TestNilradicalEdges:
         g = Algebra.from_brackets(Q, ["t", "x", "c"],
                                   {(0, 1): [(1, 1)], (1, 0): [(1, -1)]})
         assert radical(g).dim == 3
-        expected = Subspace.span([g.basis_vector(1), g.basis_vector(2)], 3, Q)
+        expected = Subspace.span([basis_vector(g, 1), basis_vector(g, 2)], 3, Q)
         assert nilradical(g) == expected == naive_nilradical(g)
 
 
@@ -319,7 +330,7 @@ class TestLevi:
     def test_not_complement(self):
         der = der_algebra(heisenberg_leibniz(2, jordan(F(2), 2)))
         g = der.structure
-        s = Subspace.span([g.basis_vector(0)], g.dim, Q)
+        s = Subspace.span([basis_vector(g, 0)], g.dim, Q)
         res = verify_levi(g, s)
         assert not res.verified and res.reason == "not-complement"
 
@@ -339,6 +350,33 @@ class TestLevi:
         triple = MatrixLieAlgebra.from_matrices([to_mat(m, 5) for m in mats], 5, Q)
         assert triple.dim == 3
         assert is_semisimple(triple.structure)
+
+    def test_degeneracy_against_dense_form(self, monkeypatch):
+        """The verdict (s meets its orthogonal) against the rank of the
+        dense form x^T G y on the canonical basis of s, with random
+        symmetric Gram matrices of low rank in place of the Killing form
+        (with which a complement is never degenerate)."""
+        der = der_algebra(realify_heisenberg(1, GaussRat(0, 1), INTERLEAVED))
+        g = der.structure
+        gens = l5r_gens()
+        s = der.coords_span([gens["x"] - gens["y"], gens["F"], gens["G"]])
+        radical(g)  # cached from the real form
+        rng = Random(41)
+        seen = set()
+        for _ in range(12):
+            # sum of c v v^T over a few random v: symmetric, of rank <= 4
+            vs = [(F(rng.choice((-1, 1, 2))), random_vector(rng, g.dim))
+                  for _ in range(rng.randint(1, 4))]
+            gram = Mat.from_rows([[sum(c * v[r] * v[k] for c, v in vs)
+                                   for k in range(g.dim)] for r in range(g.dim)])
+            monkeypatch.setattr(liestruct, "killing",
+                                lambda alg: liestruct.KillingForm(gram))
+            dense = Mat.from_rows([[bilinear(gram, a, b) for b in s.basis]
+                                   for a in s.basis])
+            want = "failed(degenerate)" if nullspace(dense).dim else "verified"
+            assert str(verify_levi(g, s)) == want
+            seen.add(want)
+        assert seen == {"verified", "failed(degenerate)"}
 
     def test_der_dieudonne_not_semisimple(self):
         assert not is_semisimple(der_algebra(dieudonne(1)).structure)
