@@ -8,12 +8,12 @@ are decided exactly on the sparse multiplication operators, pair by pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 from .exactlin import (
+    Frozen,
     Q,
     Subspace,
     ShapeMismatch,
@@ -37,16 +37,14 @@ class NotAnIdeal(ValueError):
     """Raised when a quotient is requested by a subspace that is not an ideal."""
 
 
-@dataclass(frozen=True)
-class AlgebraKind:
+class AlgebraKind(NamedTuple):
     left_leibniz: bool
     right_leibniz: bool
     symmetric: bool
     lie: bool
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Frozen):
     field: str
     labels: tuple
     # {(i, j): ((k, coeff), ...)}: keys sorted, k ascending, no zero coeffs;

@@ -8,10 +8,9 @@ reordering, and the complex-to-real constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import MAX_DIM, Algebra
 from .exactlin import (
@@ -114,7 +113,9 @@ def _maybe_interleave(alg: Algebra, n: int, order: str) -> Algebra:
     raise ValueError("unknown basis order %r" % (order,))
 
 
-@lru_cache(maxsize=None)
+# each cache holds the smallest power of two above the entries `verify-paper
+# --nmax 16` stores in it, so that run evicts nothing
+@lru_cache(maxsize=256)
 def heisenberg_leibniz(n: int, a: Mat, order: str = GROUPED) -> Algebra:
     """(2n+1)-dimensional algebra with [e_i,f_j] = (d_ij + a_ij) z and
     [f_j,e_i] = (-d_ij + a_ij) z; the zero parameter gives the Heisenberg
@@ -143,7 +144,7 @@ def heisenberg_lie(n: int, order: str = GROUPED) -> Algebra:
     return heisenberg_leibniz(n, Mat.zero(n, n), order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def kronecker(n: int, order: str = GROUPED) -> Algebra:
     """(2n+1)-dimensional Kronecker algebra: [e_i,f_i] = [f_i,e_i] = z and
     [e_i,f_{i-1}] = z, [f_{i-1},e_i] = -z."""
@@ -160,7 +161,7 @@ def kronecker(n: int, order: str = GROUPED) -> Algebra:
     return _maybe_interleave(alg, n, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def dieudonne(n: int) -> Algebra:
     """(2n+2)-dimensional Dieudonne algebra on {e_1..e_{2n+1}, z}."""
     _check_n(n, 2 * n + 2)
@@ -266,8 +267,7 @@ def _real_part(x, default):
     return re
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A concrete family instance; the CLI and the claim registry build these."""
 
     family: str

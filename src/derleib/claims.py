@@ -13,13 +13,11 @@ localizes a real mismatch.
 
 from __future__ import annotations
 
-import hashlib
 import time
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .algebra import Algebra
@@ -808,8 +806,7 @@ def _check_p2(params, seed):
 # registry and runner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     id: str
     title: str
     statement: str
@@ -818,8 +815,7 @@ class Claim:
     typo_flagged: bool = False
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     params: dict
     status: str
@@ -1000,6 +996,7 @@ def run_claim(claim: Claim, params: dict, master_seed: int = 0) -> ClaimResult:
 def run_all(nmax: int = 4, a_values=DEFAULT_A, seed: int = 0,
             only=None) -> Report:
     """Instantiate every claim over its domain clipped to nmax."""
+    import hashlib  # deferred: the other commands never need it
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     reg = registry()

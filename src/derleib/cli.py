@@ -187,7 +187,7 @@ def cmd_analyze(args, out) -> int:
     _print_subspace("radical", rad, out)
     _print_subspace("nilradical", nil, out)
     if levi is not None:
-        out.write("Levi candidate: %s\n" % levi)
+        out.write("Levi candidate: %s\n" % (levi,))
     return 0
 
 

@@ -14,7 +14,6 @@ built when first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
@@ -22,6 +21,7 @@ from typing import Iterable, Optional
 from .algebra import Algebra
 from .exactlin import (
     FieldMismatch,
+    Frozen,
     InternalInvariantError,
     Mat,
     ShapeMismatch,
@@ -61,8 +61,7 @@ def is_derivation(d: Mat, alg: Algebra) -> bool:
     return der_algebra(alg).contains(d.sparse())
 
 
-@dataclass(frozen=True)
-class MatrixLieAlgebra:
+class MatrixLieAlgebra(Frozen):
     """A Lie algebra of d x d matrices with echelon-canonical basis."""
 
     ambient_dim: int  # matrices are ambient_dim x ambient_dim
@@ -133,7 +132,9 @@ class MatrixLieAlgebra:
         return Subspace.span(vs, self.dim, self.field)
 
 
-@lru_cache(maxsize=None)
+# each cache holds the smallest power of two above the entries `verify-paper
+# --nmax 16` stores in it, so that run evicts nothing
+@lru_cache(maxsize=256)
 def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
     """Der(L) as the nullspace over the d^2 matrix unknowns (row-major).
 
@@ -166,7 +167,7 @@ def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
     return MatrixLieAlgebra.from_subspace(kernel_from_rows(rows, d * d, alg.field), d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def inner_derivations(alg: Algebra) -> MatrixLieAlgebra:
     """Span of the left multiplication maps; requires a left Leibniz
     algebra.  Those of ``Algebra.int_table`` are one common multiple of
@@ -182,7 +183,7 @@ class GenusError(ValueError):
     """Raised when an exact genus-1 computation is applied off-domain."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     """Almost inner derivations of an algebra with dim [L,L] = 1, exactly.
 

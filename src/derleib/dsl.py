@@ -17,9 +17,8 @@ exact string, never a float.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import MAX_DIM, Algebra
 from .exactlin import Q, QI, format_scalar, parse_scalar
@@ -36,8 +35,7 @@ class ParseError(ValueError):
         self.msg = msg
 
 
-@dataclass(frozen=True)
-class AlgebraDoc:
+class AlgebraDoc(NamedTuple):
     """A named algebra: what a definition document parses to."""
 
     name: str
@@ -172,8 +170,7 @@ def serialize(doc: AlgebraDoc) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Verification/analysis report; serialized by :func:`report_json`."""
 
     version: str
@@ -186,6 +183,7 @@ def report_json(report: Report, timing: bool = False) -> str:
     """Stable-key JSON; scalars are exact strings.  Per-claim elapsed times
     are emitted as milliseconds only when ``timing`` is set, so that equal
     runs produce byte-identical output by default."""
+    import json  # deferred: only JSON output pays for it
     claims = []
     for c in report.claims:
         entry = {

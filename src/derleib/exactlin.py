@@ -19,7 +19,6 @@ operation is safe to call concurrently.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -43,6 +42,36 @@ class ShapeMismatch(Exception):
 
 class InternalInvariantError(RuntimeError):
     """An internal verification failed; signals an algorithm bug."""
+
+
+class Frozen:
+    """Base of the immutable values that keep an instance ``__dict__``, where
+    ``cached_property`` stores the views it builds.  A subclass's fields,
+    ``_fields``, are its own annotated names in order, set positionally by
+    ``__init__``; two values are equal when their types and fields are."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %d values, %d given"
+                            % (type(self).__name__, len(self._fields), len(values)))
+        self.__dict__.update(zip(self._fields, values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class GaussRat:
@@ -398,8 +427,7 @@ class Echelon:
                      for row in self.erows())
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(Frozen):
     """Dense matrix, row-major, over a single scalar field: storage and
     views; its product is :func:`sparse_mul`'s."""
 
@@ -408,10 +436,11 @@ class Mat:
     field: str
     entries: tuple
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, field: str, entries: tuple):
+        if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ShapeMismatch("%d entries for a %dx%d matrix"
-                                % (len(self.entries), self.rows, self.cols))
+                                % (len(entries), rows, cols))
+        super().__init__(rows, cols, field, entries)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence], field: str = Q) -> "Mat":
@@ -507,8 +536,7 @@ def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
     return Subspace(ncols, field, out.erows())
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """A subspace of F^n stored by its :meth:`Echelon.erows`, which are
     unique to it, so structural equality decides subspace equality; ``rows``
     (the canonical pivot-one rows) and ``basis`` (their dense tuples) are

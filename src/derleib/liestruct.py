@@ -16,9 +16,8 @@ algebras; a regression test pins a five-dimensional counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import Algebra
 from .exactlin import (
@@ -44,8 +43,7 @@ def _require_lie(alg: Algebra):
         raise NotLie("not a Lie algebra")
 
 
-@dataclass(frozen=True)
-class KillingForm:
+class KillingForm(NamedTuple):
     gram: Mat
 
     @property
@@ -61,7 +59,9 @@ def _gram(alg: Algebra) -> Mat:
                          alg.field)
 
 
-@lru_cache(maxsize=None)
+# each cache holds the smallest power of two above the entries `verify-paper
+# --nmax 16` stores in it, so that run evicts nothing
+@lru_cache(maxsize=128)
 def killing(alg: Algebra) -> KillingForm:
     """The Killing form of a Lie algebra."""
     _require_lie(alg)
@@ -77,7 +77,7 @@ def _orthogonal(sub: Subspace, gram: Mat) -> Subspace:
     return kernel_from_rows(rows, sub.ambient_dim, sub.field)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def radical(alg: Algebra) -> Subspace:
     """Killing-orthogonal of the derived algebra (char-0 radical); checked by
     requiring the same computation to give zero on the quotient.  A quotient
@@ -92,7 +92,7 @@ def radical(alg: Algebra) -> Subspace:
     return rad
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def nilradical(alg: Algebra) -> Subspace:
     """Largest nilpotent ideal: the x in the radical with trace(ad_x b) = 0
     for every b in the associative envelope of the adjoints of the radical's
@@ -143,8 +143,7 @@ def _verify_nilradical(alg: Algebra, nil: Subspace):
     raise InternalInvariantError("nilradical candidate is not nilpotent")
 
 
-@dataclass(frozen=True)
-class LeviResult:
+class LeviResult(NamedTuple):
     verified: bool
     reason: Optional[str] = None  # not-subalgebra | not-complement | degenerate
 

@@ -86,6 +86,29 @@ class TestIsDerivation:
             is_derivation(m, heisenberg_lie(1))
 
 
+def _frozen_values():
+    alg = heisenberg_lie(1)
+    der = der_algebra(alg)
+    return [alg, der.subspace, jordan(F(2), 2), der]
+
+
+@pytest.mark.parametrize("k", range(4), ids=["Algebra", "Subspace", "Mat",
+                                               "MatrixLieAlgebra"])
+def test_values_refuse_assignment(k):
+    """Assigning a field or a new attribute raises; the value is unchanged
+    and equal, with an equal hash, to a copy built from its fields."""
+    value = _frozen_values()[k]
+    fields = [getattr(value, f) for f in type(value)._fields]
+    for name in (type(value)._fields[0], "extra"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, None)
+    copy = type(value)(*fields)
+    assert copy == value and hash(copy) == hash(value)
+    assert [getattr(value, f) for f in type(value)._fields] == fields
+    with pytest.raises(TypeError):
+        type(value)(*fields[:-1])
+
+
 class TestDerAlgebra:
     def test_abelian_full_endomorphisms(self):
         for k in (1, 2, 3):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from test_span_targets import _targets
+from test_span_targets import _targets, after_cli_import
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "derleib"
 
@@ -106,3 +106,14 @@ def test_no_dead_public_api():
             for name, tree in trees.items()
             for qual, short, line in _public_defs(tree) if short not in read]
     assert not dead, "public API that nothing reads: %s" % ", ".join(dead)
+
+
+def test_cli_startup_modules():
+    """``import derleib.cli`` loads every module the benchmark's span
+    recorder wraps, and none of the stdlib modules the package no longer
+    needs at start-up: ``dataclasses`` (which pulls in ``inspect``), and
+    ``json`` and ``hashlib``, imported where they are used."""
+    loaded = set(after_cli_import("print(*sys.modules)").split())
+    assert sorted(loaded & {"dataclasses", "inspect", "json", "hashlib"}) == []
+    wanted = {"derleib." + module for module, _ in _targets()}
+    assert sorted(wanted - loaded) == []

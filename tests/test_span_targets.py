@@ -1,15 +1,21 @@
 """The benchmark's span recorder (``perfbench/spans.py``) wraps functions of
 ``derleib`` by name.  A name it lists that the package no longer has breaks
-only a traced benchmark run, so this test resolves every one of them."""
+only a traced benchmark run, so this test resolves every one of them.
+
+The benchmark's child installs the recorder right after ``import
+derleib.cli``, so the names are looked up in a fresh interpreter that ran
+only that import: inside the test process, other test files have already
+imported every module, and a module that the CLI loads lazily would pass
+here while the traced run fails."""
 
 import importlib.util
 import os
+import subprocess
 import sys
 
-# the benchmark's child imports derleib.cli, which loads every module
-import derleib.cli
-
-SPANS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SPANS_PY = os.path.join(TESTS, os.pardir, "perfbench", "spans.py")
+SRC = os.path.join(TESTS, os.pardir, "src")
 
 
 def _targets():
@@ -20,19 +26,38 @@ def _targets():
             for module, path in targets]
 
 
+def after_cli_import(code: str, *args) -> str:
+    """Stdout of ``code`` run with ``args`` in a fresh interpreter, right
+    after ``import derleib.cli``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\nimport derleib.cli\n" + code, *args],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Looked up as ``Recorder.install`` does: ``owner.__dict__[attr]`` for a
+# dotted path, ``getattr`` on the module otherwise; a module that is not
+# loaded resolves nothing.
+_RESOLVE = """
+for arg in sys.argv[1:]:
+    module, path = arg.split(":")
+    home = sys.modules.get("derleib." + module)
+    if "." in path:
+        owner, attr = path.split(".")
+        found = attr in vars(getattr(home, owner, None) or object)
+    else:
+        found = callable(getattr(home, path, None))
+    if not found:
+        print("%s.%s" % (module, path))
+"""
+
+
 def test_every_span_target_resolves():
-    """Looked up as ``Recorder.install`` does: ``owner.__dict__[attr]`` for
-    a dotted path, ``getattr`` on the module otherwise."""
-    missing = []
     targets = _targets()
-    for module, path in targets:
-        home = sys.modules["derleib." + module]
-        if "." in path:
-            owner, attr = path.split(".")
-            found = attr in vars(getattr(home, owner, None) or object)
-        else:
-            found = callable(getattr(home, path, None))
-        if not found:
-            missing.append("%s.%s" % (module, path))
+    missing = after_cli_import(
+        _RESOLVE, *("%s:%s" % target for target in targets)).split()
     assert missing == []
     assert len(targets) == 32
