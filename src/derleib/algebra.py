@@ -108,19 +108,29 @@ class Algebra(Frozen):
                 for key, terms in self.table.items()}
 
     @cached_property
+    def antisymmetric(self) -> bool:
+        """[b_j, b_i] = -[b_i, b_j] for all i, j.  Then [x, y] = -[y, x],
+        so every one-sided notion equals the other side's."""
+        table = self.table
+        return all(table.get((j, i)) == tuple((k, -cf) for k, cf in terms)
+                   for (i, j), terms in table.items())
+
+    @cached_property
     def kind(self) -> AlgebraKind:
         """Flags decided on the operators of :attr:`int_table` by
         :func:`_left_leibniz`: L is right Leibniz iff its opposite, whose
         left operators are L's right ones, is left Leibniz.  The identities
-        are homogeneous of degree 2, so over Q they run on Python ints."""
+        are homogeneous of degree 2, so over Q they run on Python ints, and
+        an :attr:`antisymmetric` table, whose opposite is its negative, is
+        right Leibniz iff it is left Leibniz: the right side is not run."""
         table = self.int_table
-        op = {(j, i): terms for (i, j), terms in table.items()}
-        left, right = map(_left_leibniz, self.int_ops, (table, op))
-        antisym = op == {key: tuple((k, -cf) for k, cf in terms)
-                         for key, terms in table.items()}
+        lops, rops = self.int_ops
+        left = _left_leibniz(lops, table)
+        right = left if self.antisymmetric else _left_leibniz(
+            rops, {(j, i): terms for (i, j), terms in table.items()})
         return AlgebraKind(left_leibniz=left, right_leibniz=right,
                            symmetric=left and right,
-                           lie=antisym and left and right)
+                           lie=self.antisymmetric and left)
 
     @cached_property
     def commutator_ideal(self) -> Subspace:
@@ -187,21 +197,27 @@ class Algebra(Frozen):
 
     def centers(self) -> tuple[Subspace, Subspace, Subspace]:
         """Left center {x : [x,L]=0}, right center {x : [L,x]=0}, and their
-        meet; kernels of the operator rows of :attr:`int_table`."""
+        meet; kernels of the operator rows of :attr:`int_table`.  For an
+        :attr:`antisymmetric` table the three are one kernel."""
         lops, rops = self.int_ops
         left = kernel_from_rows((row for m in rops for row in m.values()),
                                 self.dim, self.field)
+        if self.antisymmetric:
+            return left, left, left
         right = kernel_from_rows((row for m in lops for row in m.values()),
                                  self.dim, self.field)
         return left, right, left.intersect(right)
 
     def quotient(self, ideal: Subspace) -> "Algebra":
-        """Algebra induced on the non-pivot coordinates of the ideal's basis."""
+        """Algebra induced on the non-pivot coordinates of the ideal's basis.
+        For an :attr:`antisymmetric` table [L, I] = [I, L], so one side of
+        the ideal check is made."""
         if ideal.ambient_dim != self.dim:
             raise ShapeMismatch("ideal ambient != algebra dimension")
         full = self.full_space()
         if not (ideal.contains(self.product_space(full, ideal))
-                and ideal.contains(self.product_space(ideal, full))):
+                and (self.antisymmetric
+                     or ideal.contains(self.product_space(ideal, full)))):
             raise NotAnIdeal("subspace is not a two-sided ideal")
         index = {old: new for new, old in enumerate(
             i for i in range(self.dim) if i not in ideal.pivots)}

@@ -53,10 +53,15 @@ class KillingForm(NamedTuple):
 
 
 def _gram(alg: Algebra) -> Mat:
-    """Gram matrix of (x, y) -> trace(ad_x ad_y) on the basis; uncached."""
+    """Gram matrix of (x, y) -> trace(ad_x ad_y) on the basis; uncached.
+    trace(ad_s ad_t) = trace(ad_t ad_s), so the entries with s <= t are
+    computed and mirrored."""
     ads = alg.ops[0]
-    return Mat.from_rows([[sparse_trace(a, b) for b in ads] for a in ads],
-                         alg.field)
+    rows = [[0] * len(ads) for _ in ads]
+    for s, a in enumerate(ads):
+        for t in range(s, len(ads)):
+            rows[s][t] = rows[t][s] = sparse_trace(a, ads[t])
+    return Mat.from_rows(rows, alg.field)
 
 
 # each cache holds the smallest power of two above the entries `verify-paper
@@ -131,9 +136,9 @@ def nilradical(alg: Algebra) -> Subspace:
 
 
 def _verify_nilradical(alg: Algebra, nil: Subspace):
-    full = alg.full_space()
-    if not (nil.contains(alg.product_space(full, nil))
-            and nil.contains(alg.product_space(nil, full))):
+    """``nil`` is a nilpotent ideal of the Lie algebra ``alg``; its bracket
+    is antisymmetric, so [L, N] = [N, L] and one side is checked."""
+    if not nil.contains(alg.product_space(alg.full_space(), nil)):
         raise InternalInvariantError("nilradical candidate is not an ideal")
     term = nil
     for _ in range(alg.dim + 1):

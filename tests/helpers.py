@@ -5,7 +5,7 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
-from derleib import claims
+from derleib import checkers
 from derleib.algebra import Algebra, AlgebraKind
 from derleib.exactlin import (
     Echelon,
@@ -143,18 +143,18 @@ class Flat(dict):
 
 
 def j0_gens(n: int) -> dict:
-    """:func:`derleib.claims.j0_gens` with :class:`Flat` values."""
-    return {nm: Flat(f) for nm, f in claims.j0_gens(n).items()}
+    """:func:`derleib.checkers.j0_gens` with :class:`Flat` values."""
+    return {nm: Flat(f) for nm, f in checkers.j0_gens(n).items()}
 
 
 def kron_gens(n: int) -> dict:
-    """:func:`derleib.claims.kron_gens` with :class:`Flat` values."""
-    return {nm: Flat(f) for nm, f in claims.kron_gens(n).items()}
+    """:func:`derleib.checkers.kron_gens` with :class:`Flat` values."""
+    return {nm: Flat(f) for nm, f in checkers.kron_gens(n).items()}
 
 
 def l5r_gens() -> dict:
-    """:func:`derleib.claims.l5r_gens` with :class:`Flat` values."""
-    return {nm: Flat(f) for nm, f in claims.l5r_gens().items()}
+    """:func:`derleib.checkers.l5r_gens` with :class:`Flat` values."""
+    return {nm: Flat(f) for nm, f in checkers.l5r_gens().items()}
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -298,14 +298,21 @@ def bilinear(gram: Mat, x, y):
     return sum((a * b for a, b in zip(x, matvec(gram, y))), scalar_zero(gram.field))
 
 
+def naive_gram(alg: Algebra) -> Mat:
+    """Gram matrix of the Killing form the dense way: trace(ad_x ad_y) of
+    the :func:`adjoint` matrices of every ordered pair of basis vectors,
+    each entry computed on its own (no symmetry assumed)."""
+    ads = [adjoint(alg, basis_vector(alg, i)) for i in range(alg.dim)]
+    return Mat.from_rows([[trace(matmul(a, b)) for b in ads] for a in ads], alg.field)
+
+
 def naive_radical(alg: Algebra) -> Subspace:
-    """The Killing-orthogonal of [L, L] the dense way: the Gram matrix from
-    traces of products of :func:`adjoint` matrices, [L, L] spanned by the
-    naive brackets of basis vectors, and the kernel of G v over its
-    canonical basis.  Not checked on the quotient."""
+    """The Killing-orthogonal of [L, L] the dense way: the Gram matrix of
+    :func:`naive_gram`, [L, L] spanned by the naive brackets of basis
+    vectors, and the kernel of G v over its canonical basis.  Not checked
+    on the quotient."""
     e = [basis_vector(alg, i) for i in range(alg.dim)]
-    ads = [adjoint(alg, x) for x in e]
-    gram = Mat.from_rows([[trace(matmul(a, b)) for b in ads] for a in ads], alg.field)
+    gram = naive_gram(alg)
     derived = Subspace.span((naive_bracket(alg, x, y) for x in e for y in e),
                             alg.dim, alg.field)
     return nullspace(Mat.from_rows([matvec(gram, v) for v in derived.basis]

@@ -17,11 +17,11 @@ from derleib.catalog import (
     permute_basis,
     realify_heisenberg,
 )
-from derleib.claims import registry, run_claim
+from derleib.checkers import registry
+from derleib.claims import run_claim
 from derleib.derivations import (
     MatrixLieAlgebra,
-    almost_inner_genus1,
-    commutator,
+    almost_inner_genus1, commutator,
     der_algebra,
     inner_derivations,
     is_derivation,

@@ -168,6 +168,19 @@ def _random_scalar(rng, field):
     return GaussRat(x, F(rng.randint(-3, 3), rng.choice((1, 2))))
 
 
+def _dense_centers(alg):
+    """Left, right and two-sided centre as kernels of dense adjoints: x is
+    left central iff [x, e_j] = R_j x = 0 for every j."""
+    e = [basis_vector(alg, i) for i in range(alg.dim)]
+
+    def rows(side):
+        ads = [adjoint(alg, v, side) for v in e]
+        return [m.row(r) for m in ads for r in range(alg.dim)]
+    lrows, rrows = rows("right"), rows("left")
+    return tuple(nullspace(Mat.from_rows(rows, alg.field))
+                 for rows in (lrows, rrows, lrows + rrows))
+
+
 class TestSparsePathsOracle:
     """The table-driven bracket of ``product_space``, ``ops`` and
     ``centers`` against dense computations on the same random algebras as
@@ -197,13 +210,24 @@ class TestSparsePathsOracle:
         for i in range(d):
             assert _dense(left[i], d, Q) == lads[i]
             assert _dense(right[i], d, Q) == rads[i]
-        # x is left central iff [x, e_j] = R_j x = 0 for every j
-        lrows = [m.row(r) for m in rads for r in range(d)]
-        rrows = [m.row(r) for m in lads for r in range(d)]
-        lc, rc, both = alg.centers()
-        assert lc == nullspace(Mat.from_rows(lrows))
-        assert rc == nullspace(Mat.from_rows(rrows))
-        assert both == nullspace(Mat.from_rows(lrows + rrows))
+        assert alg.centers() == _dense_centers(alg)
+
+    def test_centers_off_antisymmetric_tables(self):
+        """``centers`` runs one kernel for an antisymmetric table; every
+        other table of 100 draws gets both one-sided centres, as the dense
+        kernels give them, and some of those differ."""
+        seen = set()
+        for seed in range(100):
+            alg = random_small_algebra(Random(seed))
+            e = [basis_vector(alg, i) for i in range(alg.dim)]
+            antisym = all(naive_bracket(alg, x, y)
+                          == tuple(-c for c in naive_bracket(alg, y, x))
+                          for x in e for y in e)
+            assert alg.antisymmetric == antisym
+            lc, rc, both = alg.centers()
+            assert (lc, rc, both) == _dense_centers(alg)
+            seen.add((antisym, lc == rc))
+        assert seen == {(True, True), (False, True), (False, False)}
 
 
 class TestProductSpaceAndSeries:
@@ -323,6 +347,16 @@ class TestQuotient:
         h3 = heisenberg_lie(1)
         with pytest.raises(NotAnIdeal):
             h3.quotient(Subspace.span([vec(h3, e1=1)], 3))
+
+    def test_one_sided_ideal_of_leibniz_table(self):
+        # [x,y] = y is not antisymmetric, so both sides are checked:
+        # [L, x] = 0 lies in span(x), [x, L] = span(y) does not
+        alg = TestKindOracle.LEFT_ONLY
+        full, x = alg.full_space(), Subspace.span([basis_vector(alg, 0)], 2)
+        assert x.contains(alg.product_space(full, x))
+        assert not x.contains(alg.product_space(x, full))
+        with pytest.raises(NotAnIdeal):
+            alg.quotient(x)
 
 
 class TestAdjoint:

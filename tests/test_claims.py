@@ -3,16 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from derleib import claims
-from derleib.claims import (
-    DEFAULT_A,
-    dieu_gens,
-    j0_gens,
-    kron_gens,
-    registry,
-    run_all,
-    run_claim,
-)
+from derleib import checkers
+from derleib.checkers import dieu_gens, j0_gens, kron_gens, registry
+from derleib.claims import DEFAULT_A, run_all, run_claim
 from derleib.catalog import dieudonne, kronecker
 from derleib.dsl import report_json
 from derleib.exactlin import Mat, Subspace
@@ -39,8 +32,8 @@ def test_commutator_table_check():
     gens = {"h": h.sparse(), "x": x.sparse(), "y": y.sparse()}
 
     def problems(expected):
-        ck = claims._Checks()
-        claims._comm_table_ok(ck, 2, gens, expected)
+        ck = checkers._Checks()
+        checkers._comm_table_ok(ck, 2, gens, expected)
         return ck.problems
     good = {("x", "y"): h.sparse(), ("h", "x"): lincomb((2, x)).sparse(),
             ("y", "h"): lincomb((2, y)).sparse()}
@@ -99,26 +92,26 @@ class TestIndividualClaims:
                 assert naive_is_derivation(to_mat(m, alg.dim), alg), (n, name)
 
     def test_h2_refutes_a_generator_outside_der(self, monkeypatch):
-        named = claims.heis_grouped_gens
-        monkeypatch.setattr(claims, "heis_grouped_gens",
+        named = checkers.heis_grouped_gens
+        monkeypatch.setattr(checkers, "heis_grouped_gens",
                             lambda n: {**named(n), "x": identity(2 * n + 1).sparse()})
         r = run_claim(REG["H2"], {"n": 2, "a": F(2)})
         assert r.status == "refuted"
         assert "x is a derivation" in r.actual
 
     def test_levi_failure_carries_its_reason(self, monkeypatch):
-        named = claims.kron_gens
-        monkeypatch.setattr(claims, "kron_gens",
+        named = checkers.kron_gens
+        monkeypatch.setattr(checkers, "kron_gens",
                             lambda n: {**named(n), "b3": named(n)["A1"]})
         r = run_claim(REG["K3"], {"n": 2})
         assert r.status == "refuted"
         assert r.actual == "Levi complement verified: failed(not-subalgebra)"
-        l5r = claims.l5r_gens
-        monkeypatch.setattr(claims, "l5r_gens",
+        l5r = checkers.l5r_gens
+        monkeypatch.setattr(checkers, "l5r_gens",
                             lambda: {**l5r(), "G": l5r()["A1"]})
         r = run_claim(REG["R2"], {"n": 1})
         assert r.actual == "Levi <x-y,F,G> verified: failed(not-subalgebra)"
-        monkeypatch.setattr(claims, "l5r_gens",
+        monkeypatch.setattr(checkers, "l5r_gens",
                             lambda: {**l5r(), "G": identity(5).sparse()})
         r = run_claim(REG["R2"], {"n": 1})
         assert r.actual == "Levi generators lie in Der"
@@ -128,9 +121,9 @@ class TestIndividualClaims:
 
     def test_h6_refutes_a_wrong_left_multiplication(self, monkeypatch):
         # 2 B_1 spans what B_1 spans, so only the ad_e formulas differ
-        named = claims.heis_grouped_gens
-        monkeypatch.setattr(claims, "heis_grouped_gens", lambda n: {
-            **named(n), "B1": claims._comb((2, named(n)["B1"]))})
+        named = checkers.heis_grouped_gens
+        monkeypatch.setattr(checkers, "heis_grouped_gens", lambda n: {
+            **named(n), "B1": checkers._comb((2, named(n)["B1"]))})
         r = run_claim(REG["H6"], {"n": 2, "a": F(2)})
         assert r.status == "refuted"
         assert r.actual.startswith("ad_e1: expected") and "ad_e2: " in r.actual
@@ -142,9 +135,9 @@ class TestIndividualClaims:
         assert "Fraction(" not in r.actual
 
     def test_k5_refutes_a_wrong_left_multiplication(self, monkeypatch):
-        named = claims.kron_gens
-        monkeypatch.setattr(claims, "kron_gens", lambda n: {
-            **named(n), "A1": claims._comb((2, named(n)["A1"]))})
+        named = checkers.kron_gens
+        monkeypatch.setattr(checkers, "kron_gens", lambda n: {
+            **named(n), "A1": checkers._comb((2, named(n)["A1"]))})
         r = run_claim(REG["K5"], {"n": 2})
         assert r.status == "refuted"
         assert r.actual.startswith("ad_f1 = A_i - A_(i+1): expected")
@@ -154,7 +147,7 @@ class TestIndividualClaims:
         assert "Fraction(" not in r.actual
 
     def test_d3_prints_a_span_mismatch_as_canonical_rows(self, monkeypatch):
-        monkeypatch.setattr(claims, "nilradical",
+        monkeypatch.setattr(checkers, "nilradical",
                             lambda alg: Subspace.zero(alg.dim, alg.field))
         r = run_claim(REG["D3"], {"n": 1})
         assert r.status == "refuted"
@@ -166,9 +159,9 @@ class TestIndividualClaims:
     def test_z4_sign_probe_flips_with_b2(self, monkeypatch):
         # -b_2 leaves every span unchanged; only the [B_1, b_2] sign differs
         assert run_claim(REG["Z4"], {"n": 1}).status == "confirmed"
-        named = claims.j0_gens
-        monkeypatch.setattr(claims, "j0_gens", lambda n: {
-            **named(n), "b2": claims._comb((-1, named(n)["b2"]))})
+        named = checkers.j0_gens
+        monkeypatch.setattr(checkers, "j0_gens", lambda n: {
+            **named(n), "b2": checkers._comb((-1, named(n)["b2"]))})
         r = run_claim(REG["Z4"], {"n": 1})
         assert r.status == "discrepancy"
         assert r.actual == "[B1,b2] computes to the opposite sign"

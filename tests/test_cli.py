@@ -1,12 +1,13 @@
 import io
 import json
+import time
 
 import pytest
 
-from derleib import claims, cli, derivations
+from derleib import checkers, claims, cli, derivations
 from derleib.algebra import MAX_DIM, Algebra
 from derleib.cli import main
-from derleib.catalog import kronecker
+from derleib.catalog import dieudonne, kronecker
 from derleib.dsl import parse
 from derleib.exactlin import ShapeMismatch
 
@@ -155,7 +156,7 @@ class TestDerive:
         def broken(alg):
             raise exc
         monkeypatch.setattr(cli, "der_algebra", broken)
-        monkeypatch.setattr(claims, "der_algebra", broken)
+        monkeypatch.setattr(checkers, "der_algebra", broken)
         code, _ = run_cli(*argv)
         assert code == 3
         assert capsys.readouterr().err == "internal error: %s: %s\n" % (
@@ -307,6 +308,26 @@ class TestVerify:
                              "--claim", "H1")
         assert code == 2 and text == ""
         assert capsys.readouterr().err == "error: %s\n" % err
+
+    @pytest.mark.parametrize("claim", [(), ("--claim", "H1")])
+    def test_nmax_above_the_family_limit_fails_fast(self, claim, capsys):
+        # the Dieudonne algebra, of dimension 2n+2, is the largest family
+        top = (MAX_DIM - 2) // 2
+        assert dieudonne(top).dim <= MAX_DIM
+        with pytest.raises(ValueError):
+            dieudonne(top + 1)
+        start = time.perf_counter()
+        code, text = run_cli("verify-paper", "--nmax", str(top + 1), *claim)
+        assert time.perf_counter() - start < 2
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: nmax must be between 1 and %d, the largest n every family "
+            "builds within dimension %d\n" % (top, MAX_DIM))
+
+    def test_nmax_at_the_family_limit_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(checkers, "registry", lambda: ())
+        report = claims.run_all(nmax=(MAX_DIM - 2) // 2)
+        assert report.claims == ()
 
     def test_unknown_claim_is_usage_error(self, capsys):
         code, text = run_cli("verify-paper", "--nmax", "1", "--claim", "ZZ")

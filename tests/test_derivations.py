@@ -15,7 +15,7 @@ from derleib.catalog import (
     permute_basis,
     realify_heisenberg,
 )
-from derleib.claims import (
+from derleib.checkers import (
     dieu_gens,
     heis_grouped_gens,
     j0_gens,

@@ -40,6 +40,7 @@ from helpers import (
     kron_gens,
     l5r_gens,
     naive_bracket,
+    naive_gram,
     naive_nilradical,
     naive_radical,
     nullspace,
@@ -263,6 +264,47 @@ def test_nilradical_matches_naive_envelope(case):
 def test_radical_matches_dense_killing_orthogonal(case):
     g = case[1]
     assert radical(g) == naive_radical(g)
+
+
+def _scaled_qi(alg: Algebra) -> Algebra:
+    """``alg`` with every structure constant times 1+2i: a Lie algebra over
+    Q(i) whose Killing form is (1+2i)^2 times the original."""
+    c = GaussRat(1, 2)
+    return Algebra.from_brackets(QI, alg.labels, {
+        key: [(k, c * cf) for k, cf in terms] for key, terms in alg.table.items()})
+
+
+def _killing_cases():
+    """The catalog's Lie algebras, the Der structures and random Lie tables
+    of the envelope oracle, and each of those over Q scaled into Q(i)."""
+    out = [("heisenberg-lie n=%d" % n, heisenberg_lie(n)) for n in (1, 2, 3)]
+    out.append(("heisenberg-lie n=2 interleaved", heisenberg_lie(2, INTERLEAVED)))
+    out += NAIVE_NILRADICAL_CASES
+    return out + [(name + " scaled over Qi", _scaled_qi(g))
+                  for name, g in out if g.field == Q]
+
+
+KILLING_CASES = _killing_cases()
+
+
+@pytest.mark.parametrize("case", KILLING_CASES,
+                         ids=[name for name, _ in KILLING_CASES])
+def test_killing_gram_matches_dense_traces(case):
+    """Every entry of the Gram matrix, below the diagonal too, against
+    trace(ad_x ad_y) of the dense adjoint matrices."""
+    g = case[1]
+    assert killing(g).gram == naive_gram(g)
+
+
+def test_killing_cases_reach_both_fields_off_the_diagonal():
+    """The cases above pin the mirrored half: over Q and over Q(i) some
+    Gram matrix has a nonzero entry below the diagonal."""
+    fields = set()
+    for _, g in KILLING_CASES:
+        gram = killing(g).gram
+        if any(gram.at(s, t) for s in range(g.dim) for t in range(s)):
+            fields.add(g.field)
+    assert fields == {Q, QI}
 
 
 def _sl2_triple():

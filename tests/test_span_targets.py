@@ -61,3 +61,25 @@ def test_every_span_target_resolves():
         _RESOLVE, *("%s:%s" % target for target in targets)).split()
     assert missing == []
     assert len(targets) == 32
+
+
+# The checkers module is imported by the claim runner after the recorder is
+# installed; the wrappers must reach it through the home-module bindings.
+_TRACED_VERIFY = """
+import importlib.util, io
+sys.dont_write_bytecode = True
+assert "derleib.checkers" not in sys.modules
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+recorder = spans.Recorder()
+recorder.install()
+derleib.cli.main(["verify-paper", "--nmax", "1", "--json"], out=io.StringIO())
+for name in sorted({recorder.names[span[0]] for span in recorder.spans}):
+    print(name)
+"""
+
+
+def test_traced_verify_records_the_lazily_imported_checkers():
+    recorded = after_cli_import(_TRACED_VERIFY, SPANS_PY).split()
+    assert {"derivations.der", "claims.run_claim"} <= set(recorded)
