@@ -19,6 +19,7 @@ from .catalog import (
     dieudonne,
     heisenberg_leibniz,
     heisenberg_lie,
+    interleave_perm,
     jordan,
     kronecker,
     realify_derivation,
@@ -98,23 +99,13 @@ def heis_grouped_gens(n: int) -> dict:
 
 
 def _interleaved_core_gens(n: int) -> dict:
-    """x, y, E_i, A_i, B_i in the pairwise-interleaved basis {e1,f1,...,z}."""
+    """x, y, E_i, A_i, B_i in the pairwise-interleaved basis {e1,f1,...,z}:
+    the grouped ones conjugated by the interleaving, E_i with opposite sign."""
     dim = 2 * n + 1
-    g = {}
-    g["x"] = _msum(dim, [(2 * k - 1, 2 * k - 1, 1) for k in range(1, n + 1)]
-                   + [(dim, dim, 1)])
-    g["y"] = _msum(dim, [(2 * k, 2 * k, 1) for k in range(1, n + 1)]
-                   + [(dim, dim, 1)])
-    for i in range(1, n):
-        terms = []
-        for k in range(0, n - i):
-            terms.append((2 * (k + i + 1), 2 * (k + 1), 1))
-            terms.append((2 * k + 1, 2 * (k + i) + 1, -1))
-        g["E%d" % i] = _msum(dim, terms)
-    for i in range(1, n + 1):
-        g["A%d" % i] = _unit(dim, dim, 2 * i - 1)
-        g["B%d" % i] = _unit(dim, dim, 2 * i)
-    return g
+    pos = {old: k for k, old in enumerate(interleave_perm(n))}
+    return {name: {pos[k // dim] * dim + pos[k % dim]: -v if name[0] == "E" else v
+                   for k, v in flat.items()}
+            for name, flat in heis_grouped_gens(n).items()}
 
 
 def _mixing_gens(n: int, c_hs, b_hs, sign: int) -> dict:

@@ -2,13 +2,13 @@
 
 Everything here is exact: scalars are `fractions.Fraction` (field tag ``Q``)
 or :class:`GaussRat` (field tag ``Qi``), and all linear algebra reduces to
-row operations in an :class:`Echelon` over the field its caller names: over
-Q on projective rows of Python ints, divided by their pivots only when the
-canonical rows are read, over Q(i) on pivot-one rows.  Vectors are dense
-tuples or sparse ``{column: value}`` dicts; a :class:`Subspace` stores
-its echelon rows and makes canonical and dense rows as views.  Operators are
-sparse matrices ``{row: {column: value}}`` without zero entries, handled by
-the kit :func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`,
+row operations in an :class:`Echelon` on projective rows of Python ints,
+divided by their pivots only when the canonical rows are read; over Q(i)
+on the realified rows, twice as many columns.  Vectors are dense tuples or
+sparse ``{column: value}`` dicts; a :class:`Subspace` stores its echelon
+rows and makes canonical and dense rows as views.  Operators are sparse
+matrices ``{row: {column: value}}`` without zero entries, handled by the
+kit :func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`,
 :func:`sparse_trace`, :func:`sparse_flat`, :func:`sparse_rows` and
 :func:`sparse_commutator`, the only matrix arithmetic here.  :class:`Mat`
 is dense storage with views, for the catalog's parameter matrices and the
@@ -28,7 +28,6 @@ Q = "Q"
 QI = "Qi"
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class FieldMismatch(ValueError):
@@ -174,10 +173,6 @@ def scalar_zero(field: str) -> Scalar:
     return _F0 if field == Q else GaussRat()
 
 
-def scalar_one(field: str) -> Scalar:
-    return _F1 if field == Q else GaussRat(1)
-
-
 def coerce_scalar(x, field: str) -> Scalar:
     """Coerce ``x`` into the given field, rejecting cross-field values."""
     if field == Q:
@@ -321,11 +316,14 @@ def sparse_commutator(a: dict, b: dict, d: int) -> SparseVec:
 
 
 def _row_of(vec, field: str) -> SparseVec:
-    """The nonzeros of a dense or sparse vector as a new sparse row of an
-    :class:`Echelon` over ``field``: over Q scaled to ints by the lcm of
-    their denominators, so an int vector keeps its values."""
+    """The nonzeros of a dense or sparse vector as a new int row of an
+    :class:`Echelon`, scaled by the lcm of their denominators, so an int
+    vector keeps its values; over Q(i) x + yi at column c is x at 2c, y at 2c+1."""
     row = {c: v for c, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
-    if field != Q or all(type(v) is int for v in row.values()):
+    if field != Q:
+        row = {2 * c + k: x for c, v in row.items()
+               for k, x in enumerate(scalar_parts(v)) if x}
+    if all(type(v) is int for v in row.values()):
         return row
     n = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (n // v.denominator) for c, v in row.items()}
@@ -343,13 +341,13 @@ def _primitive(vec: SparseVec, p: int) -> SparseVec:
 class Echelon:
     """Incremental row space of vectors over ``field``, kept reduced.
 
-    Rows are sparse mappings ``{column: scalar}``, one per pivot column, the
-    pivot being the row's first column.  Each row is zero in every other
-    pivot column, so dividing the rows by their pivots gives the canonical
-    RREF basis of the row space.  Over Q a row is kept projectively, as a
-    coprime int vector with a positive pivot, and elimination runs on
-    Python ints; a vector enters scaled by the lcm of its denominators.
-    Over Q(i) each row has pivot one.
+    Rows are coprime int vectors ``{column: int}`` with a positive pivot,
+    one per pivot column, the row's first; each is zero in every other pivot
+    column, so dividing the rows by their pivots gives the canonical RREF
+    basis of the row space.  Over Q(i) rows live on the 2 * ncols columns of
+    :func:`_row_of` and each vector enters with i times itself, so the Q span
+    is the Q(i) span: pivots come in pairs 2p, 2p+1, and the row at 2p is a
+    multiple of the realified Q(i) row with pivot p.
     """
 
     __slots__ = ("ncols", "field", "rows")
@@ -361,28 +359,26 @@ class Echelon:
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.rows) if self.field == Q else len(self.rows) // 2
 
     def reduce(self, vec) -> SparseVec:
         """Reduce ``vec`` against the stored rows (vec is not modified).
-        Over Q the result is a nonzero multiple of the reduced vector, which
-        is enough for the callers: they test it for zero or insert it."""
-        out = _row_of(vec, self.field)
+        The result is a nonzero multiple of the reduced int row, which is
+        enough for the callers: they test it for zero or insert it."""
+        return self._reduce(_row_of(vec, self.field))
+
+    def _reduce(self, out: SparseVec) -> SparseVec:
         rows = self.rows
         hits = [p for p in out if p in rows]
         if not hits:
             return out
-        if self.field == Q:
-            # one factor m makes every row's coefficient b*m/a an int; a row
-            # is zero at the other pivots, so clearing p leaves them alone
-            m = lcm(*(rows[p][p] // gcd(rows[p][p], out[p]) for p in hits))
-            if m != 1:
-                out = {c: m * v for c, v in out.items()}
-            for p in hits:
-                axpy(out, -(out[p] // rows[p][p]), rows[p].items())
-        else:
-            for p in hits:
-                axpy(out, -out[p], rows[p].items())
+        # one factor m makes every row's coefficient b*m/a an int; a row
+        # is zero at the other pivots, so clearing p leaves them alone
+        m = lcm(*(rows[p][p] // gcd(rows[p][p], out[p]) for p in hits))
+        if m != 1:
+            out = {c: m * v for c, v in out.items()}
+        for p in hits:
+            axpy(out, -(out[p] // rows[p][p]), rows[p].items())
         return out
 
     def insert(self, vec) -> bool:
@@ -390,34 +386,40 @@ class Echelon:
         red = self.reduce(vec)
         if not red:
             return False
+        self._add(red)
+        if self.field != Q:
+            # i * red lies outside the grown span, which it closes under i
+            self._add(self._reduce({c ^ 1: -v if c & 1 else v for c, v in red.items()}))
+        return True
+
+    def _add(self, red: SparseVec):
+        """Store a nonzero reduced int row and clear its pivot elsewhere."""
         p = min(red)
         rows = self.rows
-        if self.field == Q:
-            row = _primitive(red, p)
-            a = row[p]
-            for k, other in rows.items():
-                b = other.get(p)
-                if b:
-                    g = gcd(a, b)
-                    other = {c: a // g * v for c, v in other.items()}
-                    rows[k] = _primitive(axpy(other, -(b // g), row.items()), k)
-        else:
-            piv = red[p]
-            row = {c: v / piv for c, v in red.items()}
-            for other in rows.values():
-                cf = other.get(p)
-                if cf:
-                    axpy(other, -cf, row.items())
+        row = _primitive(red, p)
+        a = row[p]
+        for k, other in rows.items():
+            b = other.get(p)
+            if b:
+                g = gcd(a, b)
+                other = {c: a // g * v for c, v in other.items()}
+                rows[k] = _primitive(axpy(other, -(b // g), row.items()), k)
         rows[p] = row
-        return True
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
     def erows(self) -> tuple:
         """The rows in pivot order, as ``(column, value)`` pairs in ascending
-        column order: unique to the row space, the form a Subspace stores."""
-        return tuple(tuple(sorted(self.rows[p].items())) for p in sorted(self.rows))
+        column order: unique to the row space, the form a Subspace stores.
+        Over Q(i) the rows at even pivots read back as pivot-one rows."""
+        rows = self.rows
+        if self.field == Q:
+            return tuple(tuple(sorted(rows[p].items())) for p in sorted(rows))
+        return tuple(tuple((c, GaussRat(Fraction(row.get(2 * c, 0), row[p]),
+                                        Fraction(row.get(2 * c + 1, 0), row[p])))
+                           for c in sorted({k >> 1 for k in row}))
+                     for p, row in sorted(rows.items()) if not p & 1)
 
     def canonical_rows(self) -> tuple:
         """:meth:`erows` divided by their pivots: the canonical sparse basis."""
@@ -514,25 +516,23 @@ class Mat(Frozen):
 def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
     """Canonical basis of the common kernel of sparse/dense constraint rows:
     for each free column f, x_f = 1 and x_p = -row[f] / row[p] at the pivot
-    p of each echelon row, cleared of denominators over Q."""
+    p of each int row, cleared of denominators.  Over Q(i) that is the real
+    kernel of the realified rows, the realified conjugate of the kernel."""
     ech = Echelon(ncols, field)
     for r in rows:
         ech.insert(r)
     pivots = ech.rows
-    one = scalar_one(field)
     out = Echelon(ncols, field)
-    for f in range(ncols):
+    for f in range(ncols if field == Q else 2 * ncols):
         if f in pivots:
             continue
         hits = [(p, row) for p, row in pivots.items() if f in row]
-        if field == Q:
-            n = lcm(*(row[p] for p, row in hits))
-            v = {f: n}
-            v.update((p, -row[f] * (n // row[p])) for p, row in hits)
-        else:
-            v = {f: one}
-            v.update((p, -row[f]) for p, row in hits)
-        out.insert(v)
+        n = lcm(*(row[p] for p, row in hits))
+        v = {f: n}
+        v.update((p, -row[f] * (n // row[p])) for p, row in hits)
+        if field != Q:
+            v = {c: -x if c & 1 else x for c, x in v.items()}
+        out._add(out._reduce(v))
     return Subspace(ncols, field, out.erows())
 
 
@@ -591,7 +591,8 @@ class Subspace(Frozen):
     def _ech(self) -> Echelon:
         """The rows as an :class:`Echelon` to reduce against; read only."""
         ech = Echelon(self.ambient_dim, self.field)
-        ech.rows = {row[0][0]: dict(row) for row in self.erows}
+        for row in self.erows:
+            ech.insert(dict(row))
         return ech
 
     def _check(self, other: "Subspace"):
@@ -634,8 +635,8 @@ class Subspace(Frozen):
         for row in other.erows:
             ech.insert(dict(row))
         # a row with pivot >= n is a multiple of one of U ∩ V's basis vectors
-        return Subspace.span(({c - n: v for c, v in row.items()}
-                              for p, row in ech.rows.items() if p >= n),
+        return Subspace.span(({c - n: v for c, v in row}
+                              for row in ech.erows() if row[0][0] >= n),
                              n, self.field)
 
     def coords(self, v) -> Optional[tuple]:

@@ -21,7 +21,6 @@ from derleib.exactlin import (
     axpy,
     coerce_scalar,
     kernel_from_rows,
-    scalar_one,
     scalar_parts,
     scalar_zero,
     sparse_flat,
@@ -29,6 +28,10 @@ from derleib.exactlin import (
     sparse_trace,
 )
 from derleib.liestruct import killing
+
+
+def scalar_one(field: str):
+    return Fraction(1) if field == Q else GaussRat(1)
 
 
 def abelian(dim: int, field: str = Q) -> Algebra:

@@ -6,6 +6,7 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from derleib.exactlin import (
     Echelon,
@@ -398,6 +399,27 @@ def _assert_projective(ech):
             assert row[p] == 1
 
 
+def _assert_erows_projective(ech):
+    """:func:`_assert_projective` on the public rows, :meth:`Echelon.erows`."""
+    _assert_projective(SimpleNamespace(
+        field=ech.field, rows={row[0][0]: dict(row) for row in ech.erows()}))
+
+
+def _assert_int_rows(ech):
+    """The internal rows, over both fields: each is a coprime int vector with
+    a positive pivot, starts at its pivot and is zero at every other pivot,
+    inside the real columns, 2 * ncols of them over Q(i), where the pivots
+    come in pairs 2p, 2p+1."""
+    width = ech.ncols if ech.field == Q else 2 * ech.ncols
+    for p, row in ech.rows.items():
+        assert min(row) == p and max(row) < width
+        assert not any(c != p and c in ech.rows for c in row)
+        assert all(type(v) is int and v for v in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+        if ech.field != Q:
+            assert p ^ 1 in ech.rows
+
+
 class TestEchelonAgainstFractions:
     """The integer echelon against the engine's earlier Fraction echelon,
     ``helpers.FractionEchelon``, and the kernel, intersection and
@@ -412,7 +434,8 @@ class TestEchelonAgainstFractions:
         for k, row in enumerate(rows):
             vec = row if k % 2 else {c: x for c, x in enumerate(row) if x}
             assert ech.insert(vec) == ref.insert(vec)
-            _assert_projective(ech)
+            _assert_erows_projective(ech)
+            _assert_int_rows(ech)
         assert ech.canonical_rows() == ref.canonical_rows()
         assert ech.rank == ref.rank
         for vec in rows + _system(rng, field, ncols)[0]:
@@ -435,6 +458,112 @@ class TestEchelonAgainstFractions:
         assert u.intersect(v).rows == fraction_intersect(u.rows, v.rows, n)
         for vec in ru + rv:
             assert u.coords(vec) == fraction_coords(u.rows, vec)
+
+
+class TestOneEliminationLoop:
+    """Over Q(i) the solver runs the int loop on the realified rows, so no
+    :class:`GaussRat` arithmetic happens in it: the parts are read on the
+    way in and the pivot-one rows built on the way out."""
+
+    DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_no_gaussrat_arithmetic_in_the_solver(self, monkeypatch, seed):
+        rng = Random(5000 + seed)
+        ru, n = _system(rng, QI)
+        rv = _system(rng, QI, n)[0]
+
+        def forbidden(*args):
+            raise AssertionError("GaussRat arithmetic in the solver")
+        for name in self.DUNDERS:
+            monkeypatch.setattr(GaussRat, name, forbidden)
+        kernel = kernel_from_rows(ru, n, QI)
+        u, v = Subspace.span(ru, n, QI), Subspace.span(rv, n, QI)
+        member = [u.contains(vec) for vec in ru + rv] + [u.contains(kernel)]
+        coords = [u.coords(vec) for vec in ru + rv]
+        meet = u.intersect(v)
+        monkeypatch.undo()
+        assert kernel.rows == fraction_kernel(ru, n, QI)
+        assert meet.rows == fraction_intersect(u.rows, v.rows, n)
+        assert coords == [fraction_coords(u.rows, vec) for vec in ru + rv]
+        ref = FractionEchelon(n)
+        for row in u.rows:
+            ref.insert(dict(row))
+        assert member == [ref.contains(vec) for vec in ru + rv] + \
+            [all(ref.contains(dict(row)) for row in kernel.rows)]
+
+
+def _over_1_plus_2i(a, b, k):
+    """(a + bi) / (1 + 2i)^k = (a + bi)(1 - 2i)^k / 5^k, built from ints."""
+    re, im = 1, 0
+    for _ in range(k):
+        re, im = re + 2 * im, im - 2 * re
+    return GaussRat(F(a * re - b * im, 5 ** k), F(a * im + b * re, 5 ** k))
+
+
+_PART = st.one_of(
+    st.builds(F, st.integers(-5, 5), st.integers(1, 9)),
+    st.builds(lambda s, m, d: F(s * m, d), st.sampled_from((1, -1)),
+              st.integers(2 ** 64, 2 ** 70), st.integers(1, 9)))
+_ENTRY = {
+    Q: st.one_of(st.just(F(0)), _PART),
+    QI: st.one_of(st.just(GaussRat()), st.builds(GaussRat, _PART, _PART),
+                  st.builds(_over_1_plus_2i, st.integers(-3, 3),
+                            st.integers(-3, 3), st.integers(1, 6))),
+}
+
+
+@st.composite
+def _echelon_scripts(draw):
+    """A field, a width and a script of (op, dense vector, dependent, sparse)
+    steps; a dependent step replaces the vector by a combination of the
+    vectors inserted so far, with the drawn entries as coefficients."""
+    field = draw(st.sampled_from((Q, QI)))
+    ncols = draw(st.integers(1, 6))
+    vec = st.lists(_ENTRY[field], min_size=ncols, max_size=ncols).map(tuple)
+    step = st.tuples(st.sampled_from(("insert", "contains")), vec,
+                     st.booleans(), st.booleans())
+    return field, ncols, draw(st.lists(step, min_size=1, max_size=8))
+
+
+class TestEchelonProperty:
+    """Interleaved ``insert``, ``contains``, ``erows``, ``canonical_rows``
+    and ``rank``, then ``kernel_from_rows`` and ``intersect``, against the
+    Fraction oracles on drawn vectors: over Q(i) with entries over powers
+    of 1 + 2i, and over both fields with numerators above 2**64."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(_echelon_scripts())
+    def test_interleaved_operations_match_the_fraction_echelon(self, script):
+        field, ncols, steps = script
+        zero = F(0) if field == Q else GaussRat()
+        ech, ref = Echelon(ncols, field), FractionEchelon(ncols)
+        inserted, probed = [], []
+        for op, vec, dependent, sparse in steps:
+            if dependent and inserted:
+                acc = [zero] * ncols
+                for cf, other in zip(vec * len(inserted), inserted):
+                    acc = [x + cf * y for x, y in zip(acc, other)]
+                vec = tuple(acc)
+            arg = {c: x for c, x in enumerate(vec) if x} if sparse else vec
+            if op == "insert":
+                assert ech.insert(arg) == ref.insert(arg)
+                inserted.append(vec)
+            else:
+                assert ech.contains(arg) == ref.contains(arg)
+                probed.append(vec)
+            if dependent and inserted and op == "contains":
+                assert ech.contains(arg)
+            assert ech.rank == ref.rank
+            assert ech.canonical_rows() == ref.canonical_rows()
+            _assert_erows_projective(ech)
+            assert Subspace.span(inserted, ncols, field).erows == ech.erows()
+        assert kernel_from_rows(inserted, ncols, field).rows == \
+            fraction_kernel(inserted, ncols, field)
+        u = Subspace.span(inserted, ncols, field)
+        v = Subspace.span(probed, ncols, field)
+        assert u.intersect(v).rows == fraction_intersect(u.rows, v.rows, ncols)
 
 def _oracle_rows(rng, field):
     """Seeded random rows over Q or Q(i): parts in {-3..3}/{1,2}, about 40%

@@ -46,6 +46,14 @@ GOLDEN = [
      "40356da52e8c8f9a547d0977239ba1987d67589254ccc1b1cfc963857512c596"),
     (("derive", "--family", "heisenberg", "--n", "3", "--a", "1/2", "--table"), 0,
      "ffbd9338e2d8ebdef814db0215b79d8086b180c2e63f82101942a33fc001a1bb"),
+    (("derive", "--family", "heisenberg", "--n", "6", "--a", "1+2i", "--json"), 0,
+     "1c8c5789dbcf49e6ff2e23c25e70524c621aa4d609eedb29db80d9eeaf780957"),
+    (("derive", "--family", "heisenberg", "--n", "3", "--a", "i", "--table"), 0,
+     "c0adaab9296b96480c3ac819b6f9aca72fa4cdd31cda9fb3f390d2997b2dbae9"),
+    (("analyze", "--family", "heisenberg", "--n", "3", "--a", "1+2i", "--der"), 0,
+     "cc7a2cbd0c63f53d1e20d89e38b8a437e988d61d02ebf2cad549f132618403ba"),
+    (("derive", "--family", "heisenberg", "--n", "4", "--a", "1/3-2i"), 0,
+     "1ba9326ce437cfd3f76daa13c0c79b232254d09e724726a8c88f7912ca21c9e4"),
 ]
 
 
