@@ -56,7 +56,8 @@ class Algebra(Frozen):
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.field, self.labels, tuple(self.table.items())))
+        # order-free, as ``==`` on the table is
+        return hash((self.field, self.labels, frozenset(self.table.items())))
 
     @property
     def dim(self) -> int:

@@ -6,7 +6,8 @@ operators of ``Algebra.int_table``, so over Q on Python ints.  The result
 is wrapped as a :class:`MatrixLieAlgebra`: the canonical subspace of
 row-major flattened matrices and the induced abstract Lie algebra, with
 closure under commutators verified during construction on the subspace's
-sparse rows, since derivation matrices are mostly zero.  A matrix is passed
+sparse rows, since derivation matrices are mostly zero; the closure writes
+the induced canonical bracket table itself.  A matrix is passed
 to ``contains``, ``coords`` and ``coords_span`` by its row-major flattening,
 a dense tuple or a sparse dict; the dense :class:`Mat` basis is only a view,
 built when first read.
@@ -24,6 +25,7 @@ from .exactlin import (
     Frozen,
     InternalInvariantError,
     Mat,
+    Q,
     ShapeMismatch,
     Subspace,
     axpy,
@@ -95,24 +97,30 @@ class MatrixLieAlgebra(Frozen):
     def from_subspace(cls, sub: Subspace, ambient_dim: int) -> "MatrixLieAlgebra":
         """Wrap a subspace of flattened ambient_dim x ambient_dim matrices; a
         bracket of two of its rows lies in it, and its values at the pivots,
-        divided by the two rows' pivot values, are its coordinates."""
+        divided by the two rows' pivot values, are its coordinates, written
+        straight into the canonical table: k ascends with the pivots, (t, s)
+        is the negation of (s, t), and the keys are inserted in sorted order."""
         d = ambient_dim
+        q = sub.field == Q  # int rows over Q, pivot-one GaussRat rows over Q(i)
         index = {p: k for k, p in enumerate(sub.pivots)}
         ops = [sparse_rows(dict(row), d) for row in sub.erows]
-        brackets = {}
+        table = {}
         for s in range(len(ops)):
-            for t in range(s + 1, len(ops)):
-                flat = sparse_commutator(ops[s], ops[t], d)
-                if not sub.contains(flat):
-                    raise ClosureError("commutator of basis elements %d, %d "
-                                       "escapes the span" % (s, t))
-                n = sub.erows[s][0][1] * sub.erows[t][0][1]
-                cs = [(index[p], flat[p] if n == 1 else Fraction(flat[p], n))
-                      for p in sorted(flat) if p in index]
-                brackets[(s, t)] = cs
-                brackets[(t, s)] = [(k, -cf) for k, cf in cs]
-        labels = ["m%d" % (k + 1) for k in range(sub.dim)]
-        return cls(d, sub, Algebra.from_brackets(sub.field, labels, brackets))
+            for t in range(len(ops)):
+                if t < s and (t, s) in table:
+                    table[(s, t)] = tuple((k, -cf) for k, cf in table[(t, s)])
+                elif s < t:
+                    flat = sparse_commutator(ops[s], ops[t], d)
+                    if not sub.contains(flat):
+                        raise ClosureError("commutator of basis elements %d, %d "
+                                           "escapes the span" % (s, t))
+                    n = sub.erows[s][0][1] * sub.erows[t][0][1] if q else 1
+                    cs = tuple((index[p], Fraction(flat[p], n) if q else flat[p])
+                               for p in sorted(flat) if p in index)
+                    if cs:
+                        table[(s, t)] = cs
+        labels = tuple("m%d" % (k + 1) for k in range(sub.dim))
+        return cls(d, sub, Algebra(sub.field, labels, table))
 
     def contains(self, flat) -> bool:
         return self.subspace.contains(flat)
@@ -148,7 +156,7 @@ def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
     d = alg.dim
     table = alg.int_table
     lops, rops = alg.int_ops
-    rows = []
+    rows = {}  # each distinct row once, keyed by its items in build order
     for i in range(d):
         bf = lops[i]
         for j in range(d):
@@ -163,8 +171,9 @@ def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
                 axpy(row, -1, ((p * d + i, cf) for p, cf in bs.get(m, {}).items()))
                 axpy(row, -1, ((q * d + j, cf) for q, cf in bf.get(m, {}).items()))
                 if row:
-                    rows.append(row)
-    return MatrixLieAlgebra.from_subspace(kernel_from_rows(rows, d * d, alg.field), d)
+                    rows.setdefault(tuple(row.items()), row)
+    return MatrixLieAlgebra.from_subspace(
+        kernel_from_rows(rows.values(), d * d, alg.field), d)
 
 
 @lru_cache(maxsize=256)

@@ -180,7 +180,7 @@ def coerce_scalar(x, field: str) -> Scalar:
             if x.im:
                 raise FieldMismatch("imaginary value %r in a Q context" % (x,))
             return x.re
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
     if isinstance(x, GaussRat):
         return x
     return GaussRat(Fraction(x))
@@ -310,9 +310,15 @@ def sparse_rows(flat: SparseVec, d: int) -> dict:
 
 
 def sparse_commutator(a: dict, b: dict, d: int) -> SparseVec:
-    """Row-major flattening of ``a b - b a`` for sparse d x d matrices."""
-    return axpy(sparse_flat(sparse_mul(a, b), d), -1,
-                sparse_flat(sparse_mul(b, a), d).items())
+    """Row-major flattening of ``a b - b a`` for sparse d x d matrices, both
+    products accumulated into one flat vector in one pass."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for r, row in x.items():
+            for k, v in row.items():
+                if k in y:
+                    axpy(out, sign * v, ((r * d + c, w) for c, w in y[k].items()))
+    return out
 
 
 def _row_of(vec, field: str) -> SparseVec:
@@ -591,8 +597,11 @@ class Subspace(Frozen):
     def _ech(self) -> Echelon:
         """The rows as an :class:`Echelon` to reduce against; read only."""
         ech = Echelon(self.ambient_dim, self.field)
-        for row in self.erows:
-            ech.insert(dict(row))
+        if self.field == Q:  # the stored rows are its int rows; Q(i)'s are realified
+            ech.rows = {row[0][0]: dict(row) for row in self.erows}
+        else:
+            for row in self.erows:
+                ech.insert(dict(row))
         return ech
 
     def _check(self, other: "Subspace"):

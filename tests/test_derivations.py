@@ -40,6 +40,10 @@ from derleib.exactlin import (
     QI,
     ShapeMismatch,
     Subspace,
+    axpy,
+    sparse_commutator,
+    sparse_flat,
+    sparse_rows,
 )
 
 from helpers import (
@@ -207,6 +211,42 @@ class TestCommutator:
                 der.contains(m.flatten())
 
 
+def _sparse_matrix(draw, d, values):
+    """A sparse d x d matrix ``{row: {column: value}}``: some rows absent,
+    every stored row nonempty, no zero value."""
+    out = {}
+    for r in draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d)):
+        cols = draw(st.lists(st.integers(0, d - 1), unique=True, min_size=1, max_size=d))
+        out[r] = {c: draw(values) for c in cols}
+    return out
+
+
+# ints and Fractions mixed, as the kit meets both over Q; few values, so
+# terms often cancel exactly
+_Q_VALUES = (1, -1, 2, -2, F(1, 2), F(-1, 2), 2 ** 70)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sparse_commutator_against_dense(data):
+    field = data.draw(st.sampled_from((Q, QI)))
+    d = data.draw(st.integers(1, 6))
+    parts = st.sampled_from(_Q_VALUES)
+    values = parts if field == Q else st.builds(
+        GaussRat, parts, st.sampled_from((0, 1, -1, F(1, 2))))
+    a = _sparse_matrix(data.draw, d, values)
+    c = _sparse_matrix(data.draw, d, values)
+    # b = a or 2a cancels every term; b = a + c has cancellations inside
+    b = data.draw(st.sampled_from((
+        c, a, {r: {k: 2 * v for k, v in row.items()} for r, row in a.items()},
+        sparse_rows(axpy(sparse_flat(c, d), 1, sparse_flat(a, d).items()), d))))
+    got = sparse_commutator(a, b, d)
+    want = naive_commutator(to_mat(sparse_flat(a, d), d, field),
+                            to_mat(sparse_flat(b, d), d, field))
+    assert got == want.sparse()
+    assert all(got.values())
+
+
 class TestInner:
     def test_abelian_trivial(self):
         assert inner_derivations(abelian(3)).dim == 0
@@ -359,6 +399,18 @@ ORACLE_CASES = (_catalog_upto_3()
                 + [(random_small_algebra(Random(seed)), {}) for seed in range(50)])
 
 
+def _assert_canonical(struct: Algebra):
+    """The table the closure writes is the one ``from_brackets`` makes of
+    it: same value and hash, keys sorted, k ascending, field scalars."""
+    rebuilt = Algebra.from_brackets(struct.field, struct.labels, struct.table)
+    assert rebuilt == struct and hash(rebuilt) == hash(struct)
+    assert list(struct.table) == sorted(struct.table)
+    scalar = F if struct.field == Q else GaussRat
+    for terms in struct.table.values():
+        assert [k for k, _ in terms] == sorted({k for k, _ in terms})
+        assert all(type(cf) is scalar and cf for _, cf in terms)
+
+
 @pytest.mark.parametrize("idx", range(len(ORACLE_CASES)))
 def test_induced_structure_against_dense_commutators(idx):
     alg = ORACLE_CASES[idx][0]
@@ -370,6 +422,7 @@ def test_induced_structure_against_dense_commutators(idx):
         mlas.append(almost_inner_genus1(alg))
     for mla in mlas:
         assert mla.structure == naive_structure(mla)
+        _assert_canonical(mla.structure)
 
 
 @pytest.mark.parametrize("idx", range(len(ORACLE_CASES)))
@@ -391,6 +444,81 @@ def test_der_membership_matches_is_derivation(idx):
         want = naive_is_derivation(m, alg)
         assert der.contains(m.flatten()) == want
         assert is_derivation(m, alg) == want
+
+
+def test_closure_divides_by_the_pivots():
+    # span{diag(2, 1), e12}: the echelon rows keep the pivot 2, and the
+    # canonical m1 = diag(1, 1/2) gives [m1, m2] = m2 / 2
+    sub = Subspace.span([(2, 0, 0, 1), unit(2, 0, 1).flatten()], 4, Q)
+    assert sub.erows == (((0, 2), (3, 1)), ((1, 1),))
+    mla = MatrixLieAlgebra.from_subspace(sub, 2)
+    assert mla.structure.table == {(0, 1): ((1, F(1, 2)),), (1, 0): ((1, F(-1, 2)),)}
+    assert mla.structure == naive_structure(mla)
+    _assert_canonical(mla.structure)
+
+
+def test_hash_ignores_table_key_order():
+    one, minus = ((2, F(1)),), ((2, F(-1)),)
+    labels = ("u", "v", "w")  # unique to this test, so the first call misses
+    a = Algebra(Q, labels, {(0, 1): one, (1, 0): minus})
+    b = Algebra(Q, labels, {(1, 0): minus, (0, 1): one})
+    assert a == b and hash(a) == hash(b)
+    der = der_algebra(a)
+    hits = der_algebra.cache_info().hits
+    assert der_algebra(b) is der
+    assert der_algebra.cache_info().hits == hits + 1
+
+
+def _to_sympy(x):
+    sympy = pytest.importorskip("sympy")
+    if isinstance(x, GaussRat):
+        return _to_sympy(x.re) + sympy.I * _to_sympy(x.im)
+    return sympy.Rational(F(x).numerator, F(x).denominator)
+
+
+def _sympy_der_dim(alg: Algebra) -> int:
+    """d^2 minus the rank of the derivation identity D[b_i, b_j] =
+    [D b_i, b_j] + [b_i, D b_j] in the unknowns D[m][k] (D b_k = sum_m
+    D[m][k] b_m): one dense row per (i, j, m), ranked by sympy."""
+    pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    d = alg.dim
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for (i, j), terms in alg.table.items():
+        for k, cf in terms:
+            c[i][j][k] = _to_sympy(cf)
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            for m in range(d):
+                row = [0] * (d * d)
+                for k in range(d):
+                    row[m * d + k] += c[i][j][k]
+                    row[k * d + i] -= c[k][j][m]
+                    row[k * d + j] -= c[i][k][m]
+                rows.append(row)
+    return d * d - DomainMatrix.from_list_sympy(len(rows), d * d, rows).rank()
+
+
+# mostly small entries and zeros, a few with large numerators or denominators
+_FORM_PARTS = (0, 0, 0, 1, -1, 2, F(1, 2), 2 ** 65 + 1, F(-3, 2 ** 40 + 7))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_der_of_random_two_step_nilpotent(data):
+    """[x, y] = B(x, y) z for a bilinear form B on F^m: a two-step nilpotent
+    left and right Leibniz algebra, whatever B is."""
+    field = data.draw(st.sampled_from((Q, QI)))
+    m = data.draw(st.integers(1, 4))
+    parts = st.sampled_from(_FORM_PARTS)
+    scalar = parts if field == Q else st.builds(GaussRat, parts, parts)
+    form = [[data.draw(scalar) for _ in range(m)] for _ in range(m)]
+    alg = Algebra.from_brackets(field, ["x%d" % i for i in range(m)] + ["z"], {
+        (i, j): [(m, form[i][j])] for i in range(m) for j in range(m)})
+    der = der_algebra(alg)
+    assert der.dim == _sympy_der_dim(alg)
+    assert all(naive_is_derivation(mat, alg) for mat in der.basis)
 
 
 class TestAlmostInnerSample:

@@ -54,6 +54,11 @@ GOLDEN = [
      "cc7a2cbd0c63f53d1e20d89e38b8a437e988d61d02ebf2cad549f132618403ba"),
     (("derive", "--family", "heisenberg", "--n", "4", "--a", "1/3-2i"), 0,
      "1ba9326ce437cfd3f76daa13c0c79b232254d09e724726a8c88f7912ca21c9e4"),
+    (("derive", "--family", "heisenberg-lie", "--n", "3", "--table"), 0,
+     "67de84ce7e186c24752d6bfc2f911cee743ae24a6fc42e64c16ee1ad8c60b614"),
+    (("derive", "--family", "realify-heisenberg", "--n", "2", "--a", "1",
+      "--b", "2", "--table"), 0,
+     "23e89900ccc984ef9834e49318777ff763a1fd7dcd87950e2b57dc183fa11fb5"),
 ]
 
 
