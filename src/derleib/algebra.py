@@ -3,7 +3,8 @@
 An :class:`Algebra` is a finite-dimensional algebra given by basis labels
 and a sparse bracket table ``{(i, j): ((k, coeff), ...)}`` listing the
 nonzero coefficients of ``b_k`` in ``[b_i, b_j]``.  The Leibniz identities
-are decided exactly on the sparse multiplication operators, pair by pair.
+are decided exactly: on the sparse multiplication operators, pair by pair,
+and for an antisymmetric table as the Jacobi identity on basis triples.
 """
 
 from __future__ import annotations
@@ -82,56 +83,57 @@ class Algebra(Frozen):
         return cls(field, tuple(labels), table)
 
     @property
-    def ops(self) -> tuple[list, list]:
-        """``(left, right)``: for each basis vector b_i, the sparse matrices
-        ``{row: {col: coeff}}`` of y -> [b_i, y] and y -> [y, b_i].  Rebuilt
-        on every call; the callers that need them often are cached."""
-        return _operators(self.table, self.dim)
-
-    @property
     def int_ops(self) -> tuple[list, list]:
-        """:attr:`ops` of :attr:`int_table`, for the callers whose results
-        do not change when every structure constant is scaled alike."""
+        """``(left, right)``: for each basis vector b_i, the sparse matrices
+        ``{row: {col: coeff}}`` of y -> [b_i, y] and y -> [y, b_i] in
+        :attr:`int_table`.  Rebuilt on every call; callers cache them."""
         return _operators(self.int_table, self.dim)
 
     # -- identity checks -------------------------------------------------
 
     @cached_property
+    def int_scale(self) -> int:
+        """The lcm of the denominators of the table over Q, 1 over Q(i)."""
+        if self.field != Q:
+            return 1
+        return lcm(*(cf.denominator for terms in self.table.values() for _, cf in terms))
+
+    @cached_property
     def int_table(self) -> dict:
-        """The table over Q times the lcm of its denominators, so its
-        coefficients are ints; over Q(i) the table itself.  Every identity
-        and linear condition homogeneous in the structure constants holds
-        for it iff it holds for the table."""
+        """The table over Q times :attr:`int_scale`, so its coefficients are
+        ints; over Q(i) the table itself.  Every identity and linear
+        condition homogeneous in the structure constants holds for it iff
+        it holds for the table."""
         if self.field != Q:
             return self.table
-        n = lcm(*(cf.denominator for terms in self.table.values() for _, cf in terms))
+        n = self.int_scale
         return {key: tuple((k, cf.numerator * (n // cf.denominator)) for k, cf in terms)
                 for key, terms in self.table.items()}
 
     @cached_property
     def antisymmetric(self) -> bool:
-        """[b_j, b_i] = -[b_i, b_j] for all i, j.  Then [x, y] = -[y, x],
-        so every one-sided notion equals the other side's."""
-        table = self.table
+        """[b_j, b_i] = -[b_i, b_j] for all i, j, read on :attr:`int_table`.
+        Then every one-sided notion equals the other side's."""
+        table = self.int_table
         return all(table.get((j, i)) == tuple((k, -cf) for k, cf in terms)
                    for (i, j), terms in table.items())
 
     @cached_property
     def kind(self) -> AlgebraKind:
-        """Flags decided on the operators of :attr:`int_table` by
-        :func:`_left_leibniz`: L is right Leibniz iff its opposite, whose
-        left operators are L's right ones, is left Leibniz.  The identities
-        are homogeneous of degree 2, so over Q they run on Python ints, and
-        an :attr:`antisymmetric` table, whose opposite is its negative, is
-        right Leibniz iff it is left Leibniz: the right side is not run."""
+        """Flags decided on :attr:`int_table`, in ints over Q, as the
+        identities are homogeneous.  An :attr:`antisymmetric` table is left
+        and right Leibniz and Lie iff :func:`_jacobi` holds; any other runs
+        :func:`_left_leibniz` on L and on its opposite, whose left operators
+        are L's right ones: L is right Leibniz iff the opposite is left."""
         table = self.int_table
+        if self.antisymmetric:
+            lie = _jacobi(table, self.dim)
+            return AlgebraKind(lie, lie, lie, lie)
         lops, rops = self.int_ops
         left = _left_leibniz(lops, table)
-        right = left if self.antisymmetric else _left_leibniz(
-            rops, {(j, i): terms for (i, j), terms in table.items()})
+        right = _left_leibniz(rops, {(j, i): terms for (i, j), terms in table.items()})
         return AlgebraKind(left_leibniz=left, right_leibniz=right,
-                           symmetric=left and right,
-                           lie=self.antisymmetric and left)
+                           symmetric=left and right, lie=False)
 
     @cached_property
     def commutator_ideal(self) -> Subspace:
@@ -147,14 +149,15 @@ class Algebra(Frozen):
     def product_space(self, u: Subspace, v: Subspace) -> Subspace:
         """span{[x, y] : x in basis(u), y in basis(v)}; valid by bilinearity.
         Each bracket of two sparse rows accumulates the terms of
-        :attr:`int_table`."""
+        :attr:`int_table`.  For u = v and an :attr:`antisymmetric` table,
+        [x, x] = 0 and [y, x] = -[x, y]: each pair s < t of rows is taken once."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise ShapeMismatch("subspace ambient != algebra dimension")
-        table = self.int_table
+        table, half = self.int_table, self.antisymmetric and u == v
 
         def brackets():
-            for x in u.erows:
-                for y in v.erows:
+            for s, x in enumerate(u.erows):
+                for y in u.erows[s + 1:] if half else v.erows:
                     acc = {}
                     for i, xi in x:
                         for j, yj in y:
@@ -244,6 +247,34 @@ def _operators(table: Mapping, dim: int) -> tuple[list, list]:
             left[i].setdefault(k, {})[j] = cf
             right[j].setdefault(k, {})[i] = cf
     return left, right
+
+
+def _jacobi(table: Mapping, d: int) -> bool:
+    """[x,[y,z]] - [y,[x,z]] - [[x,y],z] = 0 on the basis triples i < j < k
+    of an antisymmetric table, where this Jacobiator is alternating and is
+    both Leibniz identities.  cols[i] = {k: [b_i, b_k]} is the column-major
+    operator of b_i; for each pair i < j the three terms are summed over the
+    columns k > j each operator makes nonzero, flattened at k * d + out."""
+    cols = [{} for _ in range(d)]
+    for (i, k), terms in table.items():
+        cols[i][k] = terms
+    for i, ci in enumerate(cols):
+        for j in range(i + 1, d):
+            cj, acc = cols[j], {}
+            for sign, outer, inner in ((1, cj, ci), (-1, ci, cj)):
+                for k, terms in outer.items():
+                    if k > j:
+                        for m, v in terms:
+                            for o, w in inner.get(m, ()):
+                                acc[k * d + o] = acc.get(k * d + o, 0) + sign * v * w
+            for m, v in ci.get(j, ()):
+                for k, terms in cols[m].items():
+                    if k > j:
+                        for o, w in terms:
+                            acc[k * d + o] = acc.get(k * d + o, 0) - v * w
+            if any(acc.values()):
+                return False
+    return True
 
 
 def _left_leibniz(ops: list, table: Mapping) -> bool:

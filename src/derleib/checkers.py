@@ -358,13 +358,13 @@ def _check_h6(params, seed):
     ck.eq("dim Inn", len(names), inn.dim)
     ck.spans_equal("Inn = <A_h..A_n, B_1..B_k>",
                    _mat_span([gens[nm] for nm in names], inn), inn.subspace)
-    # stated left-multiplication formulas, grouped basis; B_0 = A_(n+1) = 0
-    d, lops = alg.dim, alg.ops[0]
+    # stated left multiplications times c = int_scale; B_0 = A_(n+1) = 0
+    d, lops, c = alg.dim, alg.int_ops[0], alg.int_scale
     for i in range(1, n + 1):
-        want = _comb((1 + a, gens["B%d" % i]), (1, gens.get("B%d" % (i - 1), {})))
+        want = _comb((c + c * a, gens["B%d" % i]), (c, gens.get("B%d" % (i - 1), {})))
         ck.flat_eq("ad_e%d" % i, d, want, sparse_flat(lops[i - 1], d))
     for j in range(1, n + 1):
-        want = _comb((a - 1, gens["A%d" % j]), (1, gens.get("A%d" % (j + 1), {})))
+        want = _comb((c * a - c, gens["A%d" % j]), (c, gens.get("A%d" % (j + 1), {})))
         ck.flat_eq("ad_f%d" % j, d, want, sparse_flat(lops[n + j - 1], d))
     return ck.result("Inn has the stated span (h=%d, k=%d; dim %d)"
                      % (h, k, len(names)))
@@ -623,12 +623,12 @@ def _check_k5(params, seed):
     ck.eq("Inn abelian", 0, inn.structure.commutator_ideal.dim)
     ck.spans_equal("Inn = <A,B>",
                    _mat_span([gens[nm] for nm in _ab(n)], inn), inn.subspace)
-    d, lops = alg.dim, alg.ops[0]  # B_0 = A_(n+1) = 0
+    d, lops, c = alg.dim, alg.int_ops[0], alg.int_scale  # B_0 = A_(n+1) = 0
     for i in range(1, n + 1):
-        want = _comb((1, gens["B%d" % i]), (1, gens.get("B%d" % (i - 1), {})))
+        want = _comb((c, gens["B%d" % i]), (c, gens.get("B%d" % (i - 1), {})))
         ck.flat_eq("ad_e%d = B_(i-1)+B_i" % i, d, want,
                    sparse_flat(lops[2 * i - 2], d))
-        want = _comb((1, gens["A%d" % i]), (-1, gens.get("A%d" % (i + 1), {})))
+        want = _comb((c, gens["A%d" % i]), (-c, gens.get("A%d" % (i + 1), {})))
         ck.flat_eq("ad_f%d = A_i - A_(i+1)" % i, d, want,
                    sparse_flat(lops[2 * i - 1], d))
     return ck.result("Inn = <A,B> isomorphic to F^2n via the left multiplications")

@@ -16,6 +16,7 @@ algebras; a regression test pins a five-dimensional counterexample.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -54,13 +55,15 @@ class KillingForm(NamedTuple):
 
 def _gram(alg: Algebra) -> Mat:
     """Gram matrix of (x, y) -> trace(ad_x ad_y) on the basis; uncached.
-    trace(ad_s ad_t) = trace(ad_t ad_s), so the entries with s <= t are
-    computed and mirrored."""
-    ads = alg.ops[0]
+    Each trace is summed on the int adjoints, c = ``int_scale`` times the
+    true ones, then divided by c^2.  trace(ad_s ad_t) = trace(ad_t ad_s),
+    so the entries with s <= t are computed and mirrored."""
+    ads, c2 = alg.int_ops[0], alg.int_scale ** 2
     rows = [[0] * len(ads) for _ in ads]
     for s, a in enumerate(ads):
         for t in range(s, len(ads)):
-            rows[s][t] = rows[t][s] = sparse_trace(a, ads[t])
+            tr = sparse_trace(a, ads[t])
+            rows[s][t] = rows[t][s] = tr if c2 == 1 else Fraction(tr, c2)
     return Mat.from_rows(rows, alg.field)
 
 

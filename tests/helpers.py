@@ -25,6 +25,7 @@ from derleib.exactlin import (
     scalar_zero,
     sparse_flat,
     sparse_mul,
+    sparse_rows,
     sparse_trace,
 )
 from derleib.liestruct import killing
@@ -333,7 +334,7 @@ def naive_nilradical(alg: Algebra) -> Subspace:
     is not re-verified."""
     assert alg.kind.lie
     d = alg.dim
-    ads = alg.ops[0]
+    ads = [sparse_rows(adjoint(alg, basis_vector(alg, i)).sparse(), d) for i in range(d)]
     env_ech = Echelon(d * d, alg.field)
     gens = [a for a in ads if a and env_ech.insert(sparse_flat(a, d))]
     basis = list(gens)

@@ -1,7 +1,9 @@
 from fractions import Fraction as F
+from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from derleib.algebra import Algebra, AlgebraKind, NotAnIdeal
 from derleib.catalog import dieudonne, heisenberg_leibniz, heisenberg_lie, \
@@ -10,8 +12,8 @@ from derleib.derivations import der_algebra
 from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace
 
 from helpers import abelian, adjoint, basis_vector, is_zero, leib_ideal, \
-    naive_bracket, naive_is_derivation, naive_kind, nullspace, \
-    random_small_algebra, unit
+    lincomb, naive_bracket, naive_is_derivation, naive_kind, nullspace, \
+    random_small_algebra, random_solvable_lie, random_vector, solve, unit
 
 
 def vec(alg, **coords):
@@ -113,6 +115,28 @@ class TestKindOracle:
                 for key, terms in alg.table.items()})
             assert scaled.kind == naive_kind(scaled), c
 
+    # antisymmetric tables where Jacobi fails on the one triple {x, y, w}
+    # of the basis (x, y, z, w), through one term of it each
+    ONE_TRIPLE = {
+        "[[x,y],w]": [((0, 1), 2), ((2, 3), 3)],  # [x,y] = z, [z,w] = w
+        "[x,[y,w]]": [((1, 3), 2), ((0, 2), 2)],  # [y,w] = z, [x,z] = z
+        "[y,[x,w]]": [((0, 3), 2), ((1, 2), 2)],  # [x,w] = z, [y,z] = z
+    }
+
+    @pytest.mark.parametrize("term", sorted(ONE_TRIPLE))
+    def test_jacobi_failing_on_one_triple(self, term):
+        """In each of the 24 orders of the basis, so that the failing
+        triple, sorted, meets every operator ``_jacobi`` reads its columns
+        from."""
+        for perm in permutations(range(4)):
+            brackets = {}
+            for (i, j), k in self.ONE_TRIPLE[term]:
+                brackets[(perm[i], perm[j])] = [(perm[k], 1)]
+                brackets[(perm[j], perm[i])] = [(perm[k], -1)]
+            alg = Algebra.from_brackets(Q, "xyzw", brackets)
+            assert alg.kind == naive_kind(alg) == \
+                AlgebraKind(False, False, False, False), perm
+
     def test_der_of_leibniz_draws(self):
         draws = (random_small_algebra(Random(seed)) for seed in range(100))
         leibniz = [alg for alg in draws if alg.kind.left_leibniz][:20]
@@ -154,6 +178,76 @@ class TestKindOracle:
                          (False, False, False)}
 
 
+def _sl2():
+    return _table_algebra(3, [((0, 1), 1, 2), ((1, 0), 1, -2), ((0, 2), 2, -2),
+                              ((2, 0), 2, 2), ((1, 2), 0, 1), ((2, 1), 0, -1)])
+
+
+# Lie algebras of dimension 3 to 6: abelian, nilpotent, solvable, sl2,
+# gl2 = Der of the abelian plane, and Der(h_3), which is neither
+LIE_BASES = [abelian(3), heisenberg_lie(1), heisenberg_lie(2), _sl2(),
+             der_algebra(abelian(2)).structure, der_algebra(heisenberg_lie(1)).structure] \
+    + [alg for alg, _ in map(random_solvable_lie, map(Random, range(6))) if alg.dim > 2]
+
+_PARTS = (1, -1, 2, F(1, 2), F(-3, 2), 0)
+
+
+def _pair(draw, d):
+    return sorted(draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lie_decision_on_random_antisymmetric_tables(data):
+    """Antisymmetric tables over Q or Q(i) of dimension 3 to 6: either a Lie
+    algebra of ``LIE_BASES`` rewritten in a random basis f_i = P e_i and
+    then, half the time, one constant [f_i, f_j] and its mirror [f_j, f_i]
+    perturbed, or a few random brackets [e_i, e_j] = c e_k and their
+    mirrors, where Jacobi often fails on a single triple.  ``kind`` (the
+    Jacobi check on triples i < j < k) agrees with both Leibniz identities
+    evaluated densely on every basis triple."""
+    draw = data.draw
+    field = draw(st.sampled_from((Q, QI)))
+    parts = st.sampled_from(_PARTS)
+    scalar = parts if field == Q else st.builds(GaussRat, parts, parts)
+    nonzero = scalar.filter(bool)
+    if draw(st.booleans()):
+        d = draw(st.integers(3, 6))
+        labels = ["e%d" % (k + 1) for k in range(d)]
+        brackets, may_fail = {}, True
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = _pair(draw, d)
+            k, cf = draw(st.integers(0, d - 1)), draw(nonzero)
+            brackets.setdefault((i, j), []).append((k, cf))
+            brackets.setdefault((j, i), []).append((k, -cf))
+    else:
+        base = draw(st.sampled_from(LIE_BASES))
+        d, labels = base.dim, base.labels
+        base = Algebra.from_brackets(field, labels, base.table)
+        # P: a permutation with nonzero scales, then two shears f_a += c f_b,
+        # so it is invertible and the table stays sparse enough for the oracle
+        order = draw(st.permutations(range(d)))
+        cols = [[draw(nonzero) if r == order[c] else 0 for r in range(d)]
+                for c in range(d)]
+        for _ in range(2):
+            a, b = _pair(draw, d)[::draw(st.sampled_from((1, -1)))]
+            cf = draw(scalar)
+            cols[a] = [x + cf * y for x, y in zip(cols[a], cols[b])]
+        p = Mat.from_rows([[cols[c][r] for c in range(d)] for r in range(d)], field)
+        brackets = {(i, j): list(enumerate(solve(p, naive_bracket(base, cols[i], cols[j]))))
+                    for i in range(d) for j in range(d)}
+        may_fail = draw(st.booleans())
+        if may_fail:
+            i, j = _pair(draw, d)
+            k, cf = draw(st.integers(0, d - 1)), draw(nonzero)
+            brackets[(i, j)].append((k, cf))
+            brackets[(j, i)].append((k, -cf))
+    alg = Algebra.from_brackets(field, labels, brackets)
+    assert alg.antisymmetric
+    assert alg.kind == naive_kind(alg)
+    assert may_fail or alg.kind.lie
+
+
 def _dense(op, dim, field):
     return Mat.from_rows([[op.get(r, {}).get(c, 0) for c in range(dim)]
                           for r in range(dim)], field)
@@ -182,7 +276,7 @@ def _dense_centers(alg):
 
 
 class TestSparsePathsOracle:
-    """The table-driven bracket of ``product_space``, ``ops`` and
+    """The table-driven bracket of ``product_space``, ``int_ops`` and
     ``centers`` against dense computations on the same random algebras as
     the kind oracle, over Q and over Q(i)."""
 
@@ -202,14 +296,14 @@ class TestSparsePathsOracle:
     @pytest.mark.parametrize("seed", range(50))
     def test_operators_centers_leib(self, seed):
         alg = random_small_algebra(Random(seed))
-        d = alg.dim
+        d, c = alg.dim, alg.int_scale
         e = [basis_vector(alg, i) for i in range(d)]
-        left, right = alg.ops
+        left, right = alg.int_ops
         lads = [adjoint(alg, v, "left") for v in e]
         rads = [adjoint(alg, v, "right") for v in e]
         for i in range(d):
-            assert _dense(left[i], d, Q) == lads[i]
-            assert _dense(right[i], d, Q) == rads[i]
+            assert _dense(left[i], d, Q) == lincomb((c, lads[i]))
+            assert _dense(right[i], d, Q) == lincomb((c, rads[i]))
         assert alg.centers() == _dense_centers(alg)
 
     def test_centers_off_antisymmetric_tables(self):
@@ -261,6 +355,31 @@ class TestProductSpaceAndSeries:
                                            for x in u.basis for y in v.basis),
                                           alg.dim, alg.field)
                     assert alg.product_space(u, v) == naive
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_self_product_matches_naive_span(self, seed):
+        """``product_space(u, u)`` against the span of the naive brackets of
+        every ordered pair of u's basis vectors, for the full space and for
+        random subspaces: on antisymmetric tables, where each unordered pair
+        is bracketed once, over Q and Q(i), and on the Heisenberg Leibniz
+        algebra at a = 2, whose [x, x] and [y, x] are not read off [x, y]."""
+        rng = Random(seed)
+        leibniz = heisenberg_leibniz(2, jordan(F(2), 2))
+        assert not leibniz.antisymmetric
+        algs = [leibniz, LIE_BASES[seed % len(LIE_BASES)],
+                der_algebra(dieudonne(1)).structure]
+        algs.append(Algebra.from_brackets(QI, algs[1].labels, {
+            key: [(k, GaussRat(1, 2) * cf) for k, cf in terms]
+            for key, terms in algs[1].table.items()}))
+        for alg in algs:
+            subspaces = [alg.full_space()] + [
+                Subspace.span([random_vector(rng, alg.dim) for _ in range(rng.randint(1, 3))],
+                              alg.dim, alg.field) for _ in range(4)]
+            for u in subspaces:
+                naive = Subspace.span((naive_bracket(alg, x, y)
+                                       for x in u.basis for y in u.basis),
+                                      alg.dim, alg.field)
+                assert alg.product_space(u, u) == naive
 
     def test_commutator_ideal(self):
         for seed in range(30):

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from derleib.algebra import MAX_DIM, Algebra
 from derleib.catalog import kronecker
+from derleib.cli import main
 from derleib.dsl import (
     AlgebraDoc,
     ParseError,
@@ -14,7 +20,7 @@ from derleib.dsl import (
     report_json,
     serialize,
 )
-from derleib.exactlin import GaussRat, Q
+from derleib.exactlin import GaussRat, Q, QI
 
 H3_DOC = """algebra h3 field Q
 basis e f z
@@ -175,6 +181,70 @@ class TestFuzz:
                 except Exception:
                     crashes += 1
         assert crashes == 0
+
+
+_LABELS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+_STRAY = st.sampled_from(("[", "]", ",", "=", "+", "#", "end", "basis", "field",
+                          "1/0", "i", "--", "2/", "[x,", "]]", "\t", "é"))
+_NUMERATORS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 200, 2 ** 200))
+
+
+def _scalar_text(draw, field):
+    """A scalar token: small or huge numerators, huge denominators, a zero
+    one now and then, and over Q(i) sometimes an imaginary part."""
+    text = "%d%s" % (draw(_NUMERATORS),
+                     draw(st.sampled_from(("", "", "/3", "/%d" % (2 ** 70 + 1), "/0"))))
+    if field == QI and draw(st.booleans()):
+        text += "%+di" % draw(_NUMERATORS)
+    return text
+
+
+def _generated_document(draw) -> str:
+    """A definition document from random labels, sometimes more than
+    ``MAX_DIM`` of them, with up to five bracket entries of random scalars,
+    and up to two stray tokens put into random lines."""
+    field = draw(st.sampled_from((Q, QI)))
+    labels = draw(st.lists(_LABELS, min_size=1, max_size=6, unique=True))
+    if draw(st.integers(0, 3)) == 3:
+        labels += ["big%d" % k for k in range(MAX_DIM - len(labels) + draw(st.integers(0, 2)))]
+    lines = ["algebra %s field %s" % (draw(_LABELS), field), "basis " + " ".join(labels)]
+    for _ in range(draw(st.integers(0, 5))):
+        a, b = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+        terms = [(_scalar_text(draw, field) + " " if draw(st.booleans()) else "")
+                 + draw(st.sampled_from(labels)) for _ in range(draw(st.integers(1, 3)))]
+        lines.append("[%s,%s] = %s" % (a, b, " + ".join(terms)))
+    if draw(st.integers(0, 5)) < 5:
+        lines.append("end")
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        words = lines[k].split(" ")
+        words.insert(draw(st.integers(0, len(words))), draw(_STRAY))
+        lines[k] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_generated_documents_round_trip_or_fail_cleanly(data):
+    """A generated document parses and round-trips through ``serialize``,
+    or raises ``ParseError``; ``derleib check`` on it exits 2 exactly when
+    it does not parse, otherwise 0 or 1, and never prints a traceback."""
+    text = _generated_document(data.draw)
+    try:
+        doc = parse(text)
+    except ParseError:
+        doc = None
+    else:
+        assert parse(serialize(doc)) == doc
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.alg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stderr(err):
+            code = main(["check", path], out=io.StringIO())
+    assert code in (0, 1, 2) and (code == 2) == (doc is None), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestReportJson:

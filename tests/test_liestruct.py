@@ -274,11 +274,22 @@ def _scaled_qi(alg: Algebra) -> Algebra:
         key: [(k, c * cf) for k, cf in terms] for key, terms in alg.table.items()})
 
 
+def _sl2_three_halves():
+    """sl2 with every bracket times 3/2, plus a central c: [h, e] = 3e,
+    [h, f] = -3f, [e, f] = 3/2 h.  Its ``int_table`` is twice its table, so
+    the Killing traces of the int adjoints are divided by 4."""
+    return Algebra.from_brackets(Q, ["h", "e", "f", "c"], {
+        (0, 1): [(1, 3)], (1, 0): [(1, -3)], (0, 2): [(2, -3)], (2, 0): [(2, 3)],
+        (1, 2): [(0, F(3, 2))], (2, 1): [(0, F(-3, 2))]})
+
+
 def _killing_cases():
-    """The catalog's Lie algebras, the Der structures and random Lie tables
-    of the envelope oracle, and each of those over Q scaled into Q(i)."""
+    """The catalog's Lie algebras, sl2 times 3/2 plus a centre, the Der
+    structures and random Lie tables of the envelope oracle, and each of
+    those over Q scaled into Q(i)."""
     out = [("heisenberg-lie n=%d" % n, heisenberg_lie(n)) for n in (1, 2, 3)]
     out.append(("heisenberg-lie n=2 interleaved", heisenberg_lie(2, INTERLEAVED)))
+    out.append(("sl2 times 3/2 + centre", _sl2_three_halves()))
     out += NAIVE_NILRADICAL_CASES
     return out + [(name + " scaled over Qi", _scaled_qi(g))
                   for name, g in out if g.field == Q]
@@ -294,6 +305,18 @@ def test_killing_gram_matches_dense_traces(case):
     trace(ad_x ad_y) of the dense adjoint matrices."""
     g = case[1]
     assert killing(g).gram == naive_gram(g)
+
+
+def test_killing_and_radical_on_a_table_with_denominators():
+    """The Gram matrix is summed on the int adjoints, twice the true ones
+    here, and divided by 4 (``KILLING_CASES`` compares it with the dense
+    traces): B(h, h) = 8 * (3/2)^2, B(e, f) = 4 * (3/2)^2, c in the kernel.
+    The radical, the centre, against the dense Killing-orthogonal."""
+    g = _sl2_three_halves()
+    assert g.int_scale == 2
+    gram = killing(g).gram
+    assert (gram.at(0, 0), gram.at(1, 2), gram.at(3, 3)) == (18, 9, 0)
+    assert radical(g) == naive_radical(g) == Subspace.span([basis_vector(g, 3)], 4, Q)
 
 
 def test_killing_cases_reach_both_fields_off_the_diagonal():
