@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import lcm
-from typing import Literal, Mapping, NamedTuple, Sequence
+from typing import Literal, Mapping, NamedTuple, Optional, Sequence
 
 from .exactlin import (
     Frozen,
@@ -146,11 +146,14 @@ class Algebra(Frozen):
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim, self.field)
 
-    def product_space(self, u: Subspace, v: Subspace) -> Subspace:
+    def product_space(self, u: Subspace, v: Subspace,
+                      bound: Optional[Subspace] = None) -> Subspace:
         """span{[x, y] : x in basis(u), y in basis(v)}; valid by bilinearity.
         Each bracket of two sparse rows accumulates the terms of
         :attr:`int_table`.  For u = v and an :attr:`antisymmetric` table,
-        [x, x] = 0 and [y, x] = -[x, y]: each pair s < t of rows is taken once."""
+        [x, x] = 0 and [y, x] = -[x, y]: each pair s < t of rows is taken once.
+        ``bound``, a subspace the caller has proved contains [u, v], is
+        returned once the brackets reach its dimension (:meth:`Subspace.span`)."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise ShapeMismatch("subspace ambient != algebra dimension")
         table, half = self.int_table, self.antisymmetric and u == v
@@ -166,7 +169,7 @@ class Algebra(Frozen):
                                 axpy(acc, xi * yj, terms)
                     if acc:
                         yield acc
-        return Subspace.span(brackets(), self.dim, self.field)
+        return Subspace.span(brackets(), self.dim, self.field, bound)
 
     def series(self, kind: Literal["lower_central", "derived"] = "lower_central"):
         """Strictly decreasing until stabilization; ends in 0 iff nilpotent/solvable.
@@ -180,8 +183,11 @@ class Algebra(Frozen):
                 terms.append(nxt)
                 if nxt.is_zero():
                     break
+                # for any bilinear product L^{k+1} = [L, L^k] lies in L^k
+                # and L^{(k+1)} = [L^{(k)}, L^{(k)}] in L^{(k)}, by induction
+                # from [L, L] in L, so the last term bounds the next
                 left = full if kind == "lower_central" else nxt
-                nxt = self.product_space(left, nxt)
+                nxt = self.product_space(left, nxt, bound=nxt)
             self._series[kind] = terms = tuple(terms)
         return list(terms)
 

@@ -16,6 +16,8 @@ unexpected exception.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 from . import __version__, claims, dsl
@@ -232,23 +234,14 @@ def _fmt_params(params: dict) -> str:
     return " ".join("%s=%s" % (k, v) for k, v in sorted(params.items()))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="derleib",
-        description="exact derivation algebras of nilpotent Leibniz algebras")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="parse and classify an algebra")
-    _add_algebra_args(p)
-
-    p = sub.add_parser("derive", help="compute Der / Inn / AIDer")
+def _derive_args(p):
     _add_algebra_args(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--table", action="store_true",
                    help="print the induced bracket table of Der")
 
-    p = sub.add_parser("analyze", help="structural analysis")
+
+def _analyze_args(p):
     _add_algebra_args(p)
     p.add_argument("--der", action="store_true",
                    help="analyze the derivation algebra of the input "
@@ -257,15 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
                                   "each vector comma-separated coordinates "
                                   "in the analyzed algebra's basis")
 
-    p = sub.add_parser("catalog", help="emit a family as a definition document")
+
+def _catalog_args(p):
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a")
     p.add_argument("--b")
     p.add_argument("--order", choices=(GROUPED, INTERLEAVED), default=GROUPED)
 
-    p = sub.add_parser("verify-paper",
-                       help="re-verify the documented claim registry")
+
+def _verify_args(p):
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--a", help="comma-separated parameter list")
     p.add_argument("--seed", type=int, default=0)
@@ -275,12 +269,46 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include elapsed times in JSON output")
     p.add_argument("--strict", action="store_true",
                    help="flagged discrepancies also fail the run")
+
+
+# subcommand -> (help, function adding its arguments)
+_COMMANDS = {
+    "check": ("parse and classify an algebra", _add_algebra_args),
+    "derive": ("compute Der / Inn / AIDer", _derive_args),
+    "analyze": ("structural analysis", _analyze_args),
+    "catalog": ("emit a family as a definition document", _catalog_args),
+    "verify-paper": ("re-verify the documented claim registry", _verify_args),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is listed with its help, but one
+    run parses one subcommand, so only the one named by ``argv[0]`` gets its
+    arguments; all of them do when ``argv[0]`` names none (``--help``,
+    ``--version`` or a typo)."""
+    parser = argparse.ArgumentParser(
+        prog="derleib",
+        description="exact derivation algebras of nilpotent Leibniz algebras")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (text, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if chosen in (None, name):
+            add_args(p)
     return parser
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    # Interpreter finalization runs full collections over every object the
+    # run made.  The package defines no finalizers and closes its files with
+    # ``with``, so freezing the heap at exit only skips that scan; done once
+    # per process however often ``main`` runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         if args.command in ("check", "derive", "analyze"):

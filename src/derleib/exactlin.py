@@ -9,7 +9,7 @@ sparse ``{column: value}`` dicts; a :class:`Subspace` stores its echelon
 rows and makes canonical and dense rows as views.  Operators are sparse
 matrices ``{row: {column: value}}`` without zero entries, handled by the
 kit :func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`,
-:func:`sparse_trace`, :func:`sparse_flat`, :func:`sparse_rows` and
+:func:`sparse_traces`, :func:`sparse_flat`, :func:`sparse_rows` and
 :func:`sparse_commutator`, the only matrix arithmetic here.  :class:`Mat`
 is dense storage with views, for the catalog's parameter matrices and the
 CLI's dense view.  Values are immutable after construction, so every
@@ -285,15 +285,19 @@ def sparse_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def sparse_trace(a: dict, b: dict):
-    """``trace(a b)`` of two sparse matrices; the int 0 when no terms meet."""
-    t = 0
-    for r, row in a.items():
-        for c, v in row.items():
-            bc = b.get(c)
-            if bc and r in bc:
-                t = t + v * bc[r]
-    return t
+def sparse_traces(left, right) -> dict:
+    """``{s: {t: trace(left[s] right[t])}}``, zeros omitted, for two
+    sequences of sparse matrices, as one :func:`sparse_mul`: trace(a b) is
+    the sum of a[r][c] b[c][r], so each left matrix is flattened at (r, c)
+    and each right one transposed into the column (c, r)."""
+    flat = {s: {(r, c): v for r, row in a.items() for c, v in row.items()}
+            for s, a in enumerate(left)}
+    cols = {}
+    for t, b in enumerate(right):
+        for r, row in b.items():
+            for c, v in row.items():
+                cols.setdefault((c, r), {})[t] = v
+    return sparse_mul(flat, cols)
 
 
 def sparse_flat(a: dict, d: int) -> SparseVec:
@@ -526,7 +530,8 @@ def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
     kernel of the realified rows, the realified conjugate of the kernel."""
     ech = Echelon(ncols, field)
     for r in rows:
-        ech.insert(r)
+        if ech.insert(r) and ech.rank == ncols:
+            return Subspace.zero(ncols, field)  # full column rank
     pivots = ech.rows
     out = Echelon(ncols, field)
     for f in range(ncols if field == Q else 2 * ncols):
@@ -554,10 +559,17 @@ class Subspace(Frozen):
     erows: tuple  # echelon rows in pivot order, no zero rows
 
     @classmethod
-    def span(cls, vectors: Iterable, ambient_dim: int, field: str = Q) -> "Subspace":
+    def span(cls, vectors: Iterable, ambient_dim: int, field: str = Q,
+             bound: Optional["Subspace"] = None) -> "Subspace":
+        """The span of ``vectors``.  ``bound`` is a subspace the caller has
+        proved contains every vector, the whole space by default; it is
+        returned, and no further vector is read, once the span reaches its
+        dimension."""
+        top = ambient_dim if bound is None else bound.dim
         ech = Echelon(ambient_dim, field)
         for v in vectors:
-            ech.insert(v)
+            if ech.insert(v) and ech.rank == top:
+                return cls.full(ambient_dim, field) if bound is None else bound
         return cls(ambient_dim, field, ech.erows())
 
     @classmethod

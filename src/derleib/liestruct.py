@@ -31,7 +31,7 @@ from .exactlin import (
     sparse_flat,
     sparse_mul,
     sparse_rows,
-    sparse_trace,
+    sparse_traces,
 )
 
 
@@ -45,26 +45,33 @@ def _require_lie(alg: Algebra):
 
 
 class KillingForm(NamedTuple):
-    gram: Mat
+    """The Killing form of ``alg``.  ``rows`` is its Gram matrix as sparse
+    rows ``{s: {t: v}}`` summed on the int adjoints: c^2 times the true one
+    for c = ``alg.int_scale``, which changes neither its rank nor an
+    orthogonal, so only :attr:`gram` divides."""
+    alg: Algebra
+    rows: dict
 
     @property
     def rank(self) -> int:
-        g = self.gram
-        return Subspace.span(map(g.row, range(g.rows)), g.cols, g.field).dim
+        return Subspace.span(self.rows.values(), self.alg.dim, self.alg.field).dim
+
+    @property
+    def gram(self) -> Mat:
+        """The true Gram matrix, dense."""
+        d, c2 = self.alg.dim, self.alg.int_scale ** 2
+        dense = [[0] * d for _ in range(d)]
+        for s, row in self.rows.items():
+            for t, v in row.items():
+                dense[s][t] = v if c2 == 1 else Fraction(v, c2)
+        return Mat.from_rows(dense, self.alg.field)
 
 
-def _gram(alg: Algebra) -> Mat:
-    """Gram matrix of (x, y) -> trace(ad_x ad_y) on the basis; uncached.
-    Each trace is summed on the int adjoints, c = ``int_scale`` times the
-    true ones, then divided by c^2.  trace(ad_s ad_t) = trace(ad_t ad_s),
-    so the entries with s <= t are computed and mirrored."""
-    ads, c2 = alg.int_ops[0], alg.int_scale ** 2
-    rows = [[0] * len(ads) for _ in ads]
-    for s, a in enumerate(ads):
-        for t in range(s, len(ads)):
-            tr = sparse_trace(a, ads[t])
-            rows[s][t] = rows[t][s] = tr if c2 == 1 else Fraction(tr, c2)
-    return Mat.from_rows(rows, alg.field)
+def _gram(alg: Algebra) -> dict:
+    """Sparse rows of trace(ad_s ad_t) on the int adjoints, c^2 times the
+    Gram matrix (see :class:`KillingForm`); uncached."""
+    ads = alg.int_ops[0]
+    return sparse_traces(ads, ads)
 
 
 # each cache holds the smallest power of two above the entries `verify-paper
@@ -73,16 +80,16 @@ def _gram(alg: Algebra) -> Mat:
 def killing(alg: Algebra) -> KillingForm:
     """The Killing form of a Lie algebra."""
     _require_lie(alg)
-    return KillingForm(_gram(alg))
+    return KillingForm(alg, _gram(alg))
 
 
-def _orthogonal(sub: Subspace, gram: Mat) -> Subspace:
-    """Orthogonal of ``sub`` under the symmetric form with Gram matrix
-    ``gram``: the kernel of the products x G over the echelon rows x of
-    ``sub``, which are multiples of its canonical rows."""
+def _orthogonal(sub: Subspace, gram: dict) -> Subspace:
+    """Orthogonal of ``sub`` under a symmetric form, given by sparse rows
+    ``gram`` of a nonzero multiple of its Gram matrix G: the kernel of the
+    products x G over the echelon rows x of ``sub``, which are multiples of
+    its canonical rows."""
     x = dict(enumerate(map(dict, sub.erows)))
-    rows = sparse_mul(x, sparse_rows(gram.sparse(), gram.cols)).values()
-    return kernel_from_rows(rows, sub.ambient_dim, sub.field)
+    return kernel_from_rows(sparse_mul(x, gram).values(), sub.ambient_dim, sub.field)
 
 
 @lru_cache(maxsize=128)
@@ -92,7 +99,7 @@ def radical(alg: Algebra) -> Subspace:
     of a Lie algebra by an ideal is Lie, so the check reads the quotient's
     Gram matrix without classifying it again."""
     _require_lie(alg)
-    rad = _orthogonal(alg.commutator_ideal, killing(alg).gram)
+    rad = _orthogonal(alg.commutator_ideal, killing(alg).rows)
     if rad.dim < alg.dim:
         q = alg.quotient(rad)
         if _orthogonal(q.commutator_ideal, _gram(q)).dim != 0:
@@ -128,7 +135,7 @@ def nilradical(alg: Algebra) -> Subspace:
     # ad_x lies in the envelope A_R, so it is in the trace radical of A_R
     # iff trace(ad_x b) = 0 for every basis element b of A_R; solve over the
     # radical's coordinates and map the kernel back through its rows
-    traces = ([sparse_trace(a, b) for a in ads] for b in basis)
+    traces = sparse_traces(basis, ads).values()
     kernel = kernel_from_rows(traces, rad.dim, alg.field)
     nil = Subspace.span((sparse_combine(rad.erows, row) for row in kernel.erows),
                         d, alg.field)
@@ -169,7 +176,7 @@ def verify_levi(alg: Algebra, s: Subspace) -> LeviResult:
     if s.intersect(rad).dim != 0 or s.sum(rad).dim != alg.dim:
         return LeviResult(False, "not-complement")
     # the form is degenerate on s iff some nonzero x in s is orthogonal to s
-    if not s.intersect(_orthogonal(s, killing(alg).gram)).is_zero():
+    if not s.intersect(_orthogonal(s, killing(alg).rows)).is_zero():
         return LeviResult(False, "degenerate")
     return LeviResult(True)
 

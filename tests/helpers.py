@@ -26,7 +26,6 @@ from derleib.exactlin import (
     sparse_flat,
     sparse_mul,
     sparse_rows,
-    sparse_trace,
 )
 from derleib.liestruct import killing
 
@@ -178,6 +177,19 @@ def trace(m: Mat):
     t = scalar_zero(m.field)
     for k in range(m.rows):
         t = t + m.entries[k * m.cols + k]
+    return t
+
+
+def sparse_trace(a: dict, b: dict):
+    """``trace(a b)`` of two sparse matrices ``{row: {column: value}}``, one
+    pair at a time; the int 0 when no terms meet.  An oracle for
+    :func:`derleib.exactlin.sparse_traces`."""
+    t = 0
+    for r, row in a.items():
+        for c, v in row.items():
+            bc = b.get(c)
+            if bc and r in bc:
+                t = t + v * bc[r]
     return t
 
 
@@ -561,6 +573,36 @@ def naive_bracket(alg: Algebra, x, y) -> tuple:
             for k, cf in terms:
                 out[k] = out[k] + x[i] * y[j] * cf
     return tuple(out)
+
+
+def naive_product_rows(alg: Algebra, u, v) -> tuple:
+    """Canonical rows of span{[x, y] : x in u, y in v} for two lists of
+    dense vectors: every :func:`naive_bracket` inserted into a
+    :class:`FractionEchelon`, with no bound and no early stop."""
+    ech = FractionEchelon(alg.dim)
+    for x in u:
+        for y in v:
+            ech.insert(naive_bracket(alg, x, y))
+    return ech.canonical_rows()
+
+
+def naive_series(alg: Algebra, kind: str) -> list:
+    """Canonical rows of the terms of the lower central series (L^{k+1} =
+    [L, L^k]) or the derived series (L^{(k+1)} = [L^{(k)}, L^{(k)}]) the
+    dense way, each term by :func:`naive_product_rows` and no inclusion
+    assumed; it ends at the first zero term or the first term equal to the
+    one before."""
+    zero = scalar_zero(alg.field)
+    e = [basis_vector(alg, i) for i in range(alg.dim)]
+    terms, term = [tuple(((k, scalar_one(alg.field)),) for k in range(alg.dim))], e
+    while True:
+        rows = naive_product_rows(alg, e if kind == "lower_central" else term, term)
+        if rows == terms[-1]:
+            return terms
+        terms.append(rows)
+        if not rows:
+            return terms
+        term = [tuple(dict(row).get(c, zero) for c in range(alg.dim)) for row in rows]
 
 
 def naive_is_derivation(d: Mat, alg: Algebra) -> bool:

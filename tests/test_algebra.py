@@ -9,11 +9,12 @@ from derleib.algebra import Algebra, AlgebraKind, NotAnIdeal
 from derleib.catalog import dieudonne, heisenberg_leibniz, heisenberg_lie, \
     jordan, kronecker
 from derleib.derivations import der_algebra
-from derleib.exactlin import GaussRat, Mat, Q, QI, Subspace
+from derleib.exactlin import Echelon, GaussRat, Mat, Q, QI, Subspace
 
 from helpers import abelian, adjoint, basis_vector, is_zero, leib_ideal, \
-    lincomb, naive_bracket, naive_is_derivation, naive_kind, nullspace, \
-    random_small_algebra, random_solvable_lie, random_vector, solve, unit
+    lincomb, naive_bracket, naive_is_derivation, naive_kind, \
+    naive_product_rows, naive_series, nullspace, random_small_algebra, \
+    random_solvable_lie, random_vector, solve, unit
 
 
 def vec(alg, **coords):
@@ -416,6 +417,66 @@ class TestProductSpaceAndSeries:
                 terms = alg.series(kind)
                 for prev, nxt in zip(terms, terms[1:]):
                     assert prev.contains(nxt) and prev.dim > nxt.dim
+
+
+def _scalar_types(erows) -> list:
+    return [type(x) for row in erows for _, x in row]
+
+
+def _dense_rows(rows, dim, field):
+    zero = F(0) if field == Q else GaussRat()
+    return [tuple(dict(row).get(c, zero) for c in range(dim)) for row in rows]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_early_stops_of_series_and_bounded_products(seed, data):
+    """``series`` passes each term to ``product_space`` as a bound on the
+    next, which is returned once the brackets reach its dimension.  On
+    ``random_small_algebra`` draws, the Der of those of dimension <= 3 and
+    ``random_solvable_lie`` draws, over Q or over Q(i) with the table times
+    1 + i: both series equal :func:`naive_series`, which assumes no
+    inclusion, and ``product_space(u, v, bound)`` of random subspaces, with
+    a bound made of [u, v] and random extra vectors, equals the unbounded
+    product and the dense span, with the scalar types of an
+    :class:`Echelon`'s rows."""
+    rng = Random(seed)
+    shape = data.draw(st.sampled_from(("small", "der", "solvable")))
+    if shape == "solvable":
+        alg = random_solvable_lie(rng)[0]
+    else:
+        alg = random_small_algebra(rng)
+        if shape == "der" and alg.dim <= 3:
+            alg = der_algebra(alg).structure
+    if data.draw(st.booleans()):
+        alg = Algebra.from_brackets(QI, alg.labels, {
+            key: [(k, GaussRat(cf, cf)) for k, cf in terms]
+            for key, terms in alg.table.items()})
+    d, field = alg.dim, alg.field
+    for kind in ("lower_central", "derived"):
+        assert [t.rows for t in alg.series(kind)] == naive_series(alg, kind)
+    u = Subspace.span([random_vector(rng, d) for _ in range(rng.randint(0, d))], d, field)
+    v = u if data.draw(st.booleans()) else Subspace.span(
+        [random_vector(rng, d) for _ in range(rng.randint(0, d))], d, field)
+    want = naive_product_rows(alg, u.basis, v.basis)
+    bound = Subspace.span(_dense_rows(want, d, field)
+                          + [random_vector(rng, d) for _ in range(rng.randint(0, 2))],
+                          d, field)
+    got = alg.product_space(u, v, bound=bound)
+    assert got.rows == want and got == alg.product_space(u, v)
+    ech = Echelon(d, field)
+    for row in want:
+        ech.insert(dict(row))
+    assert _scalar_types(got.erows) == _scalar_types(ech.erows())
+
+
+def test_series_returns_the_bound_once_it_is_reached():
+    """[L, [L, L]] = [L, L] on Der(h_3) = gl2 ⋉ F^2 and on sl2: the product
+    stops at the bound and returns that very subspace."""
+    for alg in (der_algebra(heisenberg_lie(1)).structure, LIE_BASES[3]):
+        comm = alg.commutator_ideal
+        assert alg.product_space(alg.full_space(), comm, bound=comm) is comm
+        assert alg.series("lower_central")[-1] == comm
 
 
 class TestCentersAndLeib:

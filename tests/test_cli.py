@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -333,3 +336,122 @@ class TestVerify:
         code, text = run_cli("verify-paper", "--nmax", "1", "--claim", "ZZ")
         assert code == 2 and text == ""
         assert "ZZ" in capsys.readouterr().err
+
+
+# Captured from the CLI that built every subparser on every run, at 80
+# columns; the parser now fills in only the subcommand it is given.
+TOP_HELP = """\
+usage: derleib [-h] [--version]
+               {check,derive,analyze,catalog,verify-paper} ...
+
+exact derivation algebras of nilpotent Leibniz algebras
+
+positional arguments:
+  {check,derive,analyze,catalog,verify-paper}
+    check               parse and classify an algebra
+    derive              compute Der / Inn / AIDer
+    analyze             structural analysis
+    catalog             emit a family as a definition document
+    verify-paper        re-verify the documented claim registry
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+ANALYZE_HELP = """\
+usage: derleib analyze [-h]
+                       [--family {heisenberg-lie,heisenberg,kronecker,dieudonne,realify-heisenberg}]
+                       [--n N] [--a A] [--b B] [--order {grouped,interleaved}]
+                       [--der] [--levi LEVI]
+                       [file]
+
+positional arguments:
+  file                  algebra definition file
+
+options:
+  -h, --help            show this help message and exit
+  --family {heisenberg-lie,heisenberg,kronecker,dieudonne,realify-heisenberg}
+                        catalog family
+  --n N                 family size parameter
+  --a A                 scalar parameter (exact syntax, e.g. 1/2 or 1+1i)
+  --b B                 imaginary part for realify-heisenberg
+  --order {grouped,interleaved}
+  --der                 analyze the derivation algebra of the input instead of
+                        the input itself
+  --levi LEVI           claimed Levi complement: 'v1;v2;...', each vector
+                        comma-separated coordinates in the analyzed algebra's
+                        basis
+"""
+
+VERIFY_USAGE_ERROR = """\
+usage: derleib verify-paper [-h] [--nmax NMAX] [--a A] [--seed SEED]
+                            [--claim CLAIM] [--json] [--timing] [--strict]
+derleib verify-paper: error: argument --nmax: expected one argument
+"""
+
+TYPO_ERROR = """\
+usage: derleib [-h] [--version]
+               {check,derive,analyze,catalog,verify-paper} ...
+derleib: error: argument command: invalid choice: 'frobnicate' (choose from \
+'check', 'derive', 'analyze', 'catalog', 'verify-paper')
+"""
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["--help"], 0, TOP_HELP, ""),
+        (["analyze", "--help"], 0, ANALYZE_HELP, ""),
+        (["verify-paper", "--nmax"], 2, "", VERIFY_USAGE_ERROR),
+        (["frobnicate"], 2, "", TYPO_ERROR),
+    ], ids=["help", "analyze-help", "usage-error", "typo"])
+    def test_help_and_errors_unchanged(self, argv, code, out, err, monkeypatch,
+                                       capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert capsys.readouterr() == (out, err)
+
+    def test_only_the_named_subcommand_is_filled_in(self, capsys):
+        """A parser built for one subcommand has no options for another; one
+        built for no subcommand has them all."""
+        derive = ["derive", "--family", "dieudonne", "--n", "2", "--json"]
+        with pytest.raises(SystemExit):
+            cli.build_parser(["catalog"]).parse_args(derive)
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert cli.build_parser(derive).parse_args(derive).json
+        assert cli.build_parser(["--help"]).parse_args(derive).json
+
+
+def _fresh_python(*args):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestShutdown:
+    """``main`` registers ``gc.freeze`` to run at exit, so that interpreter
+    finalization does not scan the run's objects; a fresh process must
+    still print every byte and keep the exit code."""
+
+    def test_fresh_process_prints_what_main_returns(self):
+        argv = ["verify-paper", "--nmax", "2", "--json"]
+        code, text = run_cli(*argv)
+        proc = _fresh_python("-m", "derleib.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, text.encode("utf-8"), b"")
+
+    def test_main_twice_in_one_process_exits_cleanly(self):
+        """Two runs of ``main`` in one process: both exit codes, then one
+        freeze at exit, counted by a wrapper around the real one."""
+        proc = _fresh_python("-c", """if True:
+            import gc, io
+            from derleib.cli import main
+            freeze = gc.freeze
+            gc.freeze = lambda: print("frozen") or freeze()
+            print(*[main(["verify-paper", "--nmax", "1", "--json"], out=io.StringIO())
+                    for _ in range(2)])
+            """)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 0\nfrozen\n", b"")

@@ -23,7 +23,7 @@ from derleib.exactlin import (
     sparse_flat,
     sparse_mul,
     sparse_rows,
-    sparse_trace,
+    sparse_traces,
 )
 from helpers import (
     FractionEchelon,
@@ -36,6 +36,7 @@ from helpers import (
     nullspace,
     solve,
     split_parse_scalar,
+    sparse_trace,
     trace,
     transpose,
 )
@@ -318,6 +319,9 @@ class TestSparseKit:
             sa, sb = _sparse(a), _sparse(b)
             assert sparse_mul(sa, sb) == _sparse(matmul(a, b))
             assert sparse_trace(sa, sb) == trace(matmul(a, b))
+            assert sparse_traces([sa, sb], [sb]) == {
+                s: {0: v} for s, v in enumerate(
+                    (sparse_trace(sa, sb), sparse_trace(sb, sb))) if v}
             assert sparse_flat(sa, 4) == {i: x for i, x in enumerate(a.entries) if x}
             assert sparse_rows(sparse_flat(sa, 4), 4) == sa
 
@@ -564,6 +568,56 @@ class TestEchelonProperty:
         u = Subspace.span(inserted, ncols, field)
         v = Subspace.span(probed, ncols, field)
         assert u.intersect(v).rows == fraction_intersect(u.rows, v.rows, ncols)
+
+
+def _read_then_fail(vectors):
+    yield from vectors
+    raise AssertionError("a vector was read after full rank")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_full_rank_stops_span_and_kernel(data):
+    """``Subspace.span`` returns ``Subspace.full``, and ``kernel_from_rows``
+    ``Subspace.zero``, once the vectors reach full rank, and read no vector
+    after that.  Drawn systems over Q and Q(i), half of them holding the
+    rows of an invertible matrix (upper triangular with a nonzero diagonal,
+    columns permuted) among random rows: the span and the kernel
+    against :class:`FractionEchelon` and :func:`fraction_kernel`, and at
+    full rank against ``full`` and ``zero``, whose rows have the scalar
+    types an :class:`Echelon` reads back."""
+    draw = data.draw
+    field = draw(st.sampled_from((Q, QI)))
+    n = draw(st.integers(0, 5))
+    entry, zero = _ENTRY[field], (F(0) if field == Q else GaussRat())
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple),
+                            max_size=4))
+    if draw(st.booleans()):
+        cols = draw(st.permutations(range(n)))
+        square = [[zero] * n for _ in range(n)]
+        for k in range(n):
+            square[k][cols[k]] = draw(entry.filter(bool))
+            for j in range(k + 1, n):
+                square[k][cols[j]] = draw(entry)
+        at = draw(st.integers(0, len(vectors)))
+        vectors[at:at] = map(tuple, square)
+    ech, oracle = Echelon(n, field), FractionEchelon(n)
+    for v in vectors:
+        ech.insert(v)
+        oracle.insert(v)
+    assert Subspace.span(vectors, n, field).rows == oracle.canonical_rows()
+    assert kernel_from_rows(vectors, n, field).rows == fraction_kernel(vectors, n, field)
+    if oracle.rank == n:
+        full = Subspace.full(n, field)
+        assert Subspace.span(vectors, n, field) == full
+        assert [type(x) for row in full.erows for _, x in row] == \
+            [type(x) for row in ech.erows() for _, x in row]
+        assert full.erows == ech.erows()
+        assert kernel_from_rows(vectors, n, field) == Subspace.zero(n, field)
+        if n:  # at n = 0 the rank is full before the first vector
+            assert Subspace.span(_read_then_fail(vectors), n, field) == full
+            assert kernel_from_rows(_read_then_fail(vectors), n, field).is_zero()
+
 
 def _oracle_rows(rng, field):
     """Seeded random rows over Q or Q(i): parts in {-3..3}/{1,2}, about 40%

@@ -22,6 +22,7 @@ from derleib.exactlin import (
     Q,
     QI,
     Subspace,
+    sparse_rows,
 )
 from derleib.liestruct import (
     NotLie,
@@ -320,8 +321,8 @@ def test_killing_and_radical_on_a_table_with_denominators():
 
 
 def test_killing_cases_reach_both_fields_off_the_diagonal():
-    """The cases above pin the mirrored half: over Q and over Q(i) some
-    Gram matrix has a nonzero entry below the diagonal."""
+    """The cases above pin the entries below the diagonal: over Q and over
+    Q(i) some Gram matrix has a nonzero entry there."""
     fields = set()
     for _, g in KILLING_CASES:
         gram = killing(g).gram
@@ -370,7 +371,7 @@ def test_radical_self_check_still_runs(monkeypatch):
 
     def zero_gram(alg):
         quotients.append(alg)
-        return Mat.zero(alg.dim, alg.dim, alg.field)
+        return {}  # the sparse rows of the zero matrix
 
     monkeypatch.setattr(liestruct, "_gram", zero_gram)
     with pytest.raises(InternalInvariantError):
@@ -435,7 +436,8 @@ class TestLevi:
             gram = Mat.from_rows([[sum(c * v[r] * v[k] for c, v in vs)
                                    for k in range(g.dim)] for r in range(g.dim)])
             monkeypatch.setattr(liestruct, "killing",
-                                lambda alg: liestruct.KillingForm(gram))
+                                lambda alg: liestruct.KillingForm(
+                                    alg, sparse_rows(gram.sparse(), gram.cols)))
             dense = Mat.from_rows([[bilinear(gram, a, b) for b in s.basis]
                                    for a in s.basis])
             want = "failed(degenerate)" if nullspace(dense).dim else "verified"
