@@ -82,11 +82,11 @@ class Algebra(Frozen):
                 table[(i, j)] = terms
         return cls(field, tuple(labels), table)
 
-    @property
+    @cached_property
     def int_ops(self) -> tuple[list, list]:
         """``(left, right)``: for each basis vector b_i, the sparse matrices
         ``{row: {col: coeff}}`` of y -> [b_i, y] and y -> [y, b_i] in
-        :attr:`int_table`.  Rebuilt on every call; callers cache them."""
+        :attr:`int_table`.  Built once and shared; callers only read them."""
         return _operators(self.int_table, self.dim)
 
     # -- identity checks -------------------------------------------------

@@ -8,6 +8,7 @@ modules, so a failure here localizes a real mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Optional
 
@@ -178,6 +179,11 @@ def dieu_gens(n: int) -> dict:
 # cached family/derivation access
 # ---------------------------------------------------------------------------
 
+# each member and its parameter matrix built and hashed once per (n, a,
+# order); the callers omit the default order, so it is never a second key.
+# 128 is the smallest power of two above the 112 members `verify-paper
+# --nmax 16` builds, so that run evicts nothing.
+@lru_cache(maxsize=128)
 def _heis(n: int, a: Fraction, order: str = GROUPED) -> Algebra:
     return heisenberg_leibniz(n, jordan(a, n), order)
 

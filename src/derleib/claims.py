@@ -76,10 +76,23 @@ def run_claim(claim: Claim, params: dict, master_seed: int = 0) -> ClaimResult:
                        time.perf_counter() - t0)
 
 
+def _report_id(text: str) -> str:
+    """The first 16 hex digits of the SHA-256 of ``text``.  CPython's
+    built-in module computes it without ``hashlib``, which maps OpenSSL;
+    ``random`` takes its built-in ``_sha512`` first for the same reason."""
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # CPython 3.12+
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()[:16]
+
+
 def run_all(nmax: int = 4, a_values=DEFAULT_A, seed: int = 0,
             only=None) -> Report:
     """Instantiate every claim over its domain clipped to nmax."""
-    import hashlib  # deferred: the other commands never need it
     # the Dieudonne algebra, of dimension 2n+2, is the largest family built
     top = (MAX_DIM - 2) // 2
     if not 1 <= nmax <= top:
@@ -105,7 +118,6 @@ def run_all(nmax: int = 4, a_values=DEFAULT_A, seed: int = 0,
             results.append(run_claim(claim, params, seed))
     digest = "nmax=%d;a=%s;seed=%d" % (
         nmax, ",".join(format_scalar(a) for a in a_values), seed)
-    return Report(version=__version__,
-                  input=hashlib.sha256(digest.encode()).hexdigest()[:16],
+    return Report(version=__version__, input=_report_id(digest),
                   analyses=(),
                   claims=tuple(r.as_dict() for r in results))

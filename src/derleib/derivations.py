@@ -110,13 +110,12 @@ class MatrixLieAlgebra(Frozen):
                 if t < s and (t, s) in table:
                     table[(s, t)] = tuple((k, -cf) for k, cf in table[(t, s)])
                 elif s < t:
-                    flat = sparse_commutator(ops[s], ops[t], d)
-                    if not sub.contains(flat):
+                    at = sub.take_coords(sparse_commutator(ops[s], ops[t], d))
+                    if at is None:
                         raise ClosureError("commutator of basis elements %d, %d "
                                            "escapes the span" % (s, t))
                     n = sub.erows[s][0][1] * sub.erows[t][0][1] if q else 1
-                    cs = tuple((index[p], Fraction(flat[p], n) if q else flat[p])
-                               for p in sorted(flat) if p in index)
+                    cs = tuple((index[p], Fraction(v, n) if q else v) for p, v in at)
                     if cs:
                         table[(s, t)] = cs
         labels = tuple("m%d" % (k + 1) for k in range(sub.dim))

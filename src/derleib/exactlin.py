@@ -631,6 +631,23 @@ class Subspace(Frozen):
         self._check_vector(v)
         return self._ech.contains(v)
 
+    def take_coords(self, vec: SparseVec) -> Optional[list]:
+        """Coordinates of a sparse vector that the caller hands over, keyed
+        by pivot: its values at the pivot columns as ``(pivot, value)``
+        pairs in ascending order, or None if it lies outside, as
+        :meth:`coords` reads them.  Over Q ``vec`` must be an int row inside
+        the ambient space; it is read at the pivots first and then reduced
+        in place, with no copy and no shape check.  Over Q(i) it is tested
+        by :meth:`contains`."""
+        rows = self._ech.rows
+        if self.field == Q:
+            at = sorted((p, v) for p, v in vec.items() if p in rows)
+            return None if self._ech._reduce(vec) else at
+        if not self.contains(vec):
+            return None
+        # Q(i) pivot p is the realified pivot 2p
+        return sorted((p, v) for p, v in vec.items() if 2 * p in rows)
+
     def _check_vector(self, v):
         """A dense vector must have the ambient length, a sparse one only
         columns inside the ambient space."""

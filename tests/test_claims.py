@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import pytest
 from derleib import checkers
 from derleib.checkers import dieu_gens, j0_gens, kron_gens, registry
 from derleib.claims import DEFAULT_A, run_all, run_claim
-from derleib.catalog import dieudonne, kronecker
+from derleib.catalog import dieudonne, heisenberg_leibniz, kronecker
 from derleib.dsl import report_json
 from derleib.exactlin import Mat, Subspace
 
@@ -22,6 +23,28 @@ def test_k6_and_p1_share_one_kronecker_build():
     run_claim(REG["K6"], {"n": 2, "a": F(2)})
     run_claim(REG["P1"], {"family": "kronecker", "n": 2})
     assert kronecker.cache_info().misses == 1
+
+
+def test_heisenberg_claims_build_each_jordan_member_once():
+    # H1, H3 and H8 all read the member at n=2, a=2, and H8 also a=0 and
+    # heisenberg-lie; each parameter matrix is built and hashed once, so the
+    # catalog cache is asked once per algebra
+    checkers._heis.cache_clear()
+    heisenberg_leibniz.cache_clear()
+    for cid in ("H1", "H3", "H8"):
+        run_claim(REG[cid], {"n": 2, "a": F(2)})
+    assert checkers._heis.cache_info().misses == 2
+    assert heisenberg_leibniz.cache_info()[:2] == (0, 3)  # (hits, misses)
+
+
+def test_report_id_is_the_sha256_prefix():
+    # the built-in SHA-256 gives hashlib's bytes, so no recorded id moves
+    for nmax, a_values, seed in ((1, (F(2),), 0), (2, (F(1, 2), F(-3)), 5),
+                                 (1, DEFAULT_A, 123456789)):
+        text = "nmax=%d;a=%s;seed=%d" % (
+            nmax, ",".join(str(a) for a in a_values), seed)
+        rep = run_all(nmax, a_values, seed, only={"H1"})
+        assert rep.input == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_commutator_table_check():

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -8,9 +9,9 @@ import time
 import pytest
 
 from derleib import checkers, claims, cli, derivations
-from derleib.algebra import MAX_DIM, Algebra
+from derleib.algebra import MAX_DIM, Algebra, _operators
 from derleib.cli import main
-from derleib.catalog import dieudonne, kronecker
+from derleib.catalog import dieudonne, heisenberg_lie, kronecker
 from derleib.dsl import parse
 from derleib.exactlin import ShapeMismatch
 
@@ -221,6 +222,24 @@ class TestAnalyze:
         code, text = run_cli("analyze", str(path), "--der")
         assert code == 0 and "nilradical (dim" in text
         assert len(calls) == 1
+
+    def test_cached_operators_stay_as_built(self):
+        """``Algebra.int_ops`` is built once per algebra and shared, so no
+        reader may change it: after a full ``analyze --der`` and a
+        ``verify-paper --nmax 2``, every algebra's cached operators equal a
+        fresh build from its table."""
+        code, text = run_cli("analyze", "--family", "heisenberg-lie", "--n", "3",
+                             "--der")
+        assert code == 0 and "nilradical (dim" in text
+        assert run_cli("verify-paper", "--nmax", "2")[0] == 1
+        der = derivations.der_algebra(heisenberg_lie(3))
+        assert "int_ops" in der.structure.__dict__
+        cached = [alg for alg in gc.get_objects()
+                  if isinstance(alg, Algebra) and "int_ops" in alg.__dict__]
+        assert len(cached) > 20
+        for alg in cached:
+            assert alg.int_ops == _operators(alg.int_table, alg.dim)
+
 
 class TestCatalog:
     def test_emitted_document_round_trips(self):

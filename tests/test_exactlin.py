@@ -1,7 +1,7 @@
 import re
 from fractions import Fraction as F
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from random import Random
 from types import SimpleNamespace
 
@@ -462,6 +462,22 @@ class TestEchelonAgainstFractions:
         assert u.intersect(v).rows == fraction_intersect(u.rows, v.rows, n)
         for vec in ru + rv:
             assert u.coords(vec) == fraction_coords(u.rows, vec)
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_take_coords(self, field, seed):
+        # a vector handed over (over Q an int row) gives the nonzero values
+        # of `coords` keyed by pivot, or None when it lies outside
+        rng = Random(3000 + seed)
+        ru, n = _system(rng, field)
+        u = Subspace.span(ru, n, field)
+        for vec in ru + _system(rng, field, n)[0]:
+            if field == Q:
+                m = lcm(*(x.denominator for x in vec))
+                vec = tuple(int(x * m) for x in vec)
+            cs = u.coords(vec)
+            want = None if cs is None else [(p, x) for p, x in zip(u.pivots, cs) if x]
+            assert u.take_coords({c: x for c, x in enumerate(vec) if x}) == want
 
 
 class TestOneEliminationLoop:

@@ -111,11 +111,26 @@ def test_no_dead_public_api():
 def test_cli_startup_modules():
     """``import derleib.cli`` loads every module the benchmark's span
     recorder wraps, and none of the modules the package no longer needs at
-    start-up: ``dataclasses`` (which pulls in ``inspect``), ``json`` and
-    ``hashlib``, imported where they are used, and ``derleib.checkers``,
-    which only ``verify-paper`` runs."""
+    start-up: ``dataclasses`` (which pulls in ``inspect``), ``json``,
+    imported where it is used, ``hashlib``, which it does not use, and
+    ``derleib.checkers``, which only ``verify-paper`` runs."""
     loaded = set(after_cli_import("print(*sys.modules)").split())
     assert sorted(loaded & {"dataclasses", "inspect", "json", "hashlib",
                             "derleib.checkers"}) == []
     wanted = {"derleib." + module for module, _ in _targets()}
     assert sorted(wanted - loaded) == []
+
+
+def test_verify_paper_loads_no_openssl():
+    """A whole ``verify-paper`` run takes its report id from CPython's
+    built-in SHA-256, so it imports neither ``hashlib`` nor its OpenSSL
+    binding ``_hashlib``."""
+    out = after_cli_import(
+        "import io\n"
+        "report = io.StringIO()\n"
+        "derleib.cli.main(['verify-paper', '--nmax', '1', '--json'], out=report)\n"
+        "assert '\"input\": \"' in report.getvalue()\n"
+        "print(*sys.modules)")
+    loaded = set(out.split())
+    assert "derleib.checkers" in loaded
+    assert sorted(loaded & {"hashlib", "_hashlib"}) == []
