@@ -32,7 +32,6 @@ from .exactlin import (
     InternalInvariantError,
     Subspace,
     format_scalar,
-    format_vector,
     parse_scalar,
 )
 from .liestruct import NotLie, killing, nilradical, radical, verify_levi
@@ -79,10 +78,24 @@ def _check_algebra_args(args, parser):
         parser.error("--family requires --n")
 
 
+def _dense_texts(sub: Subspace) -> list:
+    """Each canonical row of ``sub`` as the texts of its ambient-length dense
+    vector, made from the sparse row: "0" except at the row's columns, and
+    each distinct value formatted once."""
+    texts = {}
+    lines = []
+    for row in sub.rows:
+        line = ["0"] * sub.ambient_dim
+        for c, v in row:
+            line[c] = texts.get(v) or texts.setdefault(v, format_scalar(v))
+        lines.append(line)
+    return lines
+
+
 def _print_subspace(title: str, sub: Subspace, out):
     out.write("%s (dim %d):\n" % (title, sub.dim))
-    for row in sub.basis:
-        out.write("  %s\n" % format_vector(row))
+    for line in _dense_texts(sub):
+        out.write("  [%s]\n" % ", ".join(line))
 
 
 def _kind_line(alg: Algebra) -> str:
@@ -110,6 +123,7 @@ def cmd_check(args, out) -> int:
 def cmd_derive(args, out) -> int:
     name, alg = _load_algebra(args)
     der = der_algebra(alg)
+    der.structure  # the closure check, whatever is printed
     inn = inner_derivations(alg) if alg.kind.left_leibniz else None
     try:
         aid = almost_inner_genus1(alg)
@@ -123,8 +137,7 @@ def cmd_derive(args, out) -> int:
             "der_dim": der.dim,
             "inn_dim": inn.dim if inn else None,
             "aider_dim": aid.dim if aid else None,
-            "der_basis": [[format_scalar(x) for x in row]
-                          for row in der.subspace.basis],
+            "der_basis": _dense_texts(der.subspace),
         }
         report = Report(version=__version__, input=name, analyses=(analysis,))
         out.write(dsl.report_json(report))

@@ -4,10 +4,12 @@ Der(L) is the exact nullspace of the linear system collecting the derivation
 identity over all basis pairs, built from the sparse multiplication
 operators of ``Algebra.int_table``, so over Q on Python ints.  The result
 is wrapped as a :class:`MatrixLieAlgebra`: the canonical subspace of
-row-major flattened matrices and the induced abstract Lie algebra, with
-closure under commutators verified during construction on the subspace's
-sparse rows, since derivation matrices are mostly zero; the closure writes
-the induced canonical bracket table itself.  A matrix is passed
+row-major flattened matrices and the induced abstract Lie algebra, built
+the first time it is read, together with the closure check on the
+subspace's sparse rows, since derivation matrices are mostly zero.  Der,
+Inn and AIDer are closed by theorem, so they leave both to that read;
+``from_subspace`` reads it at once, so any other span is checked when
+wrapped.  A matrix is passed
 to ``contains``, ``coords`` and ``coords_span`` by its row-major flattening,
 a dense tuple or a sparse dict; the dense :class:`Mat` basis is only a view,
 built when first read.
@@ -64,11 +66,11 @@ def is_derivation(d: Mat, alg: Algebra) -> bool:
 
 
 class MatrixLieAlgebra(Frozen):
-    """A Lie algebra of d x d matrices with echelon-canonical basis."""
+    """A Lie algebra of d x d matrices with echelon-canonical basis; two are
+    equal when their subspaces are."""
 
     ambient_dim: int  # matrices are ambient_dim x ambient_dim
     subspace: Subspace  # flattened, canonical
-    structure: Algebra  # induced structure constants on the subspace's rows
 
     @property
     def dim(self) -> int:
@@ -85,6 +87,43 @@ class MatrixLieAlgebra(Frozen):
         return tuple(Mat.unflatten(row, d, d, self.field)
                      for row in self.subspace.basis)
 
+    @cached_property
+    def structure(self) -> Algebra:
+        """The induced structure constants on the subspace's rows, built on
+        first read, which is also when closure is checked.  A bracket of two
+        rows lies in the span, and its values at the pivots, divided by the
+        two rows' pivot values, are its coordinates, written straight into
+        the canonical table: k ascends with the pivots, (t, s) has the
+        negated coefficients of (s, t), made from the same ints, and the
+        keys are inserted in sorted order."""
+        sub, d = self.subspace, self.ambient_dim
+        q = sub.field == Q  # int rows over Q, pivot-one GaussRat rows over Q(i)
+        index = {p: k for k, p in enumerate(sub.pivots)}
+        ops = [sparse_rows(dict(row), d) for row in sub.erows]
+        table = {}
+        lower = [[] for _ in ops]  # lower[t]: ((t, s), terms) items, s ascending
+        coeffs = {}  # (value, pivot product) -> (coefficient, its negation)
+        for s in range(len(ops)):
+            table.update(lower[s])
+            for t in range(s + 1, len(ops)):
+                at = sub.take_coords(sparse_commutator(ops[s], ops[t], d))
+                if at is None:
+                    raise ClosureError("commutator of basis elements %d, %d "
+                                       "escapes the span" % (s, t))
+                if not at:
+                    continue
+                n = sub.erows[s][0][1] * sub.erows[t][0][1] if q else 1
+                pos, neg = [], []
+                for p, v in at:
+                    pair = coeffs.get((v, n)) or coeffs.setdefault(
+                        (v, n), (Fraction(v, n), Fraction(-v, n)) if q else (v, -v))
+                    pos.append((index[p], pair[0]))
+                    neg.append((index[p], pair[1]))
+                table[(s, t)] = tuple(pos)
+                lower[t].append(((t, s), tuple(neg)))
+        labels = tuple("m%d" % (k + 1) for k in range(sub.dim))
+        return Algebra(sub.field, labels, table)
+
     # kept for the benchmark's span recorder, which wraps it by name
     @classmethod
     def from_matrices(cls, mats: Iterable[Mat], ambient_dim: int,
@@ -95,31 +134,12 @@ class MatrixLieAlgebra(Frozen):
 
     @classmethod
     def from_subspace(cls, sub: Subspace, ambient_dim: int) -> "MatrixLieAlgebra":
-        """Wrap a subspace of flattened ambient_dim x ambient_dim matrices; a
-        bracket of two of its rows lies in it, and its values at the pivots,
-        divided by the two rows' pivot values, are its coordinates, written
-        straight into the canonical table: k ascends with the pivots, (t, s)
-        is the negation of (s, t), and the keys are inserted in sorted order."""
-        d = ambient_dim
-        q = sub.field == Q  # int rows over Q, pivot-one GaussRat rows over Q(i)
-        index = {p: k for k, p in enumerate(sub.pivots)}
-        ops = [sparse_rows(dict(row), d) for row in sub.erows]
-        table = {}
-        for s in range(len(ops)):
-            for t in range(len(ops)):
-                if t < s and (t, s) in table:
-                    table[(s, t)] = tuple((k, -cf) for k, cf in table[(t, s)])
-                elif s < t:
-                    at = sub.take_coords(sparse_commutator(ops[s], ops[t], d))
-                    if at is None:
-                        raise ClosureError("commutator of basis elements %d, %d "
-                                           "escapes the span" % (s, t))
-                    n = sub.erows[s][0][1] * sub.erows[t][0][1] if q else 1
-                    cs = tuple((index[p], Fraction(v, n) if q else v) for p, v in at)
-                    if cs:
-                        table[(s, t)] = cs
-        labels = tuple("m%d" % (k + 1) for k in range(sub.dim))
-        return cls(d, sub, Algebra(sub.field, labels, table))
+        """Wrap a subspace of flattened ambient_dim x ambient_dim matrices,
+        checked at once: its :attr:`structure` is read before returning, so
+        a span that is not closed raises :class:`ClosureError` here."""
+        mla = cls(ambient_dim, sub)
+        mla.structure
+        return mla
 
     def contains(self, flat) -> bool:
         return self.subspace.contains(flat)
@@ -171,8 +191,7 @@ def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
                 axpy(row, -1, ((q * d + j, cf) for q, cf in bf.get(m, {}).items()))
                 if row:
                     rows.setdefault(tuple(row.items()), row)
-    return MatrixLieAlgebra.from_subspace(
-        kernel_from_rows(rows.values(), d * d, alg.field), d)
+    return MatrixLieAlgebra(d, kernel_from_rows(rows.values(), d * d, alg.field))
 
 
 @lru_cache(maxsize=256)
@@ -183,8 +202,8 @@ def inner_derivations(alg: Algebra) -> MatrixLieAlgebra:
     if not alg.kind.left_leibniz:
         raise ValueError("inner derivations need a left Leibniz algebra")
     d = alg.dim
-    return MatrixLieAlgebra.from_subspace(Subspace.span(
-        (sparse_flat(m, d) for m in alg.int_ops[0]), d * d, alg.field), d)
+    return MatrixLieAlgebra(d, Subspace.span(
+        (sparse_flat(m, d) for m in alg.int_ops[0]), d * d, alg.field))
 
 
 class GenusError(ValueError):
@@ -209,4 +228,4 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     ann = kernel_from_rows(map(dict, alg.centers()[2].erows), d, alg.field)
     rank1 = Subspace.span(({r * d + c: x * y for r, x in w for c, y in phi}
                            for phi in ann.erows), d * d, alg.field)
-    return MatrixLieAlgebra.from_subspace(der.subspace.intersect(rank1), d)
+    return MatrixLieAlgebra(d, der.subspace.intersect(rank1))

@@ -333,7 +333,10 @@ def _row_of(vec, field: str) -> SparseVec:
     if field != Q:
         row = {2 * c + k: x for c, v in row.items()
                for k, x in enumerate(scalar_parts(v)) if x}
-    if all(type(v) is int for v in row.values()):
+    for v in row.values():
+        if type(v) is not int:
+            break
+    else:
         return row
     n = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (n // v.denominator) for c, v in row.items()}
@@ -379,12 +382,14 @@ class Echelon:
 
     def _reduce(self, out: SparseVec) -> SparseVec:
         rows = self.rows
-        hits = [p for p in out if p in rows]
+        hits = out.keys() & rows.keys()
         if not hits:
             return out
-        # one factor m makes every row's coefficient b*m/a an int; a row
-        # is zero at the other pivots, so clearing p leaves them alone
-        m = lcm(*(rows[p][p] // gcd(rows[p][p], out[p]) for p in hits))
+        # one factor m, from the pivot values a that do not divide b, makes
+        # every row's coefficient b*m/a an int; a row is zero at the other
+        # pivots, so the hits are cleared in any order
+        m = lcm(*(rows[p][p] // gcd(rows[p][p], out[p])
+                  for p in hits if out[p] % rows[p][p]))
         if m != 1:
             out = {c: m * v for c, v in out.items()}
         for p in hits:
@@ -403,7 +408,11 @@ class Echelon:
         return True
 
     def _add(self, red: SparseVec):
-        """Store a nonzero reduced int row and clear its pivot elsewhere."""
+        """Store a nonzero reduced int row and clear its pivot elsewhere.
+        ``red`` is a fresh dict (from :func:`_row_of`, :meth:`_reduce` or the
+        kernel builder) and the stored rows are the echelon's own, so a row
+        is updated in place, and copied only to scale it when the pivot
+        value does not divide its entry there."""
         p = min(red)
         rows = self.rows
         row = _primitive(red, p)
@@ -412,7 +421,8 @@ class Echelon:
             b = other.get(p)
             if b:
                 g = gcd(a, b)
-                other = {c: a // g * v for c, v in other.items()}
+                if g != a:
+                    other = {c: a // g * v for c, v in other.items()}
                 rows[k] = _primitive(axpy(other, -(b // g), row.items()), k)
         rows[p] = row
 

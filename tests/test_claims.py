@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
@@ -8,6 +9,7 @@ from derleib import checkers
 from derleib.checkers import dieu_gens, j0_gens, kron_gens, registry
 from derleib.claims import DEFAULT_A, run_all, run_claim
 from derleib.catalog import dieudonne, heisenberg_leibniz, kronecker
+from derleib.derivations import MatrixLieAlgebra, der_algebra
 from derleib.dsl import report_json
 from derleib.exactlin import Mat, Subspace
 
@@ -35,6 +37,23 @@ def test_heisenberg_claims_build_each_jordan_member_once():
         run_claim(REG[cid], {"n": 2, "a": F(2)})
     assert checkers._heis.cache_info().misses == 2
     assert heisenberg_leibniz.cache_info()[:2] == (0, 3)  # (hits, misses)
+
+
+def test_dimension_claims_build_no_structure(monkeypatch):
+    # H1 reads dim Der only, so no induced bracket table is built
+    built = []
+    lazy = MatrixLieAlgebra.__dict__["structure"]
+
+    def counted(mla):
+        built.append(mla)
+        return lazy.func(mla)
+    prop = cached_property(counted)
+    prop.__set_name__(MatrixLieAlgebra, "structure")
+    monkeypatch.setattr(MatrixLieAlgebra, "structure", prop)
+    der_algebra.cache_clear()
+    report = run_all(1, only={"H1"})
+    assert {c["status"] for c in report.claims} == {"confirmed"}
+    assert built == []
 
 
 def test_report_id_is_the_sha256_prefix():

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from derleib.algebra import Algebra
 from derleib.catalog import (
+    FAMILIES,
+    GROUPED,
     INTERLEAVED,
+    FamilySpec,
     dieudonne,
     heisenberg_leibniz,
     heisenberg_lie,
@@ -455,6 +458,52 @@ def test_closure_divides_by_the_pivots():
     assert mla.structure.table == {(0, 1): ((1, F(1, 2)),), (1, 0): ((1, F(-1, 2)),)}
     assert mla.structure == naive_structure(mla)
     _assert_canonical(mla.structure)
+
+
+def test_der_inn_and_aider_build_their_structure_when_read():
+    # labels unique to this test, so no cached value has been read before
+    h3 = Algebra.from_brackets(Q, ("h3u", "h3v", "h3w"),
+                               {(0, 1): [(2, 1)], (1, 0): [(2, -1)]})
+    mlas = [der_algebra(h3), inner_derivations(h3), almost_inner_genus1(h3)]
+    assert ["structure" in vars(mla) for mla in mlas] == [False] * 3
+    for mla in mlas:
+        struct = mla.structure
+        assert "structure" in vars(mla) and mla.structure is struct
+        assert struct == naive_structure(mla)
+
+
+def _family_members_upto_3():
+    """Every catalog family at n = 1, 2, 3 in both basis orders, with
+    parameters over Q and Q(i)."""
+    specs = []
+    for n in (1, 2, 3):
+        specs.append(FamilySpec("dieudonne", n))
+        for order in (GROUPED, INTERLEAVED):
+            specs += [FamilySpec("heisenberg-lie", n, order=order),
+                      FamilySpec("kronecker", n, order=order),
+                      FamilySpec("realify-heisenberg", n, a=F(1), b=F(2), order=order)]
+            specs += [FamilySpec("heisenberg", n, a=a, order=order)
+                      for a in (F(2), F(1), F(0), GaussRat(1, 2), GaussRat(0, 1))]
+    assert {spec.family for spec in specs} == set(FAMILIES)
+    return specs
+
+
+@pytest.mark.parametrize("spec", _family_members_upto_3(), ids=FamilySpec.name)
+def test_deferred_structure_matches_the_eager_closure(spec):
+    """Der, Inn and AIDer defer their closure check to the first read of
+    ``structure``; read here, it must pass and give the table that an eager
+    ``from_subspace`` of the same subspace gives."""
+    alg = spec.build()
+    mlas = [der_algebra(alg)]
+    if alg.kind.left_leibniz:
+        mlas.append(inner_derivations(alg))
+    if alg.commutator_ideal.dim == 1:
+        mlas.append(almost_inner_genus1(alg))
+    for mla in mlas:
+        eager = MatrixLieAlgebra.from_subspace(mla.subspace, alg.dim)
+        assert "structure" in vars(eager)
+        assert mla.structure == eager.structure and mla == eager
+        assert mla.structure.field == alg.field
 
 
 def test_hash_ignores_table_key_order():

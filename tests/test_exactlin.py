@@ -534,14 +534,23 @@ _ENTRY = {
 }
 
 
+# small int parts: the pivot values of the stored rows, 1 among them, then
+# divide other rows' entries, so ``Echelon._add`` updates those in place
+_SMALL = st.sampled_from((0, 1, -1, 2, -2, 4, -6)).map(F)
+_DIVIDING = {Q: _SMALL, QI: st.builds(GaussRat, _SMALL, _SMALL)}
+
+
 @st.composite
 def _echelon_scripts(draw):
     """A field, a width and a script of (op, dense vector, dependent, sparse)
     steps; a dependent step replaces the vector by a combination of the
-    vectors inserted so far, with the drawn entries as coefficients."""
+    vectors inserted so far, with the drawn entries as coefficients.  The
+    entries are drawn from :data:`_ENTRY` or, in about half the scripts,
+    from :data:`_DIVIDING`."""
     field = draw(st.sampled_from((Q, QI)))
     ncols = draw(st.integers(1, 6))
-    vec = st.lists(_ENTRY[field], min_size=ncols, max_size=ncols).map(tuple)
+    entry = draw(st.sampled_from((_ENTRY, _DIVIDING)))[field]
+    vec = st.lists(entry, min_size=ncols, max_size=ncols).map(tuple)
     step = st.tuples(st.sampled_from(("insert", "contains")), vec,
                      st.booleans(), st.booleans())
     return field, ncols, draw(st.lists(step, min_size=1, max_size=8))
@@ -551,7 +560,9 @@ class TestEchelonProperty:
     """Interleaved ``insert``, ``contains``, ``erows``, ``canonical_rows``
     and ``rank``, then ``kernel_from_rows`` and ``intersect``, against the
     Fraction oracles on drawn vectors: over Q(i) with entries over powers
-    of 1 + 2i, and over both fields with numerators above 2**64."""
+    of 1 + 2i, over both fields with numerators above 2**64, and with small
+    int entries, where a new pivot value divides the stored entries at its
+    column and the stored rows are updated in place."""
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(_echelon_scripts())
@@ -584,6 +595,27 @@ class TestEchelonProperty:
         u = Subspace.span(inserted, ncols, field)
         v = Subspace.span(probed, ncols, field)
         assert u.intersect(v).rows == fraction_intersect(u.rows, v.rows, ncols)
+
+
+@pytest.mark.parametrize("field", (Q, QI))
+def test_echelon_leaves_the_callers_dicts_alone(field):
+    """The echelon updates the rows it owns in place; a dict a caller hands
+    to ``insert``, ``contains``, ``Subspace.span`` or ``kernel_from_rows``
+    is not one of them, also when the same dict is inserted twice.  Over Q
+    the int rows have coprime entries and pivot value 1, so a row stored as
+    the caller's dict would be reduced in place by the next insert."""
+    ints = [{0: 1, 1: 2, 3: 3}, {1: 1, 2: 3}, {0: 1, 1: 1, 2: 1}, {2: 2, 3: 1}]
+    vecs = [{c: x if field == Q else GaussRat(x, x) for c, x in v.items()}
+            for v in ints]
+    copies = [dict(v) for v in vecs]
+    ech = Echelon(5, field)
+    for v in vecs + vecs[:1]:
+        ech.insert(v)
+        assert ech.contains(v)
+    assert vecs == copies
+    Subspace.span(vecs + vecs, 5, field)
+    kernel_from_rows(vecs + vecs, 5, field)
+    assert vecs == copies
 
 
 def _read_then_fail(vectors):
