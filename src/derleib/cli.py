@@ -34,7 +34,7 @@ from .exactlin import (
     format_scalar,
     parse_scalar,
 )
-from .liestruct import NotLie, killing, nilradical, radical, verify_levi
+from .liestruct import killing, nilradical, radical, verify_levi
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -90,6 +90,15 @@ def _dense_texts(sub: Subspace) -> list:
             line[c] = texts.get(v) or texts.setdefault(v, format_scalar(v))
         lines.append(line)
     return lines
+
+
+def _matrix_text(cells: list, d: int) -> str:
+    """The d x d matrix whose row-major entry texts are ``cells``: one
+    bracketed line per row, each column right-justified to its widest text."""
+    rows = [cells[r * d:(r + 1) * d] for r in range(d)]
+    widths = [max(map(len, col)) for col in zip(*rows)]
+    return "\n".join("[ " + "  ".join(map(str.rjust, row, widths)) + " ]"
+                     for row in rows)
 
 
 def _print_subspace(title: str, sub: Subspace, out):
@@ -157,8 +166,8 @@ def cmd_derive(args, out) -> int:
         if mla is None:
             continue
         out.write("%s basis matrices:\n" % label)
-        for m in mla.basis:
-            out.write(m.pretty() + "\n\n")
+        for cells in _dense_texts(mla.subspace):
+            out.write(_matrix_text(cells, alg.dim) + "\n\n")
     if args.table:
         out.write("induced bracket table on the canonical Der basis:\n")
         for line in dsl.bracket_lines(der.structure):
@@ -284,13 +293,15 @@ def _verify_args(p):
                    help="flagged discrepancies also fail the run")
 
 
-# subcommand -> (help, function adding its arguments)
+# subcommand -> (help, function adding its arguments, function running it)
 _COMMANDS = {
-    "check": ("parse and classify an algebra", _add_algebra_args),
-    "derive": ("compute Der / Inn / AIDer", _derive_args),
-    "analyze": ("structural analysis", _analyze_args),
-    "catalog": ("emit a family as a definition document", _catalog_args),
-    "verify-paper": ("re-verify the documented claim registry", _verify_args),
+    "check": ("parse and classify an algebra", _add_algebra_args, cmd_check),
+    "derive": ("compute Der / Inn / AIDer", _derive_args, cmd_derive),
+    "analyze": ("structural analysis", _analyze_args, cmd_analyze),
+    "catalog": ("emit a family as a definition document", _catalog_args,
+                cmd_catalog),
+    "verify-paper": ("re-verify the documented claim registry", _verify_args,
+                     cmd_verify),
 }
 
 
@@ -305,7 +316,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     chosen = argv[0] if argv and argv[0] in _COMMANDS else None
-    for name, (text, add_args) in _COMMANDS.items():
+    for name, (text, add_args, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         if chosen in (None, name):
             add_args(p)
@@ -326,27 +337,16 @@ def main(argv=None, out=None) -> int:
     try:
         if args.command in ("check", "derive", "analyze"):
             _check_algebra_args(args, parser)
-        if args.command == "check":
-            return cmd_check(args, out)
-        if args.command == "derive":
-            return cmd_derive(args, out)
-        if args.command == "analyze":
-            return cmd_analyze(args, out)
-        if args.command == "catalog":
-            return cmd_catalog(args, out)
-        if args.command == "verify-paper":
-            return cmd_verify(args, out)
-        parser.error("unknown command")
+        return _COMMANDS[args.command][2](args, out)
     except InternalInvariantError as exc:
         sys.stderr.write("internal invariant violation: %s\n" % exc)
         return INTERNAL_ERROR
-    except (OSError, ValueError, NotLie) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_ERROR
     except Exception as exc:  # a fault of the engine, not a refuted claim
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
         return INTERNAL_ERROR
-    return 0
 
 
 if __name__ == "__main__":

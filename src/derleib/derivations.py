@@ -9,10 +9,9 @@ the first time it is read, together with the closure check on the
 subspace's sparse rows, since derivation matrices are mostly zero.  Der,
 Inn and AIDer are closed by theorem, so they leave both to that read;
 ``from_subspace`` reads it at once, so any other span is checked when
-wrapped.  A matrix is passed
-to ``contains``, ``coords`` and ``coords_span`` by its row-major flattening,
-a dense tuple or a sparse dict; the dense :class:`Mat` basis is only a view,
-built when first read.
+wrapped.  A matrix is passed to the subspace, or to ``coords_span``, by its
+row-major flattening, a dense tuple or a sparse dict; the CLI prints the
+canonical rows as matrices.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ def is_derivation(d: Mat, alg: Algebra) -> bool:
     if d.rows != alg.dim or d.cols != alg.dim:
         raise ShapeMismatch("matrix is %dx%d, algebra dimension is %d"
                             % (d.rows, d.cols, alg.dim))
-    return der_algebra(alg).contains(d.sparse())
+    return der_algebra(alg).subspace.contains(d.sparse())
 
 
 class MatrixLieAlgebra(Frozen):
@@ -79,13 +78,6 @@ class MatrixLieAlgebra(Frozen):
     @property
     def field(self) -> str:
         return self.subspace.field
-
-    @cached_property
-    def basis(self) -> tuple:
-        """Dense view: the canonical rows as matrices, built on first use."""
-        d = self.ambient_dim
-        return tuple(Mat.unflatten(row, d, d, self.field)
-                     for row in self.subspace.basis)
 
     @cached_property
     def structure(self) -> Algebra:
@@ -141,18 +133,12 @@ class MatrixLieAlgebra(Frozen):
         mla.structure
         return mla
 
-    def contains(self, flat) -> bool:
-        return self.subspace.contains(flat)
-
-    def coords(self, flat) -> Optional[tuple]:
-        return self.subspace.coords(flat)
-
     def coords_span(self, flats: Iterable) -> Optional[Subspace]:
         """Span of the given flattened matrices in basis coordinates; None
         if one of them falls outside the algebra."""
         vs = []
         for m in flats:
-            cs = self.coords(m)
+            cs = self.subspace.coords(m)
             if cs is None:
                 return None
             vs.append(cs)

@@ -11,9 +11,9 @@ matrices ``{row: {column: value}}`` without zero entries, handled by the
 kit :func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`,
 :func:`sparse_traces`, :func:`sparse_flat`, :func:`sparse_rows` and
 :func:`sparse_commutator`, the only matrix arithmetic here.  :class:`Mat`
-is dense storage with views, for the catalog's parameter matrices and the
-CLI's dense view.  Values are immutable after construction, so every
-operation is safe to call concurrently.
+is dense storage with views, for the catalog's parameter matrices.  Values
+are immutable after construction, so every operation is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -522,15 +522,6 @@ class Mat(Frozen):
         if len(vec) != rows * cols:
             raise ShapeMismatch("flat length %d != %d*%d" % (len(vec), rows, cols))
         return cls(rows, cols, field, tuple(vec))
-
-    def pretty(self) -> str:
-        cells = [[format_scalar(self.at(r, c)) for c in range(self.cols)]
-                 for r in range(self.rows)]
-        widths = [max(len(cells[r][c]) for r in range(self.rows)) if self.rows else 0
-                  for c in range(self.cols)]
-        return "\n".join(
-            "[ " + "  ".join(cells[r][c].rjust(widths[c]) for c in range(self.cols)) + " ]"
-            for r in range(self.rows))
 
 
 def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":

@@ -16,15 +16,13 @@ algebras; a regression test pins a five-dimensional counterexample.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .algebra import Algebra
+from .algebra import Algebra, NotAnIdeal
 from .exactlin import (
     Echelon,
     InternalInvariantError,
-    Mat,
     Subspace,
     kernel_from_rows,
     sparse_combine,
@@ -48,23 +46,13 @@ class KillingForm(NamedTuple):
     """The Killing form of ``alg``.  ``rows`` is its Gram matrix as sparse
     rows ``{s: {t: v}}`` summed on the int adjoints: c^2 times the true one
     for c = ``alg.int_scale``, which changes neither its rank nor an
-    orthogonal, so only :attr:`gram` divides."""
+    orthogonal, so nothing here divides."""
     alg: Algebra
     rows: dict
 
     @property
     def rank(self) -> int:
         return Subspace.span(self.rows.values(), self.alg.dim, self.alg.field).dim
-
-    @property
-    def gram(self) -> Mat:
-        """The true Gram matrix, dense."""
-        d, c2 = self.alg.dim, self.alg.int_scale ** 2
-        dense = [[0] * d for _ in range(d)]
-        for s, row in self.rows.items():
-            for t, v in row.items():
-                dense[s][t] = v if c2 == 1 else Fraction(v, c2)
-        return Mat.from_rows(dense, self.alg.field)
 
 
 def _gram(alg: Algebra) -> dict:
@@ -101,7 +89,11 @@ def radical(alg: Algebra) -> Subspace:
     _require_lie(alg)
     rad = _orthogonal(alg.commutator_ideal, killing(alg).rows)
     if rad.dim < alg.dim:
-        q = alg.quotient(rad)
+        try:
+            q = alg.quotient(rad)
+        except NotAnIdeal as exc:  # the engine's radical, not the input, is wrong
+            raise InternalInvariantError("radical self-check failed: %s"
+                                         % exc) from exc
         if _orthogonal(q.commutator_ideal, _gram(q)).dim != 0:
             raise InternalInvariantError("radical self-check failed")
     return rad

@@ -20,6 +20,7 @@ from derleib.exactlin import (
     Subspace,
     axpy,
     coerce_scalar,
+    format_scalar,
     kernel_from_rows,
     scalar_parts,
     scalar_zero,
@@ -120,6 +121,26 @@ def to_mat(flat: SparseVec, d: int, field: str = Q) -> Mat:
     z = scalar_zero(field)
     return Mat(d, d, field, tuple(coerce_scalar(flat.get(i, z), field)
                                   for i in range(d * d)))
+
+
+def dense_basis(mla) -> tuple:
+    """The canonical basis of a matrix Lie algebra as dense matrices, one
+    per row of its subspace, in pivot order."""
+    d = mla.ambient_dim
+    return tuple(Mat.unflatten(row, d, d, mla.field) for row in mla.subspace.basis)
+
+
+def pretty(m: Mat) -> str:
+    """A dense matrix as ``derive`` prints it, entry by entry: one bracketed
+    line per row, each column right-justified to its widest formatted
+    entry; the oracle for the CLI's printer."""
+    cells = [[format_scalar(m.at(r, c)) for c in range(m.cols)]
+             for r in range(m.rows)]
+    widths = [max(len(cells[r][c]) for r in range(m.rows)) if m.rows else 0
+              for c in range(m.cols)]
+    return "\n".join(
+        "[ " + "  ".join(cells[r][c].rjust(widths[c]) for c in range(m.cols)) + " ]"
+        for r in range(m.rows))
 
 
 def adjoint(alg: Algebra, x, side: str = "left") -> Mat:
@@ -320,6 +341,17 @@ def naive_gram(alg: Algebra) -> Mat:
     each entry computed on its own (no symmetry assumed)."""
     ads = [adjoint(alg, basis_vector(alg, i)) for i in range(alg.dim)]
     return Mat.from_rows([[trace(matmul(a, b)) for b in ads] for a in ads], alg.field)
+
+
+def killing_gram(alg: Algebra) -> Mat:
+    """The true Gram matrix of the engine's Killing form, dense: its sparse
+    int rows divided by ``int_scale**2``, to compare with :func:`naive_gram`."""
+    d, c2 = alg.dim, alg.int_scale ** 2
+    dense = [[0] * d for _ in range(d)]
+    for s, row in killing(alg).rows.items():
+        for t, v in row.items():
+            dense[s][t] = Fraction(v, c2) if alg.field == Q else v
+    return Mat.from_rows(dense, alg.field)
 
 
 def naive_radical(alg: Algebra) -> Subspace:
@@ -637,8 +669,9 @@ def naive_structure(mla) -> Algebra:
     matrix product ``a b - b a`` of every ordered pair of basis matrices,
     read in basis coordinates through ``Subspace.coords``."""
     brackets = {}
-    for s, a in enumerate(mla.basis):
-        for t, b in enumerate(mla.basis):
+    basis = dense_basis(mla)
+    for s, a in enumerate(basis):
+        for t, b in enumerate(basis):
             cs = mla.subspace.coords(naive_commutator(a, b).flatten())
             assert cs is not None, "bracket %d, %d escapes the span" % (s, t)
             brackets[(s, t)] = list(enumerate(cs))
@@ -665,6 +698,15 @@ def naive_kind(alg: Algebra) -> AlgebraKind:
     return AlgebraKind(left_leibniz=left, right_leibniz=right,
                        symmetric=left and right,
                        lie=antisym and left and right)
+
+
+def rescale_basis(alg: Algebra, lam, field: Optional[str] = None) -> Algebra:
+    """The algebra in the basis b_i' = lam_i b_i, over ``field`` (its own by
+    default): [b_i', b_j'] has the coefficient lam_i lam_j c_ijk / lam_k at
+    b_k'."""
+    return Algebra.from_brackets(field or alg.field, alg.labels, {
+        (i, j): [(k, lam[i] * lam[j] * cf / lam[k]) for k, cf in terms]
+        for (i, j), terms in alg.table.items()})
 
 
 def _small(rng: Random):

@@ -563,7 +563,7 @@ class TestAdjoint:
             for i in range(alg.dim):
                 ad = adjoint(alg, basis_vector(alg, i), "left")
                 assert naive_is_derivation(ad, alg)
-                assert der_algebra(alg).contains(ad.sparse())
+                assert der_algebra(alg).subspace.contains(ad.sparse())
 
     def test_dim_zero_everywhere(self):
         empty = Algebra.from_brackets(Q, [], {})

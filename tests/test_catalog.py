@@ -24,6 +24,7 @@ from derleib.derivations import der_algebra
 from derleib.exactlin import GaussRat, Mat, Q, QI, ShapeMismatch, Subspace
 from helpers import (
     charpoly,
+    dense_basis,
     entrywise_realify_derivation,
     mat_power_is_zero,
     matmul,
@@ -217,7 +218,7 @@ class TestPermutations:
         p = Mat.from_rows([[1 if r == perm[c] else 0 for c in range(5)]
                            for r in range(5)])
         pinv = transpose(p)  # permutation matrices are orthogonal
-        conj = [matmul(matmul(pinv, m), p) for m in der_algebra(l5).basis]
+        conj = [matmul(matmul(pinv, m), p) for m in dense_basis(der_algebra(l5))]
         lhs = der_algebra(permuted).subspace
         rhs = Subspace.span([m.flatten() for m in conj], 25, Q)
         assert lhs == rhs

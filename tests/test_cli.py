@@ -4,16 +4,24 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from fractions import Fraction as F
+from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from derleib import checkers, claims, cli, derivations
+from derleib import checkers, claims, cli, derivations, liestruct
 from derleib.algebra import MAX_DIM, Algebra, _operators
 from derleib.cli import main
 from derleib.catalog import dieudonne, heisenberg_lie, kronecker
-from derleib.dsl import parse
-from derleib.exactlin import ShapeMismatch
+from derleib.derivations import GenusError, almost_inner_genus1, der_algebra, \
+    inner_derivations
+from derleib.dsl import AlgebraDoc, parse, serialize
+from derleib.exactlin import GaussRat, Q, QI, ShapeMismatch, Subspace
+
+from helpers import dense_basis, pretty, random_small_algebra, rescale_basis
 
 SQUARE_DOC = """algebra sq field Q
 basis e z
@@ -167,6 +175,44 @@ class TestDerive:
             type(exc).__name__, exc)
 
 
+# scales of the basis vectors: negative and multi-digit numerators and
+# denominators, which give the printed columns uneven widths
+_SCALES = st.fractions(-99, 99, max_denominator=99).filter(bool)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10 ** 6), field=st.sampled_from((Q, QI)),
+       scales=st.lists(st.tuples(_SCALES, _SCALES), min_size=4, max_size=4))
+@example(seed=5, field=Q, scales=[(F(-13, 7), 0), (F(22, 3), 0), (F(-1), 0),
+                                   (F(5, 11), 0)])
+@example(seed=5, field=QI, scales=[(F(-13, 7), F(2, 9)), (F(22, 3), -1),
+                                    (F(-1), F(17, 5)), (F(5, 11), 0)])
+def test_derive_prints_the_dense_basis_matrices(seed, field, scales):
+    """``derive``'s text matrices, printed from the canonical sparse rows,
+    equal the dense printer of ``tests/helpers.py`` applied to the dense
+    basis of Der, Inn and AIDer, on random algebras in a basis rescaled by
+    rationals, or by Gaussian rationals over Q(i)."""
+    lam = [F(re) if field == Q else GaussRat(re, im) for re, im in scales]
+    alg = rescale_basis(random_small_algebra(Random(seed)), lam, field)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.alg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize(AlgebraDoc("drawn", alg)))
+        code, text = run_cli("derive", path)
+    assert code == 0
+    mlas = [("Der", der_algebra(alg))]
+    if alg.kind.left_leibniz:
+        mlas.append(("Inn", inner_derivations(alg)))
+    try:
+        mlas.append(("AIDer", almost_inner_genus1(alg)))
+    except GenusError:
+        pass
+    want = "".join("%s basis matrices:\n" % label
+                   + "".join(pretty(m) + "\n\n" for m in dense_basis(mla))
+                   for label, mla in mlas)
+    assert text[text.index("Der basis matrices:\n"):] == want
+
+
 class TestAnalyze:
     def test_on_leibniz_algebra_skips_lie_parts(self):
         code, text = run_cli("analyze", "--family", "kronecker", "--n", "2")
@@ -196,6 +242,19 @@ class TestAnalyze:
                              "--levi", levi)
         assert (code, text) == (2, "")
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_radical_self_check_failure_is_internal_error(self, monkeypatch,
+                                                          capsys):
+        # a radical that is not an ideal is the engine's fault, not the
+        # input's; radical is memoized, so no cached answer may skip the check
+        liestruct.radical.cache_clear()
+        monkeypatch.setattr(liestruct, "_orthogonal", lambda sub, gram:
+                            Subspace.span([{0: 1}], sub.ambient_dim, sub.field))
+        code, _ = run_cli("analyze", "--family", "heisenberg-lie", "--n", "1")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "internal invariant violation: radical self-check failed: "
+            "subspace is not a two-sided ideal\n")
 
     def test_der_flag_analyzes_the_derivation_algebra(self):
         code, text = run_cli("analyze", "--family", "kronecker", "--n", "2",
