@@ -21,6 +21,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -352,15 +353,17 @@ def _primitive(vec: SparseVec, p: int) -> SparseVec:
 
 
 class Echelon:
-    """Incremental row space of vectors over ``field``, kept reduced.
+    """Incremental row space of vectors over ``field``, in echelon form.
 
     Rows are coprime int vectors ``{column: int}`` with a positive pivot,
-    one per pivot column, the row's first; each is zero in every other pivot
-    column, so dividing the rows by their pivots gives the canonical RREF
-    basis of the row space.  Over Q(i) rows live on the 2 * ncols columns of
-    :func:`_row_of` and each vector enters with i times itself, so the Q span
-    is the Q(i) span: pivots come in pairs 2p, 2p+1, and the row at 2p is a
-    multiple of the realified Q(i) row with pivot p.
+    one per pivot column, the row's first.  An insert only forward-reduces:
+    a stored row is zero at the pivots stored before it.  The back pass
+    :meth:`_reduced`, where :meth:`erows` and :func:`kernel_from_rows` read
+    the rows, makes them zero in every other pivot column: divided by their
+    pivots, the canonical RREF basis.  Over Q(i) rows live on the 2 * ncols
+    columns of :func:`_row_of` and each vector enters with i times itself,
+    so the Q span is the Q(i) span: pivots come in pairs 2p, 2p+1, and the
+    reduced row at 2p is a multiple of the realified Q(i) row with pivot p.
     """
 
     __slots__ = ("ncols", "field", "rows")
@@ -375,25 +378,29 @@ class Echelon:
         return len(self.rows) if self.field == Q else len(self.rows) // 2
 
     def reduce(self, vec) -> SparseVec:
-        """Reduce ``vec`` against the stored rows (vec is not modified).
-        The result is a nonzero multiple of the reduced int row, which is
-        enough for the callers: they test it for zero or insert it."""
+        """A new int row: ``vec`` reduced, zero iff it lies in the row space."""
         return self._reduce(_row_of(vec, self.field))
 
     def _reduce(self, out: SparseVec) -> SparseVec:
+        """Clear the pivots of the int row ``out``, lowest first, in place or
+        in a scaled copy, which is returned: clearing p adds only columns > p."""
         rows = self.rows
         hits = out.keys() & rows.keys()
         if not hits:
             return out
-        # one factor m, from the pivot values a that do not divide b, makes
-        # every row's coefficient b*m/a an int; a row is zero at the other
-        # pivots, so the hits are cleared in any order
-        m = lcm(*(rows[p][p] // gcd(rows[p][p], out[p])
-                  for p in hits if out[p] % rows[p][p]))
-        if m != 1:
-            out = {c: m * v for c, v in out.items()}
-        for p in hits:
-            axpy(out, -(out[p] // rows[p][p]), rows[p].items())
+        hits = sorted(hits)  # a sorted list is a heap
+        while hits:
+            p = heappop(hits)
+            b = out.get(p)
+            if b:  # else a lower row cancelled it
+                row = rows[p]
+                g = gcd(row[p], b)
+                if g != row[p]:
+                    out = {c: row[p] // g * v for c, v in out.items()}
+                for c in row:
+                    if c not in out and c in rows:
+                        heappush(hits, c)
+                axpy(out, -(b // g), row.items())
         return out
 
     def insert(self, vec) -> bool:
@@ -408,23 +415,16 @@ class Echelon:
         return True
 
     def _add(self, red: SparseVec):
-        """Store a nonzero reduced int row and clear its pivot elsewhere.
-        ``red`` is a fresh dict (from :func:`_row_of`, :meth:`_reduce` or the
-        kernel builder) and the stored rows are the echelon's own, so a row
-        is updated in place, and copied only to scale it when the pivot
-        value does not divide its entry there."""
+        """Store a nonzero forward-reduced int row at its pivot."""
         p = min(red)
-        rows = self.rows
-        row = _primitive(red, p)
-        a = row[p]
-        for k, other in rows.items():
-            b = other.get(p)
-            if b:
-                g = gcd(a, b)
-                if g != a:
-                    other = {c: a // g * v for c, v in other.items()}
-                rows[k] = _primitive(axpy(other, -(b // g), row.items()), k)
-        rows[p] = row
+        self.rows[p] = _primitive(red, p)
+
+    def _reduced(self) -> dict:
+        """The back pass, highest pivot first: each row is reduced against
+        the rows above it; a row already reduced stays the same dict."""
+        for p in sorted(self.rows, reverse=True):
+            self.rows[p] = _primitive(self._reduce(self.rows.pop(p)), p)
+        return self.rows
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
@@ -433,7 +433,7 @@ class Echelon:
         """The rows in pivot order, as ``(column, value)`` pairs in ascending
         column order: unique to the row space, the form a Subspace stores.
         Over Q(i) the rows at even pivots read back as pivot-one rows."""
-        rows = self.rows
+        rows = self._reduced()
         if self.field == Q:
             return tuple(tuple(sorted(rows[p].items())) for p in sorted(rows))
         return tuple(tuple((c, GaussRat(Fraction(row.get(2 * c, 0), row[p]),
@@ -533,7 +533,7 @@ def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
     for r in rows:
         if ech.insert(r) and ech.rank == ncols:
             return Subspace.zero(ncols, field)  # full column rank
-    pivots = ech.rows
+    pivots = ech._reduced()
     out = Echelon(ncols, field)
     for f in range(ncols if field == Q else 2 * ncols):
         if f in pivots:

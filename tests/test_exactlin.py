@@ -410,10 +410,10 @@ def _assert_erows_projective(ech):
 
 
 def _assert_int_rows(ech):
-    """The internal rows, over both fields: each is a coprime int vector with
-    a positive pivot, starts at its pivot and is zero at every other pivot,
-    inside the real columns, 2 * ncols of them over Q(i), where the pivots
-    come in pairs 2p, 2p+1."""
+    """The internal rows after a read, over both fields: each is a coprime
+    int vector with a positive pivot, starts at its pivot and is zero at
+    every other pivot, inside the real columns, 2 * ncols of them over
+    Q(i), where the pivots come in pairs 2p, 2p+1."""
     width = ech.ncols if ech.field == Q else 2 * ech.ncols
     for p, row in ech.rows.items():
         assert min(row) == p and max(row) < width
@@ -535,25 +535,33 @@ _ENTRY = {
 
 
 # small int parts: the pivot values of the stored rows, 1 among them, then
-# divide other rows' entries, so ``Echelon._add`` updates those in place
+# divide the entries they clear, so ``Echelon._reduce`` clears them unscaled
 _SMALL = st.sampled_from((0, 1, -1, 2, -2, 4, -6)).map(F)
 _DIVIDING = {Q: _SMALL, QI: st.builds(GaussRat, _SMALL, _SMALL)}
 
 
 @st.composite
 def _echelon_scripts(draw):
-    """A field, a width and a script of (op, dense vector, dependent, sparse)
-    steps; a dependent step replaces the vector by a combination of the
-    vectors inserted so far, with the drawn entries as coefficients.  The
-    entries are drawn from :data:`_ENTRY` or, in about half the scripts,
-    from :data:`_DIVIDING`."""
+    """A field, a width, a script of (op, dense vector, dependent, sparse)
+    steps and whether the row reads wait to the end; a dependent step
+    replaces the vector by a combination of the vectors inserted so far,
+    with the drawn entries as coefficients.  The entries are drawn from
+    :data:`_ENTRY` or, in about half the scripts, from :data:`_DIVIDING`."""
     field = draw(st.sampled_from((Q, QI)))
     ncols = draw(st.integers(1, 6))
     entry = draw(st.sampled_from((_ENTRY, _DIVIDING)))[field]
     vec = st.lists(entry, min_size=ncols, max_size=ncols).map(tuple)
     step = st.tuples(st.sampled_from(("insert", "contains")), vec,
                      st.booleans(), st.booleans())
-    return field, ncols, draw(st.lists(step, min_size=1, max_size=8))
+    return (field, ncols, draw(st.lists(step, min_size=1, max_size=8)),
+            draw(st.booleans()))
+
+
+def _assert_reads(ech, ref, inserted):
+    """The rows ``ech`` reads back match the oracle's and the span's."""
+    assert ech.canonical_rows() == ref.canonical_rows()
+    _assert_erows_projective(ech)
+    assert Subspace.span(inserted, ech.ncols, ech.field).erows == ech.erows()
 
 
 class TestEchelonProperty:
@@ -561,13 +569,14 @@ class TestEchelonProperty:
     and ``rank``, then ``kernel_from_rows`` and ``intersect``, against the
     Fraction oracles on drawn vectors: over Q(i) with entries over powers
     of 1 + 2i, over both fields with numerators above 2**64, and with small
-    int entries, where a new pivot value divides the stored entries at its
-    column and the stored rows are updated in place."""
+    int entries, where a pivot value divides the entries it clears.  In the
+    scripts that read the rows only at the end, every probe meets the rows
+    as inserts leave them, forward-reduced and not yet back-substituted."""
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(_echelon_scripts())
     def test_interleaved_operations_match_the_fraction_echelon(self, script):
-        field, ncols, steps = script
+        field, ncols, steps, reads_at_end = script
         zero = F(0) if field == Q else GaussRat()
         ech, ref = Echelon(ncols, field), FractionEchelon(ncols)
         inserted, probed = [], []
@@ -587,9 +596,9 @@ class TestEchelonProperty:
             if dependent and inserted and op == "contains":
                 assert ech.contains(arg)
             assert ech.rank == ref.rank
-            assert ech.canonical_rows() == ref.canonical_rows()
-            _assert_erows_projective(ech)
-            assert Subspace.span(inserted, ncols, field).erows == ech.erows()
+            if not reads_at_end:
+                _assert_reads(ech, ref, inserted)
+        _assert_reads(ech, ref, inserted)
         assert kernel_from_rows(inserted, ncols, field).rows == \
             fraction_kernel(inserted, ncols, field)
         u = Subspace.span(inserted, ncols, field)
@@ -599,11 +608,12 @@ class TestEchelonProperty:
 
 @pytest.mark.parametrize("field", (Q, QI))
 def test_echelon_leaves_the_callers_dicts_alone(field):
-    """The echelon updates the rows it owns in place; a dict a caller hands
-    to ``insert``, ``contains``, ``Subspace.span`` or ``kernel_from_rows``
-    is not one of them, also when the same dict is inserted twice.  Over Q
-    the int rows have coprime entries and pivot value 1, so a row stored as
-    the caller's dict would be reduced in place by the next insert."""
+    """The echelon's back pass updates the rows it owns in place; a dict a
+    caller hands to ``insert``, ``contains``, ``Subspace.span`` or
+    ``kernel_from_rows`` is not one of them, also when the same dict is
+    inserted twice.  Over Q the int rows have coprime entries and pivot
+    value 1, so a row stored as the caller's dict would be reduced in place
+    when the span or the kernel reads its rows."""
     ints = [{0: 1, 1: 2, 3: 3}, {1: 1, 2: 3}, {0: 1, 1: 1, 2: 1}, {2: 2, 3: 1}]
     vecs = [{c: x if field == Q else GaussRat(x, x) for c, x in v.items()}
             for v in ints]
@@ -616,6 +626,29 @@ def test_echelon_leaves_the_callers_dicts_alone(field):
     Subspace.span(vecs + vecs, 5, field)
     kernel_from_rows(vecs + vecs, 5, field)
     assert vecs == copies
+
+
+@pytest.mark.parametrize("field", (Q, QI))
+def test_insert_leaves_the_stored_rows_until_they_are_read(field):
+    """An insert only forward-reduces: the second vector's pivot column is
+    an entry of the first row, and that row stays the same dict with the
+    same items until ``erows`` runs the back pass.  A second ``erows``
+    reads the same rows and changes none.  ``kernel_from_rows`` runs the
+    back pass too: on the forward rows its kernel vector would be wrong."""
+    lift = F if field == Q else (lambda x: GaussRat(x, x))
+    vecs = [{c: lift(x) for c, x in v.items()}
+            for v in ({0: 1, 1: 2, 2: 3}, {1: 1, 2: 1})]
+    ech = Echelon(3, field)
+    ech.insert(vecs[0])
+    first = {p: (row, dict(row)) for p, row in ech.rows.items()}
+    assert ech.insert(vecs[1])
+    assert all(ech.rows[p] is row and row == items for p, (row, items) in first.items())
+    rows = ech.erows()
+    assert rows == (((0, 1), (2, 1)), ((1, 1), (2, 1)))
+    reduced = {p: (row, dict(row)) for p, row in ech.rows.items()}
+    assert ech.erows() == rows
+    assert all(ech.rows[p] is row and row == items for p, (row, items) in reduced.items())
+    assert kernel_from_rows(vecs, 3, field).rows == (((0, 1), (1, 1), (2, -1)),)
 
 
 def _read_then_fail(vectors):
