@@ -3,8 +3,8 @@
 An :class:`Algebra` is a finite-dimensional algebra given by basis labels
 and a sparse bracket table ``{(i, j): ((k, coeff), ...)}`` listing the
 nonzero coefficients of ``b_k`` in ``[b_i, b_j]``.  The Leibniz identities
-are decided exactly: on the sparse multiplication operators, pair by pair,
-and for an antisymmetric table as the Jacobi identity on basis triples.
+are decided exactly, by one column walk over the basis pairs of the table
+and of its opposite.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from .exactlin import (
     axpy,
     coerce_scalar,
     kernel_from_rows,
-    sparse_combine,
-    sparse_commutator,
-    sparse_flat,
 )
 
 
@@ -120,18 +117,18 @@ class Algebra(Frozen):
 
     @cached_property
     def kind(self) -> AlgebraKind:
-        """Flags decided on :attr:`int_table`, in ints over Q, as the
-        identities are homogeneous.  An :attr:`antisymmetric` table is left
-        and right Leibniz and Lie iff :func:`_jacobi` holds; any other runs
-        :func:`_left_leibniz` on L and on its opposite, whose left operators
-        are L's right ones: L is right Leibniz iff the opposite is left."""
-        table = self.int_table
+        """Flags decided by :func:`_leibniz` on :attr:`int_table`, in ints
+        over Q, as the identities are homogeneous.  An :attr:`antisymmetric`
+        table is its own opposite up to sign, so one alternating walk decides
+        left, right and Lie.  Any other is walked twice: L is left Leibniz
+        iff its table satisfies the identity, and right Leibniz iff the
+        opposite table [b_i, b_j]' = [b_j, b_i] does."""
+        table, d = self.int_table, self.dim
         if self.antisymmetric:
-            lie = _jacobi(table, self.dim)
+            lie = _leibniz(table, d, True)
             return AlgebraKind(lie, lie, lie, lie)
-        lops, rops = self.int_ops
-        left = _left_leibniz(lops, table)
-        right = _left_leibniz(rops, {(j, i): terms for (i, j), terms in table.items()})
+        left = _leibniz(table, d, False)
+        right = _leibniz({(j, i): terms for (i, j), terms in table.items()}, d, False)
         return AlgebraKind(left_leibniz=left, right_leibniz=right,
                            symmetric=left and right, lie=False)
 
@@ -207,16 +204,15 @@ class Algebra(Frozen):
 
     def centers(self) -> tuple[Subspace, Subspace, Subspace]:
         """Left center {x : [x,L]=0}, right center {x : [L,x]=0}, and their
-        meet; kernels of the operator rows of :attr:`int_table`.  For an
-        :attr:`antisymmetric` table the three are one kernel."""
-        lops, rops = self.int_ops
-        left = kernel_from_rows((row for m in rops for row in m.values()),
-                                self.dim, self.field)
+        meet; kernels of the operator rows of :attr:`int_table`, the meet
+        that of both sides' rows.  For an :attr:`antisymmetric` table the
+        three are one kernel."""
+        lrows, rrows = ([row for m in ops for row in m.values()] for ops in self.int_ops)
+        left = kernel_from_rows(rrows, self.dim, self.field)
         if self.antisymmetric:
             return left, left, left
-        right = kernel_from_rows((row for m in lops for row in m.values()),
-                                 self.dim, self.field)
-        return left, right, left.intersect(right)
+        return (left, kernel_from_rows(lrows, self.dim, self.field),
+                kernel_from_rows(rrows + lrows, self.dim, self.field))
 
     def quotient(self, ideal: Subspace) -> "Algebra":
         """Algebra induced on the non-pivot coordinates of the ideal's basis.
@@ -255,46 +251,43 @@ def _operators(table: Mapping, dim: int) -> tuple[list, list]:
     return left, right
 
 
-def _jacobi(table: Mapping, d: int) -> bool:
-    """[x,[y,z]] - [y,[x,z]] - [[x,y],z] = 0 on the basis triples i < j < k
-    of an antisymmetric table, where this Jacobiator is alternating and is
-    both Leibniz identities.  cols[i] = {k: [b_i, b_k]} is the column-major
-    operator of b_i; for each pair i < j the three terms are summed over the
-    columns k > j each operator makes nonzero, flattened at k * d + out."""
+def _leibniz(table: Mapping, d: int, alternating: bool) -> bool:
+    """The left Leibniz identity [x,[y,z]] = [[x,y],z] + [y,[x,z]] on the
+    basis.  cols[i] = {k: [b_i, b_k]} is the column-major operator of b_i;
+    for each pair i < j the Jacobiator [b_i,[b_j,b_k]] - [b_j,[b_i,b_k]] -
+    [[b_i,b_j],b_k] is summed over the columns k each operator makes
+    nonzero, flattened at k * d + out.  An ``alternating`` (antisymmetric)
+    table needs only k > j, the Jacobiator being alternating.  Any other
+    needs every k, and L_s = 0 for s = [b_i,b_j] + [b_j,b_i], i <= j, which
+    holds in every left Leibniz algebra and gives the identity for j < i
+    and for i = j."""
     cols = [{} for _ in range(d)]
     for (i, k), terms in table.items():
         cols[i][k] = terms
     for i, ci in enumerate(cols):
         for j in range(i + 1, d):
-            cj, acc = cols[j], {}
+            cj, acc, low = cols[j], {}, j + 1 if alternating else 0
             for sign, outer, inner in ((1, cj, ci), (-1, ci, cj)):
                 for k, terms in outer.items():
-                    if k > j:
+                    if k >= low:
                         for m, v in terms:
                             for o, w in inner.get(m, ()):
                                 acc[k * d + o] = acc.get(k * d + o, 0) + sign * v * w
             for m, v in ci.get(j, ()):
                 for k, terms in cols[m].items():
-                    if k > j:
+                    if k >= low:
                         for o, w in terms:
                             acc[k * d + o] = acc.get(k * d + o, 0) - v * w
             if any(acc.values()):
                 return False
-    return True
-
-
-def _left_leibniz(ops: list, table: Mapping) -> bool:
-    """[x,[y,z]] = [[x,y],z] + [y,[x,z]], with L_k = ops[k] the map y ->
-    [b_k, y]: L_i L_j - L_j L_i = L_[b_i,b_j] for i < j, and L_s = 0 for
-    s = [b_i,b_j] + [b_j,b_i], i <= j, which holds in every left Leibniz
-    algebra and gives the identity for j < i and for i = j."""
-    d = len(ops)
-    flats = [sparse_flat(m, d).items() for m in ops]
-    for i in range(d):
-        for j in range(i, d):
-            ij = table.get((i, j), ())
-            sym = axpy(dict(ij), 1, table.get((j, i), ())).items()
-            if sparse_combine(flats, sym) or i < j and (
-                    sparse_commutator(ops[i], ops[j], d) != sparse_combine(flats, ij)):
-                return False
+    if alternating:
+        return True
+    for i, j in {(min(key), max(key)) for key in table}:  # s = 0 at the others
+        acc = {}
+        for m, v in cols[i].get(j, ()) + cols[j].get(i, ()):  # the terms of s
+            for k, terms in cols[m].items():
+                for o, w in terms:
+                    acc[k * d + o] = acc.get(k * d + o, 0) + v * w
+        if any(acc.values()):
+            return False
     return True

@@ -534,14 +534,17 @@ def kernel_from_rows(rows: Iterable, ncols: int, field: str) -> "Subspace":
         if ech.insert(r) and ech.rank == ncols:
             return Subspace.zero(ncols, field)  # full column rank
     pivots = ech._reduced()
+    hits = {}  # column -> the (pivot, row) pairs whose row holds it
+    for p, row in pivots.items():
+        for c in row:
+            hits.setdefault(c, []).append((p, row))
     out = Echelon(ncols, field)
     for f in range(ncols if field == Q else 2 * ncols):
         if f in pivots:
             continue
-        hits = [(p, row) for p, row in pivots.items() if f in row]
-        n = lcm(*(row[p] for p, row in hits))
+        n = lcm(*(row[p] for p, row in hits.get(f, ())))
         v = {f: n}
-        v.update((p, -row[f] * (n // row[p])) for p, row in hits)
+        v.update((p, -row[f] * (n // row[p])) for p, row in hits.get(f, ()))
         if field != Q:
             v = {c: -x if c & 1 else x for c, x in v.items()}
         out._add(out._reduce(v))
@@ -673,10 +676,9 @@ class Subspace(Frozen):
             ech.insert({**dict(row), **{c + n: v for c, v in row}})
         for row in other.erows:
             ech.insert(dict(row))
-        # a row with pivot >= n is a multiple of one of U ∩ V's basis vectors
-        return Subspace.span(({c - n: v for c, v in row}
-                              for row in ech.erows() if row[0][0] >= n),
-                             n, self.field)
+        # the rows with pivot >= n, shifted, are U ∩ V's reduced rows
+        return Subspace(n, self.field, tuple(tuple((c - n, v) for c, v in row)
+                                             for row in ech.erows() if row[0][0] >= n))
 
     def coords(self, v) -> Optional[tuple]:
         """Coordinates of ``v`` in the canonical basis, or None if outside:

@@ -127,7 +127,7 @@ class TestKindOracle:
     @pytest.mark.parametrize("term", sorted(ONE_TRIPLE))
     def test_jacobi_failing_on_one_triple(self, term):
         """In each of the 24 orders of the basis, so that the failing
-        triple, sorted, meets every operator ``_jacobi`` reads its columns
+        triple, sorted, meets every operator ``_leibniz`` reads its columns
         from."""
         for perm in permutations(range(4)):
             brackets = {}
@@ -137,6 +137,21 @@ class TestKindOracle:
             alg = Algebra.from_brackets(Q, "xyzw", brackets)
             assert alg.kind == naive_kind(alg) == \
                 AlgebraKind(False, False, False, False), perm
+
+    def test_general_table_failing_below_the_pair(self):
+        """[x,x] = y, [y,z] = y is neither left nor right Leibniz: (x, x, z)
+        gives [[x,x],z] = y while [[x,z],x] + [x,[x,z]] = 0.  A walk of a
+        general table that reads only the columns k > j calls it right
+        Leibniz in each of the 6 basis orders.  Neither side builds the
+        multiplication operators."""
+        neither = AlgebraKind(False, False, False, False)
+        for perm in permutations(range(3)):
+            x, y, z = perm
+            alg = Algebra.from_brackets(Q, "xyz", {(x, x): [(y, 1)], (y, z): [(y, 1)]})
+            opposite = Algebra.from_brackets(Q, "xyz", {(x, x): [(y, 1)], (z, y): [(y, 1)]})
+            for a in (alg, opposite):
+                assert a.kind == naive_kind(a) == neither, perm
+                assert "int_ops" not in a.__dict__
 
     def test_der_of_leibniz_draws(self):
         draws = (random_small_algebra(Random(seed)) for seed in range(100))
