@@ -15,19 +15,15 @@ from typing import NamedTuple, Optional, Sequence
 from .algebra import MAX_DIM, Algebra
 from .exactlin import (
     GaussRat,
-    Mat,
     Q,
     QI,
     ShapeMismatch,
+    SparseVec,
     coerce_scalar,
     format_scalar,
     scalar_parts,
-    scalar_zero,
+    sparse_rows,
 )
-
-
-def _field_of(a) -> str:
-    return QI if isinstance(a, GaussRat) and a.im else Q
 
 
 def _check_n(n: int, dim: int):
@@ -40,36 +36,30 @@ def _check_n(n: int, dim: int):
                          % (n, dim, MAX_DIM))
 
 
-def jordan(a, n: int, field: Optional[str] = None) -> Mat:
-    """Lower-bidiagonal n x n Jordan block with eigenvalue ``a``, the
-    parameter of a (2n+1)-dimensional Heisenberg-type algebra."""
+def jordan(a, n: int) -> dict:
+    """Lower-bidiagonal n x n Jordan block with eigenvalue ``a``, as sparse
+    rows ``{row: {col: value}}``: the parameter of a (2n+1)-dimensional
+    Heisenberg-type algebra."""
     _check_n(n, 2 * n + 1)
-    field = field or _field_of(a)
-    m = [[scalar_zero(field)] * n for _ in range(n)]
-    av = coerce_scalar(a, field)
-    one = coerce_scalar(1, field)
-    for i in range(n):
-        m[i][i] = av
-        if i:
-            m[i][i - 1] = one
-    return Mat.from_rows(m, field)
+    rows = {i: {i - 1: 1} for i in range(1, n)}
+    if a:
+        for i in range(n):
+            rows.setdefault(i, {})[i] = a
+    return rows
 
 
-def realify_parameter(a: Mat) -> Mat:
-    """Entrywise realification: each x + yi becomes the block [[x, y], [-y, x]]."""
-    if a.field != QI:
-        raise ValueError("parameter must live over Qi")
-    rows = 2 * a.rows
-    cols = 2 * a.cols
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    for r in range(a.rows):
-        for c in range(a.cols):
-            re, im = scalar_parts(a.at(r, c))
-            m[2 * r][2 * c] = re
-            m[2 * r][2 * c + 1] = im
-            m[2 * r + 1][2 * c] = -im
-            m[2 * r + 1][2 * c + 1] = re
-    return Mat.from_rows(m, Q)
+def realify_parameter(a: dict) -> dict:
+    """Entrywise realification of sparse rows: each x + yi becomes the block
+    [[x, y], [-y, x]]."""
+    out = {}
+    for r, row in a.items():
+        for c, v in row.items():
+            x, y = scalar_parts(v)
+            for rr, cc, w in ((2 * r, 2 * c, x), (2 * r, 2 * c + 1, y),
+                              (2 * r + 1, 2 * c, -y), (2 * r + 1, 2 * c + 1, x)):
+                if w:
+                    out.setdefault(rr, {})[cc] = w
+    return out
 
 
 def _ef_labels(n: int) -> list:
@@ -113,37 +103,34 @@ def _maybe_interleave(alg: Algebra, n: int, order: str) -> Algebra:
     raise ValueError("unknown basis order %r" % (order,))
 
 
-# each cache holds the smallest power of two above the entries `verify-paper
-# --nmax 16` stores in it, so that run evicts nothing
-@lru_cache(maxsize=256)
-def heisenberg_leibniz(n: int, a: Mat, order: str = GROUPED) -> Algebra:
+def heisenberg_leibniz(n: int, a: dict, order: str = GROUPED) -> Algebra:
     """(2n+1)-dimensional algebra with [e_i,f_j] = (d_ij + a_ij) z and
-    [f_j,e_i] = (-d_ij + a_ij) z; the zero parameter gives the Heisenberg
-    Lie algebra."""
+    [f_j,e_i] = (-d_ij + a_ij) z, for the n x n parameter matrix ``a`` in
+    sparse rows; over Q(i) when an entry is not real.  The zero parameter
+    gives the Heisenberg Lie algebra."""
     _check_n(n, 2 * n + 1)
-    if a.rows != n or a.cols != n:
-        raise ShapeMismatch("parameter matrix must be %d x %d" % (n, n))
-    field = a.field
+    # the diagonal and the entries of a: the only (i, j) with brackets
+    a_ij = {(i, i): 0 for i in range(n)}
+    a_ij.update(((i, j), v) for i, row in a.items() for j, v in row.items())
+    if not all(0 <= i < n and 0 <= j < n for i, j in a_ij):
+        raise ShapeMismatch("parameter entry outside %d x %d" % (n, n))
+    field = QI if any(scalar_parts(v)[1] for v in a_ij.values()) else Q
     zidx = 2 * n
     brackets = {}
-    for i in range(n):
-        for j in range(n):
-            d = 1 if i == j else 0
-            plus = a.at(i, j) + d
-            minus = a.at(i, j) - d
-            if plus:
-                brackets[(i, n + j)] = [(zidx, plus)]
-            if minus:
-                brackets[(n + j, i)] = [(zidx, minus)]
+    for (i, j), v in a_ij.items():
+        d = 1 if i == j else 0
+        brackets[(i, n + j)] = [(zidx, v + d)]
+        brackets[(n + j, i)] = [(zidx, v - d)]
     alg = Algebra.from_brackets(field, _ef_labels(n), brackets)
     return _maybe_interleave(alg, n, order)
 
 
 def heisenberg_lie(n: int, order: str = GROUPED) -> Algebra:
-    _check_n(n, 2 * n + 1)
-    return heisenberg_leibniz(n, Mat.zero(n, n), order)
+    return heisenberg_leibniz(n, {}, order)
 
 
+# each cache holds the smallest power of two above the entries `verify-paper
+# --nmax 16` stores in it, so that run evicts nothing
 @lru_cache(maxsize=64)
 def kronecker(n: int, order: str = GROUPED) -> Algebra:
     """(2n+1)-dimensional Kronecker algebra: [e_i,f_i] = [f_i,e_i] = z and
@@ -192,7 +179,7 @@ def realify_heisenberg(n: int, z, order: str = GROUPED) -> Algebra:
     zq = z if isinstance(z, GaussRat) else GaussRat(z)
     if not zq.im:
         raise ValueError("parameter must have a nonzero imaginary part")
-    param = realify_parameter(jordan(zq, n, QI))
+    param = realify_parameter(jordan(zq, n))
     return heisenberg_leibniz(2 * n, param, order)
 
 
@@ -231,8 +218,9 @@ def realify_algebra(alg: Algebra) -> Algebra:
     return Algebra.from_brackets(Q, labels, brackets)
 
 
-def realify_derivation(dmat: Mat) -> Optional[Mat]:
-    """Real form of a derivation-shaped complex matrix on a genus-1 algebra.
+def realify_derivation(flat: SparseVec, d: int) -> Optional[SparseVec]:
+    """Real form of a derivation-shaped complex d x d matrix on a genus-1
+    algebra, a (2d-1) x (2d-1) matrix; both are sparse row-major flats.
 
     Every complex basis coordinate k expands to the real coordinate pair
     (2k, 2k+1) via the block [[x, y], [-y, x]]; the final coordinate (the
@@ -240,14 +228,15 @@ def realify_derivation(dmat: Mat) -> Optional[Mat]:
     real and its column otherwise zero.  Returns None when the input has no
     real form of this shape.
     """
-    if dmat.field != QI or dmat.rows != dmat.cols:
-        raise ValueError("expected a square matrix over Qi")
-    d = dmat.rows - 1
-    if any(dmat.col(d)[:d]) or scalar_parts(dmat.at(d, d))[1]:
+    last = d * d - 1
+    if (any(k % d == d - 1 for k in flat if k != last)
+            or scalar_parts(flat.get(last, 0))[1]):
         return None
-    # drop row and column 2d+1, the imaginary copy of the commutator line
-    real = realify_parameter(dmat)
-    return Mat.from_rows([real.row(r)[:2 * d + 1] for r in range(2 * d + 1)], Q)
+    # drop row and column 2d-1, the imaginary copy of the commutator line
+    m = 2 * d - 1
+    real = realify_parameter(sparse_rows(flat, d))
+    return {r * m + c: v for r, row in real.items() if r < m
+            for c, v in row.items() if c < m}
 
 
 # the parameters each family takes besides n
@@ -299,8 +288,7 @@ class FamilySpec(NamedTuple):
         if f == "heisenberg-lie":
             return heisenberg_lie(self.n, self.order)
         if f == "heisenberg":
-            a = 0 if self.a is None else self.a
-            return heisenberg_leibniz(self.n, jordan(a, self.n), self.order)
+            return heisenberg_leibniz(self.n, jordan(self.a or 0, self.n), self.order)
         if f == "kronecker":
             return kronecker(self.n, self.order)
         if f == "dieudonne":

@@ -11,8 +11,8 @@ matrices ``{row: {column: value}}`` without zero entries, handled by the
 kit :func:`axpy`, :func:`sparse_combine`, :func:`sparse_mul`,
 :func:`sparse_traces`, :func:`sparse_flat`, :func:`sparse_rows` and
 :func:`sparse_commutator`, the only matrix arithmetic here.  :class:`Mat`
-is dense storage with views, for the catalog's parameter matrices.  Values
-are immutable after construction, so every operation is safe to call
+is dense storage, kept for the benchmark's span recorder.  Values are
+immutable after construction, so every operation is safe to call
 concurrently.
 """
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 Q = "Q"
 QI = "Qi"
@@ -450,8 +450,8 @@ class Echelon:
 
 
 class Mat(Frozen):
-    """Dense matrix, row-major, over a single scalar field: storage and
-    views; its product is :func:`sparse_mul`'s."""
+    """Dense matrix, row-major, over a single scalar field: the storage of
+    the span recorder's shims; its product is :func:`sparse_mul`'s."""
 
     rows: int
     cols: int
@@ -463,31 +463,6 @@ class Mat(Frozen):
             raise ShapeMismatch("%d entries for a %dx%d matrix"
                                 % (len(entries), rows, cols))
         super().__init__(rows, cols, field, entries)
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence], field: str = Q) -> "Mat":
-        nr = len(data)
-        nc = len(data[0]) if nr else 0
-        flat = []
-        for r in data:
-            if len(r) != nc:
-                raise ShapeMismatch("ragged rows")
-            flat.extend(coerce_scalar(x, field) for x in r)
-        return cls(nr, nc, field, tuple(flat))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int, field: str = Q) -> "Mat":
-        z = scalar_zero(field)
-        return cls(rows, cols, field, (z,) * (rows * cols))
-
-    def at(self, r: int, c: int) -> Scalar:
-        return self.entries[r * self.cols + c]
-
-    def row(self, r: int) -> tuple:
-        return self.entries[r * self.cols:(r + 1) * self.cols]
-
-    def col(self, c: int) -> tuple:
-        return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
 
     def _check(self, other: "Mat", same_shape: bool):
         if self.field != other.field:

@@ -7,6 +7,7 @@ from typing import Optional
 
 from derleib import checkers
 from derleib.algebra import Algebra, AlgebraKind
+from derleib.catalog import GROUPED, interleave_perm, permute_basis
 from derleib.exactlin import (
     Echelon,
     FieldMismatch,
@@ -43,6 +44,34 @@ def basis_vector(alg: Algebra, i: int) -> tuple:
     """The i-th standard basis vector of the algebra, dense."""
     return tuple(scalar_one(alg.field) if k == i else scalar_zero(alg.field)
                  for k in range(alg.dim))
+
+
+def mat(data, field: str = Q) -> Mat:
+    """The dense matrix of a list of rows, entries coerced into ``field``;
+    ragged rows fail ``Mat``'s shape check."""
+    flat = tuple(coerce_scalar(x, field) for row in data for x in row)
+    return Mat(len(data), len(data[0]) if data else 0, field, flat)
+
+
+def zero_mat(rows: int, cols: int, field: str = Q) -> Mat:
+    return Mat(rows, cols, field, (scalar_zero(field),) * (rows * cols))
+
+
+def sparse_mat(rows: dict, n: int, field: str = Q) -> Mat:
+    """The dense n x n matrix of sparse rows ``{row: {col: value}}``."""
+    return mat([[rows.get(r, {}).get(c, 0) for c in range(n)] for r in range(n)], field)
+
+
+def entry(m: Mat, r: int, c: int):
+    return m.entries[r * m.cols + c]
+
+
+def mat_row(m: Mat, r: int) -> tuple:
+    return m.entries[r * m.cols:(r + 1) * m.cols]
+
+
+def mat_col(m: Mat, c: int) -> tuple:
+    return m.entries[c::m.cols] if m.cols else ()
 
 
 def unit(d: int, r: int, c: int, field: str = Q, value=1) -> Mat:
@@ -134,7 +163,7 @@ def pretty(m: Mat) -> str:
     """A dense matrix as ``derive`` prints it, entry by entry: one bracketed
     line per row, each column right-justified to its widest formatted
     entry; the oracle for the CLI's printer."""
-    cells = [[format_scalar(m.at(r, c)) for c in range(m.cols)]
+    cells = [[format_scalar(entry(m, r, c)) for c in range(m.cols)]
              for r in range(m.rows)]
     widths = [max(len(cells[r][c]) for r in range(m.rows)) if m.rows else 0
               for c in range(m.cols)]
@@ -183,7 +212,7 @@ def l5r_gens() -> dict:
 
 def nullspace(m: Mat) -> Subspace:
     """Canonical basis of ``{v : m v = 0}``."""
-    return kernel_from_rows((m.row(r) for r in range(m.rows)), m.cols, m.field)
+    return kernel_from_rows((mat_row(m, r) for r in range(m.rows)), m.cols, m.field)
 
 
 def transpose(m: Mat) -> Mat:
@@ -315,7 +344,7 @@ def solve(m: Mat, b) -> Optional[tuple]:
     ech = Echelon(m.cols + 1, m.field)
     bcol = m.cols
     for r in range(m.rows):
-        row = {c: v for c, v in enumerate(m.row(r)) if v}
+        row = {c: v for c, v in enumerate(mat_row(m, r)) if v}
         bv = coerce_scalar(b[r], m.field)
         if bv:
             row[bcol] = bv
@@ -340,7 +369,7 @@ def naive_gram(alg: Algebra) -> Mat:
     the :func:`adjoint` matrices of every ordered pair of basis vectors,
     each entry computed on its own (no symmetry assumed)."""
     ads = [adjoint(alg, basis_vector(alg, i)) for i in range(alg.dim)]
-    return Mat.from_rows([[trace(matmul(a, b)) for b in ads] for a in ads], alg.field)
+    return mat([[trace(matmul(a, b)) for b in ads] for a in ads], alg.field)
 
 
 def killing_gram(alg: Algebra) -> Mat:
@@ -351,7 +380,7 @@ def killing_gram(alg: Algebra) -> Mat:
     for s, row in killing(alg).rows.items():
         for t, v in row.items():
             dense[s][t] = Fraction(v, c2) if alg.field == Q else v
-    return Mat.from_rows(dense, alg.field)
+    return mat(dense, alg.field)
 
 
 def naive_radical(alg: Algebra) -> Subspace:
@@ -363,7 +392,7 @@ def naive_radical(alg: Algebra) -> Subspace:
     gram = naive_gram(alg)
     derived = Subspace.span((naive_bracket(alg, x, y) for x in e for y in e),
                             alg.dim, alg.field)
-    return nullspace(Mat.from_rows([matvec(gram, v) for v in derived.basis]
+    return nullspace(mat([matvec(gram, v) for v in derived.basis]
                                    or [[0] * alg.dim], alg.field))
 
 
@@ -473,35 +502,64 @@ def real_block(a, b, n: int) -> Mat:
         if i:
             m[2 * i][2 * i - 2] = Fraction(1)
             m[2 * i + 1][2 * i - 1] = Fraction(1)
-    return Mat.from_rows(m, Q)
+    return mat(m, Q)
 
 
-def entrywise_realify_derivation(dmat: Mat) -> Optional[Mat]:
+def entrywise_realify_derivation(dmat: Mat) -> Optional[SparseVec]:
     """Real form of a derivation-shaped complex matrix, entry by entry:
     each coordinate k < d becomes the pair (2k, 2k+1) through the block
-    [[x, y], [-y, x]], the commutator line d stays one coordinate.  None
-    when that line's column is nonzero above the diagonal or its diagonal
-    entry is imaginary."""
+    [[x, y], [-y, x]], the commutator line d stays one coordinate; the
+    sparse row-major flat of the result.  None when that line's column is
+    nonzero above the diagonal or its diagonal entry is imaginary."""
     d = dmat.rows - 1
     out = [[Fraction(0)] * (2 * d + 1) for _ in range(2 * d + 1)]
     for j in range(d):
-        if dmat.at(j, d):
+        if entry(dmat, j, d):
             return None
         for k in range(d):
-            x, y = scalar_parts(dmat.at(j, k))
+            x, y = scalar_parts(entry(dmat, j, k))
             out[2 * j][2 * k] = x
             out[2 * j][2 * k + 1] = y
             out[2 * j + 1][2 * k] = -y
             out[2 * j + 1][2 * k + 1] = x
     for k in range(d):
-        x, y = scalar_parts(dmat.at(d, k))
+        x, y = scalar_parts(entry(dmat, d, k))
         out[2 * d][2 * k] = x
         out[2 * d][2 * k + 1] = y
-    gr, gi = scalar_parts(dmat.at(d, d))
+    gr, gi = scalar_parts(entry(dmat, d, d))
     if gi:
         return None
     out[2 * d][2 * d] = gr
-    return Mat.from_rows(out, Q)
+    return mat(out, Q).sparse()
+
+
+def dense_jordan(a, n: int, field: Optional[str] = None) -> Mat:
+    """The Jordan block J(a) as a dense matrix, over Q(i) when ``a`` has an
+    imaginary part or ``field`` says so; the oracle for ``catalog.jordan``."""
+    field = field or (QI if scalar_parts(a)[1] else Q)
+    return mat([[a if r == c else 1 if r == c + 1 else 0 for c in range(n)]
+                 for r in range(n)], field)
+
+
+def dense_heisenberg_leibniz(n: int, a: Mat, order: str = GROUPED) -> Algebra:
+    """The Heisenberg-type algebra of a dense n x n parameter matrix over its
+    field, every entry read: [e_i, f_j] = (d_ij + a_ij) z and [f_j, e_i] =
+    (-d_ij + a_ij) z; the oracle for ``catalog.heisenberg_leibniz``."""
+    if a.rows != n or a.cols != n:
+        raise ShapeMismatch("parameter matrix must be %d x %d" % (n, n))
+    brackets = {}
+    for i in range(n):
+        for j in range(n):
+            d = 1 if i == j else 0
+            plus, minus = entry(a, i, j) + d, entry(a, i, j) - d
+            if plus:
+                brackets[(i, n + j)] = [(2 * n, plus)]
+            if minus:
+                brackets[(n + j, i)] = [(2 * n, minus)]
+    labels = (["e%d" % (i + 1) for i in range(n)]
+              + ["f%d" % (i + 1) for i in range(n)] + ["z"])
+    alg = Algebra.from_brackets(a.field, labels, brackets)
+    return alg if order == GROUPED else permute_basis(alg, interleave_perm(n))
 
 
 def _split_rational(part: str, text: str) -> Fraction:
@@ -644,7 +702,7 @@ def naive_is_derivation(d: Mat, alg: Algebra) -> bool:
         raise ShapeMismatch("matrix is %dx%d, algebra dimension is %d"
                             % (d.rows, d.cols, alg.dim))
     e = [basis_vector(alg, i) for i in range(alg.dim)]
-    cols = [d.col(j) for j in range(alg.dim)]
+    cols = [mat_col(d, j) for j in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(alg.dim):
             lhs = matvec(d, naive_bracket(alg, e[i], e[j]))
@@ -755,7 +813,7 @@ def random_small_algebra(rng: Random) -> Algebra:
     # rewrite in a random basis f_i = P e_i: [f_i, f_j] = P^-1 [P e_i, P e_j]
     while True:
         cols = [random_vector(rng, dim) for _ in range(dim)]
-        p = Mat.from_rows([[cols[c][r] for c in range(dim)] for r in range(dim)])
+        p = mat([[cols[c][r] for c in range(dim)] for r in range(dim)])
         if nullspace(p).dim == 0:
             break
     return Algebra.from_brackets(Q, alg.labels, {

@@ -27,11 +27,11 @@ from derleib.derivations import (
     is_derivation,
 )
 from derleib.dsl import ParseError, parse, serialize
-from derleib.exactlin import GaussRat, Mat, Q, Subspace
+from derleib.exactlin import GaussRat, Q, Subspace
 from derleib.liestruct import nilradical, verify_levi
 from helpers import ad_nilpotent, adjoint, basis_vector, is_semisimple, j0_gens, kron_gens
 from helpers import leib_ideal, matmul, naive_is_derivation, random_solvable_lie
-from helpers import dense_basis, random_vector, to_mat, transpose
+from helpers import dense_basis, mat, random_vector, to_mat, transpose
 
 REG = {c.id: c for c in registry()}
 GENERIC_A = (F(2), F(1, 2), F(-3))
@@ -299,8 +299,7 @@ def test_criterion_7_property_suites():
         d = alg.dim
         perm = list(range(d))
         rng.shuffle(perm)
-        p = Mat.from_rows([[1 if r == perm[c] else 0 for c in range(d)]
-                           for r in range(d)])
+        p = mat([[1 if r == perm[c] else 0 for c in range(d)] for r in range(d)])
         pinv = transpose(p)
         conj = Subspace.span([matmul(matmul(pinv, m), p).flatten()
                               for m in dense_basis(der_algebra(alg))], d * d, Q)

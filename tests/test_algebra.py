@@ -9,12 +9,12 @@ from derleib.algebra import Algebra, AlgebraKind, NotAnIdeal
 from derleib.catalog import dieudonne, heisenberg_leibniz, heisenberg_lie, \
     jordan, kronecker
 from derleib.derivations import der_algebra
-from derleib.exactlin import Echelon, GaussRat, Mat, Q, QI, Subspace
+from derleib.exactlin import Echelon, GaussRat, Q, QI, Subspace
 
 from helpers import abelian, adjoint, basis_vector, is_zero, leib_ideal, \
-    lincomb, naive_bracket, naive_is_derivation, naive_kind, \
+    lincomb, mat, mat_row, naive_bracket, naive_is_derivation, naive_kind, \
     naive_product_rows, naive_series, nullspace, random_small_algebra, \
-    random_solvable_lie, random_vector, solve, unit
+    random_solvable_lie, random_vector, solve, sparse_mat, unit
 
 
 def vec(alg, **coords):
@@ -249,7 +249,7 @@ def test_lie_decision_on_random_antisymmetric_tables(data):
             a, b = _pair(draw, d)[::draw(st.sampled_from((1, -1)))]
             cf = draw(scalar)
             cols[a] = [x + cf * y for x, y in zip(cols[a], cols[b])]
-        p = Mat.from_rows([[cols[c][r] for c in range(d)] for r in range(d)], field)
+        p = mat([[cols[c][r] for c in range(d)] for r in range(d)], field)
         brackets = {(i, j): list(enumerate(solve(p, naive_bracket(base, cols[i], cols[j]))))
                     for i in range(d) for j in range(d)}
         may_fail = draw(st.booleans())
@@ -262,11 +262,6 @@ def test_lie_decision_on_random_antisymmetric_tables(data):
     assert alg.antisymmetric
     assert alg.kind == naive_kind(alg)
     assert may_fail or alg.kind.lie
-
-
-def _dense(op, dim, field):
-    return Mat.from_rows([[op.get(r, {}).get(c, 0) for c in range(dim)]
-                          for r in range(dim)], field)
 
 
 def _random_scalar(rng, field):
@@ -285,9 +280,9 @@ def _dense_centers(alg):
 
     def rows(side):
         ads = [adjoint(alg, v, side) for v in e]
-        return [m.row(r) for m in ads for r in range(alg.dim)]
+        return [mat_row(m, r) for m in ads for r in range(alg.dim)]
     lrows, rrows = rows("right"), rows("left")
-    return tuple(nullspace(Mat.from_rows(rows, alg.field))
+    return tuple(nullspace(mat(rows, alg.field))
                  for rows in (lrows, rrows, lrows + rrows))
 
 
@@ -318,8 +313,8 @@ class TestSparsePathsOracle:
         lads = [adjoint(alg, v, "left") for v in e]
         rads = [adjoint(alg, v, "right") for v in e]
         for i in range(d):
-            assert _dense(left[i], d, Q) == lincomb((c, lads[i]))
-            assert _dense(right[i], d, Q) == lincomb((c, rads[i]))
+            assert sparse_mat(left[i], d, Q) == lincomb((c, lads[i]))
+            assert sparse_mat(right[i], d, Q) == lincomb((c, rads[i]))
         assert alg.centers() == _dense_centers(alg)
 
     def test_centers_off_antisymmetric_tables(self):

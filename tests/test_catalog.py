@@ -7,6 +7,7 @@ from derleib import catalog
 from derleib.algebra import MAX_DIM, Algebra
 from derleib.catalog import (
     FamilySpec,
+    GROUPED,
     INTERLEAVED,
     dieudonne,
     heisenberg_leibniz,
@@ -21,15 +22,21 @@ from derleib.catalog import (
     realify_parameter,
 )
 from derleib.derivations import der_algebra
-from derleib.exactlin import GaussRat, Mat, Q, QI, ShapeMismatch, Subspace
+from derleib.exactlin import GaussRat, Q, QI, ShapeMismatch, Subspace
 from helpers import (
     charpoly,
     dense_basis,
+    dense_heisenberg_leibniz,
+    dense_jordan,
+    entry,
     entrywise_realify_derivation,
+    mat,
     mat_power_is_zero,
     matmul,
     naive_bracket,
     real_block,
+    sparse_mat,
+    to_mat,
     transpose,
 )
 
@@ -52,7 +59,7 @@ class TestHeisenberg:
         assert bracket_of(l3, "f1", "e1") == vec(l3, z=1)
 
     def test_zero_parameter_is_heisenberg_lie(self):
-        assert heisenberg_leibniz(1, Mat.zero(1, 1)) == heisenberg_lie(1)
+        assert heisenberg_leibniz(1, jordan(F(0), 1)) == heisenberg_lie(1)
         assert heisenberg_lie(2).kind.lie
 
     def test_n2_jordan_one_table(self):
@@ -68,6 +75,42 @@ class TestHeisenberg:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             heisenberg_leibniz(2, jordan(F(1), 3))
+        for a in ({0: {2: 1}}, {2: {0: 1}}, {-1: {0: 1}}, {0: {-1: GaussRat(0, 1)}}):
+            with pytest.raises(ShapeMismatch, match="outside 2 x 2"):
+                heisenberg_leibniz(2, a)
+
+    def test_real_parameter_gives_q(self):
+        # a GaussRat entry with zero imaginary part is real
+        assert heisenberg_leibniz(2, jordan(GaussRat(2), 2)).field == Q
+        assert heisenberg_leibniz(2, {1: {0: GaussRat(3)}}).field == Q
+        assert heisenberg_leibniz(2, {1: {0: GaussRat(0, 1)}}).field == QI
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    def test_sparse_parameter_matches_dense_oracle(self, field):
+        """Random sparse parameters with about a third of the entries zero,
+        in both orders, against the oracle that reads every entry of the
+        dense matrix: equal tables, labels, field and hash."""
+        rng = Random(28)
+
+        def value():
+            x = F(rng.randint(-3, 3) or 1, rng.choice((1, 2)))
+            return x if field == Q else GaussRat(x, rng.choice((0, 1, F(-1, 2))))
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            a = {}
+            for r in range(n):
+                for c in range(n):
+                    if rng.random() < 2 / 3:
+                        a.setdefault(r, {})[c] = value()
+            imag = any(isinstance(v, GaussRat) and v.im
+                       for row in a.values() for v in row.values())
+            for order in (GROUPED, INTERLEAVED):
+                got = heisenberg_leibniz(n, a, order)
+                want = dense_heisenberg_leibniz(
+                    n, sparse_mat(a, n, QI if imag else Q), order)
+                assert (got.table, got.labels, got.field) == \
+                    (want.table, want.labels, want.field)
+                assert hash(got) == hash(want)
 
     def test_all_members_symmetric_two_step(self):
         for alg in (heisenberg_leibniz(3, jordan(F(2), 3)), kronecker(3),
@@ -82,15 +125,22 @@ class TestHeisenberg:
 
 class TestParameterMatrices:
     def test_jordan_small(self):
-        assert jordan(F(0), 1) == Mat.zero(1, 1)
-        assert jordan(F(2), 2) == Mat.from_rows([[2, 0], [1, 2]])
+        assert jordan(F(0), 1) == {}
+        assert jordan(F(0), 3) == {1: {0: 1}, 2: {1: 1}}
+        assert jordan(F(2), 2) == {0: {0: 2}, 1: {0: 1, 1: 2}}
+
+    @pytest.mark.parametrize("a", [F(0), F(-3, 2), GaussRat(1, 2), GaussRat(0, -1)])
+    def test_jordan_matches_dense_oracle(self, a):
+        for n in (1, 2, 4):
+            assert sparse_mat(jordan(a, n), n, QI) == dense_jordan(a, n, QI)
 
     def test_real_block_of_i(self):
-        assert real_block(0, 1, 1) == Mat.from_rows([[0, 1], [-1, 0]])
+        assert real_block(0, 1, 1) == mat([[0, 1], [-1, 0]])
 
     def test_real_block_matches_realified_jordan(self):
         z = GaussRat(F(1, 2), F(-3))
-        assert realify_parameter(jordan(z, 3, QI)) == real_block(F(1, 2), F(-3), 3)
+        assert sparse_mat(realify_parameter(jordan(z, 3)), 6) == \
+            real_block(F(1, 2), F(-3), 3)
 
     def test_jordan_char_poly(self):
         # expand (x - a)^n and compare characteristic polynomials
@@ -101,10 +151,10 @@ class TestParameterMatrices:
                 coeffs = [c for c in coeffs] + [F(0)]
                 for k in range(len(coeffs) - 1, 0, -1):
                     coeffs[k] -= a * coeffs[k - 1]
-            assert charpoly(jordan(a, n)) == coeffs
+            assert charpoly(sparse_mat(jordan(a, n), n)) == coeffs
 
     def test_jordan_nilpotency_index(self):
-        j = jordan(F(0), 4)
+        j = sparse_mat(jordan(F(0), 4), 4)
         assert mat_power_is_zero(j, 4)
         assert not mat_power_is_zero(j, 3)
 
@@ -138,30 +188,34 @@ class TestRealify:
                 assert bracket_of(r, a, b) == vec(r, z=table.get((a, b), 0)), (a, b)
 
     def test_generic_realification_doubles(self):
-        l3i = heisenberg_leibniz(1, jordan(GaussRat(0, 1), 1, QI))
+        l3i = heisenberg_leibniz(1, jordan(GaussRat(0, 1), 1))
+        assert l3i.field == QI
         doubled = realify_algebra(l3i)
         assert doubled.dim == 6
         assert realify_heisenberg(1, GaussRat(0, 1)).dim == 5
 
     def test_generic_realification_of_real_input(self):
-        l3 = heisenberg_leibniz(1, jordan(GaussRat(2), 1, QI))
+        # a real parameter gives an algebra over Q; lift it to Q(i)
+        real = heisenberg_leibniz(1, jordan(GaussRat(2), 1))
+        l3 = Algebra.from_brackets(QI, real.labels, real.table)
         doubled = realify_algebra(l3)
         assert doubled.dim == 6 and doubled.field == Q
         assert doubled.kind == l3.kind
 
     def test_realify_derivation_form(self):
         alpha, beta = GaussRat(1, 2), GaussRat(F(1, 2), -1)
-        d3 = Mat.from_rows([[alpha, 0, 0], [0, beta, 0],
-                            [GaussRat(3), GaussRat(0, 1), alpha + beta]], QI)
-        r = realify_derivation(d3)
+        d3 = mat([[alpha, 0, 0], [0, beta, 0],
+                  [GaussRat(3), GaussRat(0, 1), alpha + beta]], QI)
+        r = realify_derivation(d3.sparse(), 3)
         assert r is None  # gamma has a nonzero imaginary part
-        d3 = Mat.from_rows([[alpha, 0, 0], [0, GaussRat(alpha.re, -alpha.im), 0],
-                            [GaussRat(3), GaussRat(0, 1), GaussRat(2)]], QI)
-        r = realify_derivation(d3)
+        d3 = mat([[alpha, 0, 0], [0, GaussRat(alpha.re, -alpha.im), 0],
+                  [GaussRat(3), GaussRat(0, 1), GaussRat(2)]], QI)
+        r = realify_derivation(d3.sparse(), 3)
         assert r is not None
-        assert r.at(0, 0) == 1 and r.at(0, 1) == 2 and r.at(1, 0) == -2
-        assert r.at(4, 0) == 3 and r.at(4, 2) == 0 and r.at(4, 3) == 1
-        assert r.at(4, 4) == 2
+        r = to_mat(r, 5)
+        assert entry(r, 0, 0) == 1 and entry(r, 0, 1) == 2 and entry(r, 1, 0) == -2
+        assert entry(r, 4, 0) == 3 and entry(r, 4, 2) == 0 and entry(r, 4, 3) == 1
+        assert entry(r, 4, 4) == 2
 
 
     def test_realify_derivation_matches_entrywise_oracle(self):
@@ -181,8 +235,8 @@ class TestRealify:
                     rows[j][s - 1] = GaussRat(0)
             if rng.random() < 0.7:
                 rows[-1][-1] = GaussRat(rows[-1][-1].re)
-            m = Mat.from_rows(rows, QI)
-            r = realify_derivation(m)
+            m = mat(rows, QI)
+            r = realify_derivation(m.sparse(), s)
             assert r == entrywise_realify_derivation(m)
             outcomes.add(r is None)
         assert outcomes == {True, False}
@@ -215,8 +269,7 @@ class TestPermutations:
         perm = list(range(5))
         rng.shuffle(perm)
         permuted = permute_basis(l5, perm)
-        p = Mat.from_rows([[1 if r == perm[c] else 0 for c in range(5)]
-                           for r in range(5)])
+        p = mat([[1 if r == perm[c] else 0 for c in range(5)] for r in range(5)])
         pinv = transpose(p)  # permutation matrices are orthogonal
         conj = [matmul(matmul(pinv, m), p) for m in dense_basis(der_algebra(l5))]
         lhs = der_algebra(permuted).subspace
@@ -276,8 +329,8 @@ def test_dimension_cap(build, dim_of, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built past the cap")
     with monkeypatch.context() as m:
-        m.setattr(catalog.Mat, "from_rows", classmethod(refuse))
-        m.setattr(catalog.Mat, "zero", classmethod(refuse))
+        m.setattr(catalog, "jordan", refuse)
+        m.setattr(catalog, "realify_parameter", refuse)
         m.setattr(Algebra, "from_brackets", classmethod(refuse))
         with pytest.raises(ValueError, match="gives dimension %d, above the "
                            "limit of %d" % (dim_of(n), MAX_DIM)):

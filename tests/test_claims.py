@@ -5,15 +5,15 @@ from functools import cached_property
 
 import pytest
 
-from derleib import checkers
+from derleib import catalog, checkers
 from derleib.checkers import dieu_gens, j0_gens, kron_gens, registry
-from derleib.claims import DEFAULT_A, run_all, run_claim
-from derleib.catalog import dieudonne, heisenberg_leibniz, kronecker
+from derleib.claims import DEFAULT_A, REFUTED, run_all, run_claim
+from derleib.catalog import dieudonne, kronecker
 from derleib.derivations import MatrixLieAlgebra, der_algebra
 from derleib.dsl import report_json
-from derleib.exactlin import Mat, Subspace
+from derleib.exactlin import GaussRat, Subspace
 
-from helpers import identity, lincomb, naive_is_derivation, to_mat
+from helpers import identity, lincomb, mat, naive_is_derivation, to_mat
 
 REG = {c.id: c for c in registry()}
 
@@ -27,16 +27,34 @@ def test_k6_and_p1_share_one_kronecker_build():
     assert kronecker.cache_info().misses == 1
 
 
-def test_heisenberg_claims_build_each_jordan_member_once():
+def test_heisenberg_claims_build_each_jordan_member_once(monkeypatch):
     # H1, H3 and H8 all read the member at n=2, a=2, and H8 also a=0 and
-    # heisenberg-lie; each parameter matrix is built and hashed once, so the
-    # catalog cache is asked once per algebra
+    # heisenberg-lie; `_heis` builds each Jordan member once, so the
+    # catalog builds each of the three algebras once
+    built = []
+    plain = catalog.heisenberg_leibniz
+
+    def counted(n, a, order=catalog.GROUPED):
+        built.append((n, order))
+        return plain(n, a, order)
+    for module in (catalog, checkers):
+        monkeypatch.setattr(module, "heisenberg_leibniz", counted)
     checkers._heis.cache_clear()
-    heisenberg_leibniz.cache_clear()
     for cid in ("H1", "H3", "H8"):
         run_claim(REG[cid], {"n": 2, "a": F(2)})
     assert checkers._heis.cache_info().misses == 2
-    assert heisenberg_leibniz.cache_info()[:2] == (0, 3)  # (hits, misses)
+    assert built == [(2, catalog.GROUPED)] * 3
+
+
+def test_r3_reports_a_family_member_without_a_real_form(monkeypatch):
+    # the family member with mu = i has no real form here: R3 reports it as
+    # a failed check instead of reading the None
+    real = checkers.realify_derivation
+    monkeypatch.setattr(checkers, "realify_derivation", lambda flat, d: (
+        None if flat == {6: GaussRat(0, 1)} else real(flat, d)))
+    result = run_claim(REG["R3"], {"n": 1})
+    assert result.status == REFUTED
+    assert "family realifies" in result.actual.split("; ")
 
 
 def test_dimension_claims_build_no_structure(monkeypatch):
@@ -68,9 +86,9 @@ def test_report_id_is_the_sha256_prefix():
 
 def test_commutator_table_check():
     # sl2: [x,y] = h, [h,x] = 2x, [h,y] = -2y, listed in either orientation
-    x = Mat.from_rows([[0, 1], [0, 0]])
-    y = Mat.from_rows([[0, 0], [1, 0]])
-    h = Mat.from_rows([[1, 0], [0, -1]])
+    x = mat([[0, 1], [0, 0]])
+    y = mat([[0, 0], [1, 0]])
+    h = mat([[1, 0], [0, -1]])
     gens = {"h": h.sparse(), "x": x.sparse(), "y": y.sparse()}
 
     def problems(expected):

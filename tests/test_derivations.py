@@ -55,8 +55,11 @@ from helpers import (
     almost_inner_sample,
     basis_vector,
     dense_basis,
+    dense_jordan,
     identity,
     lincomb,
+    mat,
+    mat_col,
     matmul,
     matvec,
     naive_bracket,
@@ -67,12 +70,13 @@ from helpers import (
     rescale_basis,
     to_mat,
     unit,
+    zero_mat,
 )
 
 
 class TestIsDerivation:
     def test_zero_map(self):
-        assert is_derivation(Mat.zero(3, 3), heisenberg_lie(1))
+        assert is_derivation(zero_mat(3, 3), heisenberg_lie(1))
 
     def test_identity_fails_on_graded_algebra(self):
         # z sits in degree two, so the identity map is not a derivation
@@ -87,10 +91,10 @@ class TestIsDerivation:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            is_derivation(Mat.zero(2, 2), heisenberg_lie(1))
+            is_derivation(zero_mat(2, 2), heisenberg_lie(1))
 
     def test_field_mismatch(self):
-        m = Mat.from_rows([[0, 0, 0], [0, 0, 0], [GaussRat(0, 1), 0, 0]], QI)
+        m = mat([[0, 0, 0], [0, 0, 0], [GaussRat(0, 1), 0, 0]], QI)
         with pytest.raises(FieldMismatch):
             is_derivation(m, heisenberg_lie(1))
 
@@ -98,7 +102,7 @@ class TestIsDerivation:
 def _frozen_values():
     alg = heisenberg_lie(1)
     der = der_algebra(alg)
-    return [alg, der.subspace, jordan(F(2), 2), der]
+    return [alg, der.subspace, dense_jordan(F(2), 2), der]
 
 
 @pytest.mark.parametrize("k", range(4), ids=["Algebra", "Subspace", "Mat",
@@ -138,7 +142,7 @@ class TestDerAlgebra:
                 comm = naive_commutator(basis[s], basis[t])
                 via_tensor = naive_bracket(struct, basis_vector(struct, s),
                                            basis_vector(struct, t))
-                rebuilt = Mat.zero(5, 5, Q)
+                rebuilt = zero_mat(5, 5, Q)
                 for k, cf in enumerate(via_tensor):
                     if cf:
                         rebuilt = lincomb((1, rebuilt), (cf, basis[k]))
@@ -181,7 +185,7 @@ def _random_mat(rng, d, field, density):
             return 0
         x = F(rng.randint(-3, 3), rng.choice((1, 2)))
         return x if field == Q else GaussRat(x, rng.randint(-2, 2))
-    return Mat.from_rows([[entry() for _ in range(d)] for _ in range(d)], field)
+    return mat([[entry() for _ in range(d)] for _ in range(d)], field)
 
 
 class TestCommutator:
@@ -191,7 +195,7 @@ class TestCommutator:
     def test_against_dense(self, field):
         rng = Random(11)
         for d in (1, 2, 3, 5):
-            named = [Mat.zero(d, d, field), identity(d, field)]
+            named = [zero_mat(d, d, field), identity(d, field)]
             mats = named + [_random_mat(rng, d, field, density)
                             for density in (0.2, 0.5, 1.0) for _ in range(3)]
             for a in mats:
@@ -200,13 +204,13 @@ class TestCommutator:
 
     def test_shape_and_field_checked(self):
         with pytest.raises(ShapeMismatch):
-            commutator(Mat.zero(2, 3), Mat.zero(2, 3))
+            commutator(zero_mat(2, 3), zero_mat(2, 3))
         with pytest.raises(ShapeMismatch):
-            commutator(Mat.zero(2, 2), Mat.zero(3, 3))
+            commutator(zero_mat(2, 2), zero_mat(3, 3))
         with pytest.raises(ShapeMismatch):
-            commutator(Mat.zero(2, 2), Mat.zero(2, 3))
+            commutator(zero_mat(2, 2), zero_mat(2, 3))
         with pytest.raises(FieldMismatch):
-            commutator(Mat.zero(2, 2, Q), Mat.zero(2, 2, QI))
+            commutator(zero_mat(2, 2, Q), zero_mat(2, 2, QI))
 
     def test_coords_checks_shape(self):
         der = der_algebra(heisenberg_lie(1))  # 3x3 matrices
@@ -337,7 +341,7 @@ def _naive_almost_inner(d: Mat, alg: Algebra) -> bool:
     full = alg.full_space()
     comm = alg.product_space(full, full)
     return (naive_is_derivation(d, alg)
-            and all(comm.contains(d.col(c)) for c in range(alg.dim))
+            and all(comm.contains(mat_col(d, c)) for c in range(alg.dim))
             and all(not any(matvec(d, v)) for v in alg.centers()[2].basis))
 
 
@@ -375,7 +379,7 @@ def test_almost_inner_genus1_against_naive_predicate(idx):
     rng = Random(idx)
     combos = []
     for _ in range(10):
-        acc = Mat.zero(alg.dim, alg.dim, alg.field)
+        acc = zero_mat(alg.dim, alg.dim, alg.field)
         for m in der_basis:
             acc = lincomb((1, acc), (F(rng.randint(-2, 2)), m))
         combos.append(acc)
@@ -440,7 +444,7 @@ def test_der_membership_matches_is_derivation(idx):
     probes = [to_mat(m, d, alg.field) for m in gens.values()]
     basis = dense_basis(der)
     for _ in range(6):
-        acc = Mat.zero(d, d, alg.field)
+        acc = zero_mat(d, d, alg.field)
         for m in basis:
             acc = lincomb((1, acc), (F(rng.randint(-2, 2), rng.choice((1, 2))), m))
         probes.append(acc)
@@ -614,10 +618,8 @@ def test_derivations_under_rescaled_permuted_basis(seed, data):
     new = permute_basis(rescale_basis(alg, lam), perm)
     # new basis vector i is lam[perm[i]] b_perm[i]: p maps new coordinates
     # to old ones, s = p^-1 maps old to new, and Der(new) = s Der(alg) p
-    p = Mat.from_rows([[lam[r] if r == perm[c] else 0 for c in range(d)]
-                       for r in range(d)])
-    s = Mat.from_rows([[1 / lam[c] if c == perm[r] else 0 for c in range(d)]
-                       for r in range(d)])
+    p = mat([[lam[r] if r == perm[c] else 0 for c in range(d)] for r in range(d)])
+    s = mat([[1 / lam[c] if c == perm[r] else 0 for c in range(d)] for r in range(d)])
     assert matmul(s, p) == identity(d)
     assert new.kind == alg.kind
     der, der_new = der_algebra(alg), der_algebra(new)

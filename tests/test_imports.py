@@ -10,6 +10,7 @@ its own definition (recursion) do not count.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,16 @@ def test_no_dead_public_api():
             for name, tree in trees.items()
             for qual, short, line in _public_defs(tree) if short not in read]
     assert not dead, "public API that nothing reads: %s" % ", ".join(dead)
+
+
+def test_mat_only_at_the_edge():
+    """The dense ``Mat`` is named, in code, comments or docstrings, only
+    where it is defined, by the span recorder's shims in ``derivations`` and
+    in the package's ``__all__``: the catalog's parameter matrices and the
+    claims use sparse rows and flats."""
+    naming = sorted(path.name for path in SRC.glob("*.py")
+                    if re.search(r"\bMat\b", path.read_text(encoding="utf-8")))
+    assert naming == ["__init__.py", "derivations.py", "exactlin.py"]
 
 
 def test_cli_startup_modules():

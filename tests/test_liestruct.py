@@ -18,7 +18,6 @@ from derleib.derivations import MatrixLieAlgebra, der_algebra
 from derleib.exactlin import (
     GaussRat,
     InternalInvariantError,
-    Mat,
     Q,
     QI,
     Subspace,
@@ -37,11 +36,13 @@ from helpers import (
     basis_vector,
     bilinear,
     dense_basis,
+    entry,
     is_semisimple,
     is_zero,
     killing_gram,
     kron_gens,
     l5r_gens,
+    mat,
     naive_bracket,
     naive_gram,
     naive_nilradical,
@@ -88,7 +89,7 @@ class TestKilling:
         assert is_zero(killing_gram(g)) and killing(g).rank == 0
 
     def test_two_dim_solvable(self):
-        assert killing_gram(two_dim_solvable()) == Mat.from_rows([[1, 0], [0, 0]])
+        assert killing_gram(two_dim_solvable()) == mat([[1, 0], [0, 0]])
 
     def test_invariance_on_basis_triples(self):
         g = der_algebra(dieudonne(1)).structure
@@ -316,7 +317,7 @@ def test_killing_and_radical_on_a_table_with_denominators():
     g = _sl2_three_halves()
     assert g.int_scale == 2
     gram = killing_gram(g)
-    assert (gram.at(0, 0), gram.at(1, 2), gram.at(3, 3)) == (18, 9, 0)
+    assert (entry(gram, 0, 0), entry(gram, 1, 2), entry(gram, 3, 3)) == (18, 9, 0)
     assert radical(g) == naive_radical(g) == Subspace.span([basis_vector(g, 3)], 4, Q)
 
 
@@ -326,7 +327,7 @@ def test_killing_cases_reach_both_fields_off_the_diagonal():
     fields = set()
     for _, g in KILLING_CASES:
         gram = killing_gram(g)
-        if any(gram.at(s, t) for s in range(g.dim) for t in range(s)):
+        if any(entry(gram, s, t) for s in range(g.dim) for t in range(s)):
             fields.add(g.field)
     assert fields == {Q, QI}
 
@@ -433,13 +434,12 @@ class TestLevi:
             # sum of c v v^T over a few random v: symmetric, of rank <= 4
             vs = [(F(rng.choice((-1, 1, 2))), random_vector(rng, g.dim))
                   for _ in range(rng.randint(1, 4))]
-            gram = Mat.from_rows([[sum(c * v[r] * v[k] for c, v in vs)
-                                   for k in range(g.dim)] for r in range(g.dim)])
+            gram = mat([[sum(c * v[r] * v[k] for c, v in vs)
+                         for k in range(g.dim)] for r in range(g.dim)])
             monkeypatch.setattr(liestruct, "killing",
                                 lambda alg: liestruct.KillingForm(
                                     alg, sparse_rows(gram.sparse(), gram.cols)))
-            dense = Mat.from_rows([[bilinear(gram, a, b) for b in s.basis]
-                                   for a in s.basis])
+            dense = mat([[bilinear(gram, a, b) for b in s.basis] for a in s.basis])
             want = "failed(degenerate)" if nullspace(dense).dim else "verified"
             assert str(verify_levi(g, s)) == want
             seen.add(want)
