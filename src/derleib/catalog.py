@@ -129,9 +129,6 @@ def heisenberg_lie(n: int, order: str = GROUPED) -> Algebra:
     return heisenberg_leibniz(n, {}, order)
 
 
-# each cache holds the smallest power of two above the entries `verify-paper
-# --nmax 16` stores in it, so that run evicts nothing
-@lru_cache(maxsize=64)
 def kronecker(n: int, order: str = GROUPED) -> Algebra:
     """(2n+1)-dimensional Kronecker algebra: [e_i,f_i] = [f_i,e_i] = z and
     [e_i,f_{i-1}] = z, [f_{i-1},e_i] = -z."""
@@ -148,7 +145,6 @@ def kronecker(n: int, order: str = GROUPED) -> Algebra:
     return _maybe_interleave(alg, n, order)
 
 
-@lru_cache(maxsize=32)
 def dieudonne(n: int) -> Algebra:
     """(2n+2)-dimensional Dieudonne algebra on {e_1..e_{2n+1}, z}."""
     _check_n(n, 2 * n + 2)
@@ -257,7 +253,8 @@ def _real_part(x, default):
 
 
 class FamilySpec(NamedTuple):
-    """A concrete family instance; the CLI and the claim registry build these."""
+    """A concrete family instance; the CLI and the claim checkers build their
+    algebras through :meth:`build`, which builds each spec once."""
 
     family: str
     n: int
@@ -275,6 +272,9 @@ class FamilySpec(NamedTuple):
             parts.append(self.order)
         return " ".join(parts)
 
+    # the one member cache; 256 is the smallest power of two above the 183
+    # specs `verify-paper --nmax 16` stores, so that run evicts nothing
+    @lru_cache(maxsize=256)
     def build(self) -> Algebra:
         """The algebra; a parameter the family does not take is an error."""
         f = self.family

@@ -8,23 +8,15 @@ modules, so a failure here localizes a real mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from random import Random
 from typing import Optional
 
-from .algebra import Algebra
 from .catalog import (
     GROUPED,
     INTERLEAVED,
     FamilySpec,
-    dieudonne,
-    heisenberg_leibniz,
-    heisenberg_lie,
     interleave_perm,
-    jordan,
-    kronecker,
     realify_derivation,
-    realify_heisenberg,
 )
 from .claims import CONFIRMED, DISCREPANCY, REFUTED, Claim
 from .derivations import (
@@ -174,19 +166,6 @@ def dieu_gens(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# cached family/derivation access
-# ---------------------------------------------------------------------------
-
-# each member built once per (n, a, order); the callers omit the default
-# order, so it is never a second key.
-# 128 is the smallest power of two above the 112 members `verify-paper
-# --nmax 16` builds, so that run evicts nothing.
-@lru_cache(maxsize=128)
-def _heis(n: int, a: Fraction, order: str = GROUPED) -> Algebra:
-    return heisenberg_leibniz(n, jordan(a, n), order)
-
-
-# ---------------------------------------------------------------------------
 # check bookkeeping
 # ---------------------------------------------------------------------------
 
@@ -279,7 +258,7 @@ def _comm_table_ok(ck: _Checks, d: int, gens: dict, expected: dict):
 
 def _check_h1(params, seed):
     n, a = params["n"], params["a"]
-    der = der_algebra(_heis(n, a))
+    der = der_algebra(FamilySpec("heisenberg", n, a).build())
     ck = _Checks()
     ck.eq("dim Der", 3 * n + 1, der.dim)
     return ck.result("dim Der = 3n+1 = %d" % (3 * n + 1))
@@ -287,7 +266,7 @@ def _check_h1(params, seed):
 
 def _check_h2(params, seed):
     n, a = params["n"], params["a"]
-    der = der_algebra(_heis(n, a))
+    der = der_algebra(FamilySpec("heisenberg", n, a).build())
     gens = heis_grouped_gens(n)
     ck = _Checks()
     for nm, m in gens.items():
@@ -308,7 +287,7 @@ def _check_h2(params, seed):
 
 def _check_h3(params, seed):
     n, a = params["n"], params["a"]
-    der = der_algebra(_heis(n, a))
+    der = der_algebra(FamilySpec("heisenberg", n, a).build())
     gens = heis_grouped_gens(n)
     derived = der.structure.commutator_ideal
     ck = _Checks()
@@ -321,7 +300,7 @@ def _check_h3(params, seed):
 
 def _check_h4(params, seed):
     n, a = params["n"], params["a"]
-    der = der_algebra(_heis(n, a))
+    der = der_algebra(FamilySpec("heisenberg", n, a).build())
     gens = heis_grouped_gens(n)
     ck = _Checks()
     nilp, _ = der.structure.is_nilpotent()
@@ -336,7 +315,7 @@ def _check_h4(params, seed):
 
 def _check_h5(params, seed):
     n, a = params["n"], params["a"]
-    der = der_algebra(_heis(n, a))
+    der = der_algebra(FamilySpec("heisenberg", n, a).build())
     ck = _Checks()
     ck.eq("dim Z(Der)", 0, der.structure.centers()[2].dim)
     return ck.result("Z(Der) = 0")
@@ -344,7 +323,7 @@ def _check_h5(params, seed):
 
 def _check_h6(params, seed):
     n, a = params["n"], params["a"]
-    alg = _heis(n, a)
+    alg = FamilySpec("heisenberg", n, a).build()
     inn = inner_derivations(alg)
     gens = heis_grouped_gens(n)
     ck = _Checks()
@@ -372,7 +351,7 @@ def _check_h6(params, seed):
 
 def _check_h7(params, seed):
     n, a = params["n"], params["a"]
-    aid = almost_inner_genus1(_heis(n, a))
+    aid = almost_inner_genus1(FamilySpec("heisenberg", n, a).build())
     gens = heis_grouped_gens(n)
     ck = _Checks()
     ck.eq("dim AIDer", 2 * n, aid.dim)
@@ -382,9 +361,9 @@ def _check_h7(params, seed):
 
 def _check_h8(params, seed):
     n, a = params["n"], params["a"]
-    d_h = der_algebra(heisenberg_lie(n)).subspace
-    d_j0 = der_algebra(_heis(n, Fraction(0))).subspace
-    d_ja = der_algebra(_heis(n, a)).subspace
+    d_h = der_algebra(FamilySpec("heisenberg-lie", n).build()).subspace
+    d_j0 = der_algebra(FamilySpec("heisenberg", n, 0).build()).subspace
+    d_ja = der_algebra(FamilySpec("heisenberg", n, a).build()).subspace
     ck = _Checks()
     ck.true("Der(heisenberg-lie) contains Der(J_0)", d_h.contains(d_j0))
     ck.true("Der(J_0) contains Der(J_a)", d_j0.contains(d_ja))
@@ -393,7 +372,7 @@ def _check_h8(params, seed):
 
 def _check_z1(params, seed):
     n = params["n"]
-    der = der_algebra(_heis(n, Fraction(0), INTERLEAVED))
+    der = der_algebra(FamilySpec("heisenberg", n, 0, order=INTERLEAVED).build())
     ck = _Checks()
     ck.eq("dim Der", 4 * n + 1, der.dim)
     return ck.result("dim Der = 4n+1 = %d (n even)" % (4 * n + 1))
@@ -401,7 +380,7 @@ def _check_z1(params, seed):
 
 def _check_z2(params, seed):
     n = params["n"]
-    der = der_algebra(_heis(n, Fraction(0), INTERLEAVED))
+    der = der_algebra(FamilySpec("heisenberg", n, 0, order=INTERLEAVED).build())
     ck = _Checks()
     ck.eq("dim Der", 4 * n + 2, der.dim)
     return ck.result("dim Der = 4n+2 = %d (n odd)" % (4 * n + 2))
@@ -409,7 +388,7 @@ def _check_z2(params, seed):
 
 def _check_z3(params, seed):
     n = params["n"]
-    der = der_algebra(_heis(n, Fraction(0), INTERLEAVED))
+    der = der_algebra(FamilySpec("heisenberg", n, 0, order=INTERLEAVED).build())
     gens = j0_gens(n)
     ck = _Checks()
     solv, cls = der.structure.is_solvable()
@@ -426,7 +405,7 @@ def _check_z3(params, seed):
 
 def _check_z4(params, seed):
     n = params["n"]
-    der = der_algebra(_heis(n, Fraction(0), INTERLEAVED))
+    der = der_algebra(FamilySpec("heisenberg", n, 0, order=INTERLEAVED).build())
     gens = j0_gens(n)
     struct = der.structure
     ck = _Checks()
@@ -462,7 +441,7 @@ def _check_z4(params, seed):
 
 def _check_z5(params, seed):
     n = params["n"]
-    inn = inner_derivations(_heis(n, Fraction(0), INTERLEAVED))
+    inn = inner_derivations(FamilySpec("heisenberg", n, 0, order=INTERLEAVED).build())
     gens = j0_gens(n)
     ck = _Checks()
     ck.eq("dim Inn", 2 * n, inn.dim)
@@ -473,7 +452,7 @@ def _check_z5(params, seed):
 
 def _check_r1(params, seed):
     a = params["a"]
-    alg = realify_heisenberg(1, GaussRat(a, 1), INTERLEAVED)
+    alg = FamilySpec("realify-heisenberg", 1, a, order=INTERLEAVED).build()
     der = der_algebra(alg)
     gens = l5r_gens()
     ck = _Checks()
@@ -490,7 +469,7 @@ def _check_r1(params, seed):
 
 
 def _check_r2(params, seed):
-    alg = realify_heisenberg(1, GaussRat(0, 1), INTERLEAVED)
+    alg = FamilySpec("realify-heisenberg", 1, 0, order=INTERLEAVED).build()
     der = der_algebra(alg)
     gens = l5r_gens()
     struct = der.structure
@@ -511,8 +490,8 @@ def _check_r2(params, seed):
 
 
 def _check_r3(params, seed):
-    complex_alg = heisenberg_leibniz(1, jordan(GaussRat(0, 1), 1), GROUPED)
-    real_alg = realify_heisenberg(1, GaussRat(0, 1), INTERLEAVED)
+    complex_alg = FamilySpec("heisenberg", 1, GaussRat(0, 1)).build()
+    real_alg = FamilySpec("realify-heisenberg", 1, 0, order=INTERLEAVED).build()
     der3 = der_algebra(complex_alg).subspace
     der5 = der_algebra(real_alg).subspace
     rng = Random(seed)
@@ -566,7 +545,7 @@ def _check_r3(params, seed):
 
 def _check_k1(params, seed):
     n = params["n"]
-    der = der_algebra(kronecker(n, INTERLEAVED))
+    der = der_algebra(FamilySpec("kronecker", n, order=INTERLEAVED).build())
     ck = _Checks()
     ck.eq("dim Der", 4 * n, der.dim)
     return ck.result("dim Der = 4n = %d (n odd)" % (4 * n))
@@ -574,7 +553,7 @@ def _check_k1(params, seed):
 
 def _check_k2(params, seed):
     n = params["n"]
-    der = der_algebra(kronecker(n, INTERLEAVED))
+    der = der_algebra(FamilySpec("kronecker", n, order=INTERLEAVED).build())
     gens = kron_gens(n)
     ck = _Checks()
     ck.eq("dim Der", 4 * n + 1, der.dim)
@@ -584,7 +563,7 @@ def _check_k2(params, seed):
 
 def _check_k3(params, seed):
     n = params["n"]
-    der = der_algebra(kronecker(n, INTERLEAVED))
+    der = der_algebra(FamilySpec("kronecker", n, order=INTERLEAVED).build())
     gens = kron_gens(n)
     ck = _Checks()
     ck.levi("Levi complement verified", der, [
@@ -595,7 +574,7 @@ def _check_k3(params, seed):
 
 def _check_k4(params, seed):
     n = params["n"]
-    der = der_algebra(kronecker(n, INTERLEAVED))
+    der = der_algebra(FamilySpec("kronecker", n, order=INTERLEAVED).build())
     gens = kron_gens(n)
     struct = der.structure
     ck = _Checks()
@@ -612,7 +591,7 @@ def _check_k4(params, seed):
 
 def _check_k5(params, seed):
     n = params["n"]
-    alg = kronecker(n, INTERLEAVED)
+    alg = FamilySpec("kronecker", n, order=INTERLEAVED).build()
     inn = inner_derivations(alg)
     gens = kron_gens(n)
     ck = _Checks()
@@ -632,9 +611,9 @@ def _check_k5(params, seed):
 
 def _check_k6(params, seed):
     n, a = params["n"], params["a"]
-    d_j0 = der_algebra(_heis(n, Fraction(0))).subspace
-    d_k = der_algebra(kronecker(n, GROUPED)).subspace
-    d_ja = der_algebra(_heis(n, a)).subspace
+    d_j0 = der_algebra(FamilySpec("heisenberg", n, 0).build()).subspace
+    d_k = der_algebra(FamilySpec("kronecker", n).build()).subspace
+    d_ja = der_algebra(FamilySpec("heisenberg", n, a).build()).subspace
     ck = _Checks()
     ck.spans_equal("Der(J_0) meet Der(kronecker) = Der(J_a)",
                    d_ja, d_j0.intersect(d_k))
@@ -643,7 +622,7 @@ def _check_k6(params, seed):
 
 def _check_d1(params, seed):
     n = params["n"]
-    der = der_algebra(dieudonne(n))
+    der = der_algebra(FamilySpec("dieudonne", n).build())
     gens = dieu_gens(n)
     ck = _Checks()
     ck.eq("dim Der", 3 * n + 3, der.dim)
@@ -684,7 +663,7 @@ def _check_d1(params, seed):
 
 def _check_d2(params, seed):
     n = params["n"]
-    struct = der_algebra(dieudonne(n)).structure
+    struct = der_algebra(FamilySpec("dieudonne", n).build()).structure
     ck = _Checks()
     solv, cls = struct.is_solvable()
     ck.true("Der solvable", solv)
@@ -696,7 +675,7 @@ def _check_d2(params, seed):
 
 def _check_d3(params, seed):
     n = params["n"]
-    struct = der_algebra(dieudonne(n)).structure
+    struct = der_algebra(FamilySpec("dieudonne", n).build()).structure
     ck = _Checks()
     ck.spans_equal("nilradical = commutator ideal", struct.commutator_ideal,
                    nilradical(struct))
@@ -705,7 +684,7 @@ def _check_d3(params, seed):
 
 def _check_d4(params, seed):
     n = params["n"]
-    alg = dieudonne(n)
+    alg = FamilySpec("dieudonne", n).build()
     inn = inner_derivations(alg)
     gens = dieu_gens(n)
     ck = _Checks()
@@ -727,7 +706,7 @@ def _check_d4(params, seed):
 
 def _check_d5(params, seed):
     n = params["n"]
-    der = der_algebra(dieudonne(n))
+    der = der_algebra(FamilySpec("dieudonne", n).build())
     gens = dieu_gens(n)
     ck = _Checks()
     ck.spans_algebra("worked basis spans Der", der, gens.values())

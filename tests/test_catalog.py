@@ -6,6 +6,7 @@ import pytest
 from derleib import catalog
 from derleib.algebra import MAX_DIM, Algebra
 from derleib.catalog import (
+    FAMILIES,
     FamilySpec,
     GROUPED,
     INTERLEAVED,
@@ -306,6 +307,31 @@ class TestFamilySpec:
         with pytest.raises(ValueError, match="family %s does not take %s$"
                            % (spec.family, extra)):
             spec.build()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cached_build_is_the_member_of_each_spelling(self, family):
+        # 2, Fraction(2) and GaussRat(2) are one cache key, so they must
+        # also be one algebra
+        takes = catalog._PARAMS[family]
+        spellings = (2, F(2), GaussRat(2)) if "a" in takes else (None,)
+        orders = (GROUPED, INTERLEAVED) if "order" in takes else (GROUPED,)
+        FamilySpec.build.cache_clear()
+        for n in range(1, 4):
+            for order in orders:
+                specs = [FamilySpec(family, n, a, order=order) for a in spellings]
+                alg = specs[0].build()
+                for spec in specs:
+                    assert spec.build() is alg
+                    fresh = FamilySpec.build.__wrapped__(spec)
+                    assert (fresh.table, fresh.labels, fresh.field, hash(fresh)) \
+                        == (alg.table, alg.labels, alg.field, hash(alg))
+
+    @pytest.mark.parametrize("spec", [FamilySpec("kronecker", 2, a=2),
+                                      FamilySpec("heisenberg", 0, a=2)])
+    def test_a_rejected_spec_raises_on_every_call(self, spec):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                spec.build()
 
 
 # the parameter of the largest Heisenberg-type algebra within the cap

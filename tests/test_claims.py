@@ -1,5 +1,8 @@
 import hashlib
+import inspect
 import json
+import sys
+from collections import Counter
 from fractions import Fraction as F
 from functools import cached_property
 
@@ -8,7 +11,7 @@ import pytest
 from derleib import catalog, checkers
 from derleib.checkers import dieu_gens, j0_gens, kron_gens, registry
 from derleib.claims import DEFAULT_A, REFUTED, run_all, run_claim
-from derleib.catalog import dieudonne, kronecker
+from derleib.catalog import GROUPED, FamilySpec, dieudonne
 from derleib.derivations import MatrixLieAlgebra, der_algebra
 from derleib.dsl import report_json
 from derleib.exactlin import GaussRat, Subspace
@@ -18,32 +21,78 @@ from helpers import identity, lincomb, mat, naive_is_derivation, to_mat
 REG = {c.id: c for c in registry()}
 
 
-def test_k6_and_p1_share_one_kronecker_build():
-    # K6 calls kronecker(n, GROUPED), P1 FamilySpec(...).build(), which
-    # passes its order; kronecker(n) would be a second cache entry
-    kronecker.cache_clear()
+# the catalog constructors a claim can reach; heisenberg_lie and
+# realify_heisenberg build through heisenberg_leibniz
+_BUILDERS = ("heisenberg_leibniz", "heisenberg_lie", "realify_heisenberg",
+             "kronecker", "dieudonne")
+
+
+def _frozen(x):
+    return tuple(sorted((k, _frozen(v)) for k, v in x.items())) \
+        if isinstance(x, dict) else x
+
+
+def _count_builds(monkeypatch, names=_BUILDERS):
+    """Wrap the named constructors at every binding in the package; the
+    returned list gets ``(name, arguments with defaults filled in)`` of each
+    outermost call."""
+    calls, depth = [], [0]
+    for name in names:
+        plain = getattr(catalog, name)
+        sig = inspect.signature(plain)
+
+        def counted(*args, _plain=plain, _name=name, _sig=sig, **kwargs):
+            if not depth[0]:
+                bound = _sig.bind(*args, **kwargs)
+                bound.apply_defaults()
+                calls.append((_name, _frozen(bound.arguments)))
+            depth[0] += 1
+            try:
+                return _plain(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("derleib")
+                    and getattr(module, name, None) is plain):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_k6_and_p1_share_one_kronecker_build(monkeypatch):
+    # K6 builds FamilySpec("kronecker", n) and P1 the same spec from its
+    # params, so the member cache builds the algebra once
+    built = _count_builds(monkeypatch, ("kronecker",))
+    FamilySpec.build.cache_clear()
     run_claim(REG["K6"], {"n": 2, "a": F(2)})
     run_claim(REG["P1"], {"family": "kronecker", "n": 2})
-    assert kronecker.cache_info().misses == 1
+    assert built == [("kronecker", (("n", 2), ("order", GROUPED)))]
 
 
 def test_heisenberg_claims_build_each_jordan_member_once(monkeypatch):
     # H1, H3 and H8 all read the member at n=2, a=2, and H8 also a=0 and
-    # heisenberg-lie; `_heis` builds each Jordan member once, so the
-    # catalog builds each of the three algebras once
+    # heisenberg-lie; the member cache builds each of the three once
     built = []
     plain = catalog.heisenberg_leibniz
 
-    def counted(n, a, order=catalog.GROUPED):
+    def counted(n, a, order=GROUPED):
         built.append((n, order))
         return plain(n, a, order)
-    for module in (catalog, checkers):
-        monkeypatch.setattr(module, "heisenberg_leibniz", counted)
-    checkers._heis.cache_clear()
+    monkeypatch.setattr(catalog, "heisenberg_leibniz", counted)
+    FamilySpec.build.cache_clear()
     for cid in ("H1", "H3", "H8"):
         run_claim(REG[cid], {"n": 2, "a": F(2)})
-    assert checkers._heis.cache_info().misses == 2
-    assert built == [(2, catalog.GROUPED)] * 3
+    assert FamilySpec.build.cache_info().misses == 3
+    assert built == [(2, GROUPED)] * 3
+
+
+def test_a_run_builds_no_member_twice(monkeypatch):
+    # counted by arguments, not by algebra: at n=1 the grouped and
+    # interleaved orders give equal algebras from different specs
+    calls = _count_builds(monkeypatch)
+    FamilySpec.build.cache_clear()
+    run_all(3)
+    assert calls
+    assert {c: k for c, k in Counter(calls).items() if k > 1} == {}
 
 
 def test_r3_reports_a_family_member_without_a_real_form(monkeypatch):

@@ -31,6 +31,8 @@ GOLDEN = [
      "aab939d3f572b68d08bced7993ef15fd2cd7233ec48a37bb1266bb816d0e52d5"),
     (("verify-paper", "--nmax", "4", "--json"), 1,
      "97999b37b79dba6bba3faceec32dce9b1db184babcf39131cd582e5e08300a23"),
+    (("verify-paper", "--nmax", "6", "--json"), 1,
+     "0722ae85e831316bfea844c367a1b246b52a9733ebf585080d8e35e20e67aafe"),
     (("analyze", "--family", "heisenberg-lie", "--n", "2", "--der"), 0,
      "201128ea5b46f6874c703f270330d28b6e480fd90778921640293e2b11588dfe"),
     (("analyze", "--family", "heisenberg-lie", "--n", "3", "--der"), 0,
@@ -59,6 +61,12 @@ GOLDEN = [
     (("derive", "--family", "realify-heisenberg", "--n", "2", "--a", "1",
       "--b", "2", "--table"), 0,
      "23e89900ccc984ef9834e49318777ff763a1fd7dcd87950e2b57dc183fa11fb5"),
+    (("derive", "--family", "heisenberg-lie", "--n", "12"), 0,
+     "28ce1943431da6bdd79dd4b9370ec7bf422b29688539a2bf65f33d2a9ad4c316"),
+    (("derive", "--family", "heisenberg-lie", "--n", "12", "--json"), 0,
+     "7ddbf743b4bc866821f236b6ccc497b04670b492a5dce19f0f34f3556cdff92f"),
+    (("derive", "--family", "kronecker", "--n", "20", "--json"), 0,
+     "3c851d85e5b444e7f1e8a2fb5c598da21cfd9d48cf8a7832b1868f06ccf76b04"),
 ]
 
 
