@@ -31,8 +31,8 @@ from .exactlin import (
     SparseVec,
     Subspace,
     axpy,
+    format_rows,
     format_scalar,
-    format_vector,
     sparse_commutator,
     sparse_flat,
     sparse_rows,
@@ -226,7 +226,7 @@ def _fmt_flat(flat: SparseVec, d: int) -> str:
 
 
 def _fmt_sub(s: Subspace) -> str:
-    return "{" + "; ".join(format_vector(row) for row in s.basis) + "}"
+    return "{%s}" % "; ".join("[%s]" % ", ".join(cells) for cells in format_rows(s))
 
 
 def _named_span(der: MatrixLieAlgebra, gens: dict, names) -> Optional[Subspace]:
@@ -253,20 +253,56 @@ def _comm_table_ok(ck: _Checks, d: int, gens: dict, expected: dict):
 
 
 # ---------------------------------------------------------------------------
+# claim members and the checks several claims state
+# ---------------------------------------------------------------------------
+
+def _heis(params) -> FamilySpec:
+    """The Jordan-parameter member at (n, a), grouped basis."""
+    return FamilySpec("heisenberg", params["n"], params["a"])
+
+
+def _j0(params) -> FamilySpec:
+    """The zero-parameter member at n, interleaved basis."""
+    return FamilySpec("heisenberg", params["n"], 0, order=INTERLEAVED)
+
+
+def _kron(params) -> FamilySpec:
+    """The Kronecker member at n, interleaved basis."""
+    return FamilySpec("kronecker", params["n"], order=INTERLEAVED)
+
+
+def _dim_der(member, formula, summary: str):
+    """The checker of ``dim Der = formula(n)`` for the member of ``params``;
+    ``summary`` takes the formula's value."""
+    def check(params, seed):
+        want = formula(params["n"])
+        ck = _Checks()
+        ck.eq("dim Der", want, der_algebra(member(params).build()).dim)
+        return ck.result(summary % want)
+    return check
+
+
+def _levi_xy_cb(ck: _Checks, der: MatrixLieAlgebra, gens: dict, n: int):
+    """<x-y, c_(n+1), b_(n+1)> is a verified Levi complement of ``der``."""
+    ck.levi("Levi complement verified", der, [
+        _comb((1, gens["x"]), (-1, gens["y"])),
+        gens["c%d" % (n + 1)], gens["b%d" % (n + 1)]])
+
+
+def _inn_ab(ck: _Checks, inn: MatrixLieAlgebra, gens: dict, n: int):
+    """Inn is abelian of dimension 2n and spanned by A and B."""
+    ck.eq("dim Inn", 2 * n, inn.dim)
+    ck.eq("Inn abelian", 0, inn.structure.commutator_ideal.dim)
+    ck.spans_algebra("Inn = <A,B>", inn, [gens[nm] for nm in _ab(n)])
+
+
+# ---------------------------------------------------------------------------
 # claim checkers
 # ---------------------------------------------------------------------------
 
-def _check_h1(params, seed):
-    n, a = params["n"], params["a"]
-    der = der_algebra(FamilySpec("heisenberg", n, a).build())
-    ck = _Checks()
-    ck.eq("dim Der", 3 * n + 1, der.dim)
-    return ck.result("dim Der = 3n+1 = %d" % (3 * n + 1))
-
-
 def _check_h2(params, seed):
-    n, a = params["n"], params["a"]
-    der = der_algebra(FamilySpec("heisenberg", n, a).build())
+    n = params["n"]
+    der = der_algebra(_heis(params).build())
     gens = heis_grouped_gens(n)
     ck = _Checks()
     for nm, m in gens.items():
@@ -286,8 +322,8 @@ def _check_h2(params, seed):
 
 
 def _check_h3(params, seed):
-    n, a = params["n"], params["a"]
-    der = der_algebra(FamilySpec("heisenberg", n, a).build())
+    n = params["n"]
+    der = der_algebra(_heis(params).build())
     gens = heis_grouped_gens(n)
     derived = der.structure.commutator_ideal
     ck = _Checks()
@@ -299,8 +335,8 @@ def _check_h3(params, seed):
 
 
 def _check_h4(params, seed):
-    n, a = params["n"], params["a"]
-    der = der_algebra(FamilySpec("heisenberg", n, a).build())
+    n = params["n"]
+    der = der_algebra(_heis(params).build())
     gens = heis_grouped_gens(n)
     ck = _Checks()
     nilp, _ = der.structure.is_nilpotent()
@@ -314,8 +350,7 @@ def _check_h4(params, seed):
 
 
 def _check_h5(params, seed):
-    n, a = params["n"], params["a"]
-    der = der_algebra(FamilySpec("heisenberg", n, a).build())
+    der = der_algebra(_heis(params).build())
     ck = _Checks()
     ck.eq("dim Z(Der)", 0, der.structure.centers()[2].dim)
     return ck.result("Z(Der) = 0")
@@ -323,7 +358,7 @@ def _check_h5(params, seed):
 
 def _check_h6(params, seed):
     n, a = params["n"], params["a"]
-    alg = FamilySpec("heisenberg", n, a).build()
+    alg = _heis(params).build()
     inn = inner_derivations(alg)
     gens = heis_grouped_gens(n)
     ck = _Checks()
@@ -350,8 +385,8 @@ def _check_h6(params, seed):
 
 
 def _check_h7(params, seed):
-    n, a = params["n"], params["a"]
-    aid = almost_inner_genus1(FamilySpec("heisenberg", n, a).build())
+    n = params["n"]
+    aid = almost_inner_genus1(_heis(params).build())
     gens = heis_grouped_gens(n)
     ck = _Checks()
     ck.eq("dim AIDer", 2 * n, aid.dim)
@@ -360,35 +395,19 @@ def _check_h7(params, seed):
 
 
 def _check_h8(params, seed):
-    n, a = params["n"], params["a"]
+    n = params["n"]
     d_h = der_algebra(FamilySpec("heisenberg-lie", n).build()).subspace
     d_j0 = der_algebra(FamilySpec("heisenberg", n, 0).build()).subspace
-    d_ja = der_algebra(FamilySpec("heisenberg", n, a).build()).subspace
+    d_ja = der_algebra(_heis(params).build()).subspace
     ck = _Checks()
     ck.true("Der(heisenberg-lie) contains Der(J_0)", d_h.contains(d_j0))
     ck.true("Der(J_0) contains Der(J_a)", d_j0.contains(d_ja))
     return ck.result("derivation algebras nest: lie >= J_0 >= J_a")
 
 
-def _check_z1(params, seed):
-    n = params["n"]
-    der = der_algebra(FamilySpec("heisenberg", n, 0, order=INTERLEAVED).build())
-    ck = _Checks()
-    ck.eq("dim Der", 4 * n + 1, der.dim)
-    return ck.result("dim Der = 4n+1 = %d (n even)" % (4 * n + 1))
-
-
-def _check_z2(params, seed):
-    n = params["n"]
-    der = der_algebra(FamilySpec("heisenberg", n, 0, order=INTERLEAVED).build())
-    ck = _Checks()
-    ck.eq("dim Der", 4 * n + 2, der.dim)
-    return ck.result("dim Der = 4n+2 = %d (n odd)" % (4 * n + 2))
-
-
 def _check_z3(params, seed):
     n = params["n"]
-    der = der_algebra(FamilySpec("heisenberg", n, 0, order=INTERLEAVED).build())
+    der = der_algebra(_j0(params).build())
     gens = j0_gens(n)
     ck = _Checks()
     solv, cls = der.structure.is_solvable()
@@ -405,15 +424,13 @@ def _check_z3(params, seed):
 
 def _check_z4(params, seed):
     n = params["n"]
-    der = der_algebra(FamilySpec("heisenberg", n, 0, order=INTERLEAVED).build())
+    der = der_algebra(_j0(params).build())
     gens = j0_gens(n)
     struct = der.structure
     ck = _Checks()
     solv, _ = struct.is_solvable()
     ck.true("Der not solvable", not solv)
-    ck.levi("Levi complement verified", der, [
-        _comb((1, gens["x"]), (-1, gens["y"])),
-        gens["c%d" % (n + 1)], gens["b%d" % (n + 1)]])
+    _levi_xy_cb(ck, der, gens, n)
     rad_names = (_seq("E", 1, n - 1) + _seq("c", 2, n - 1, 2)
                  + _seq("b", n + 3, 2 * n, 2) + _ab(n))
     rad = radical(struct)
@@ -441,12 +458,8 @@ def _check_z4(params, seed):
 
 def _check_z5(params, seed):
     n = params["n"]
-    inn = inner_derivations(FamilySpec("heisenberg", n, 0, order=INTERLEAVED).build())
-    gens = j0_gens(n)
     ck = _Checks()
-    ck.eq("dim Inn", 2 * n, inn.dim)
-    ck.eq("Inn abelian", 0, inn.structure.commutator_ideal.dim)
-    ck.spans_algebra("Inn = <A,B>", inn, [gens[nm] for nm in _ab(n)])
+    _inn_ab(ck, inner_derivations(_j0(params).build()), j0_gens(n), n)
     return ck.result("Inn abelian of dimension 2n = %d" % (2 * n))
 
 
@@ -543,17 +556,9 @@ def _check_r3(params, seed):
                      "the family matches the corner-2a matrices")
 
 
-def _check_k1(params, seed):
-    n = params["n"]
-    der = der_algebra(FamilySpec("kronecker", n, order=INTERLEAVED).build())
-    ck = _Checks()
-    ck.eq("dim Der", 4 * n, der.dim)
-    return ck.result("dim Der = 4n = %d (n odd)" % (4 * n))
-
-
 def _check_k2(params, seed):
     n = params["n"]
-    der = der_algebra(FamilySpec("kronecker", n, order=INTERLEAVED).build())
+    der = der_algebra(_kron(params).build())
     gens = kron_gens(n)
     ck = _Checks()
     ck.eq("dim Der", 4 * n + 1, der.dim)
@@ -563,18 +568,15 @@ def _check_k2(params, seed):
 
 def _check_k3(params, seed):
     n = params["n"]
-    der = der_algebra(FamilySpec("kronecker", n, order=INTERLEAVED).build())
-    gens = kron_gens(n)
+    der = der_algebra(_kron(params).build())
     ck = _Checks()
-    ck.levi("Levi complement verified", der, [
-        _comb((1, gens["x"]), (-1, gens["y"])),
-        gens["c%d" % (n + 1)], gens["b%d" % (n + 1)]])
+    _levi_xy_cb(ck, der, kron_gens(n), n)
     return ck.result("Levi complement <x-y, c_(n+1), b_(n+1)> verified")
 
 
 def _check_k4(params, seed):
     n = params["n"]
-    der = der_algebra(FamilySpec("kronecker", n, order=INTERLEAVED).build())
+    der = der_algebra(_kron(params).build())
     gens = kron_gens(n)
     struct = der.structure
     ck = _Checks()
@@ -591,13 +593,10 @@ def _check_k4(params, seed):
 
 def _check_k5(params, seed):
     n = params["n"]
-    alg = FamilySpec("kronecker", n, order=INTERLEAVED).build()
-    inn = inner_derivations(alg)
+    alg = _kron(params).build()
     gens = kron_gens(n)
     ck = _Checks()
-    ck.eq("dim Inn", 2 * n, inn.dim)
-    ck.eq("Inn abelian", 0, inn.structure.commutator_ideal.dim)
-    ck.spans_algebra("Inn = <A,B>", inn, [gens[nm] for nm in _ab(n)])
+    _inn_ab(ck, inner_derivations(alg), gens, n)
     d, lops, c = alg.dim, alg.int_ops[0], alg.int_scale  # B_0 = A_(n+1) = 0
     for i in range(1, n + 1):
         want = _comb((c, gens["B%d" % i]), (c, gens.get("B%d" % (i - 1), {})))
@@ -610,10 +609,10 @@ def _check_k5(params, seed):
 
 
 def _check_k6(params, seed):
-    n, a = params["n"], params["a"]
+    n = params["n"]
     d_j0 = der_algebra(FamilySpec("heisenberg", n, 0).build()).subspace
     d_k = der_algebra(FamilySpec("kronecker", n).build()).subspace
-    d_ja = der_algebra(FamilySpec("heisenberg", n, a).build()).subspace
+    d_ja = der_algebra(_heis(params).build()).subspace
     ck = _Checks()
     ck.spans_equal("Der(J_0) meet Der(kronecker) = Der(J_a)",
                    d_ja, d_j0.intersect(d_k))
@@ -808,91 +807,64 @@ def _dom_p2(nmax, a_values):
 
 def registry() -> tuple:
     return (
-        Claim("H1", "generic Jordan-parameter derivation dimension",
-              "dim Der = 3n+1 for a nonzero parameter",
-              _dom_na(nonzero=True), _check_h1),
-        Claim("H2", "generic Jordan-parameter derivation basis",
-              "the named matrices x, y, E_i, A_i, B_i span Der and satisfy "
-              "the stated bracket table",
-              _dom_na(nonzero=True), _check_h2),
-        Claim("H3", "generic commutator ideal",
-              "[Der,Der] is abelian of dimension 2n, spanned by A and B",
+        Claim("H1", "dim Der = 3n+1 for a nonzero parameter", _dom_na(nonzero=True),
+              _dim_der(_heis, lambda n: 3 * n + 1, "dim Der = 3n+1 = %d")),
+        Claim("H2", "the named matrices x, y, E_i, A_i, B_i span Der and satisfy "
+              "the stated bracket table", _dom_na(nonzero=True), _check_h2),
+        Claim("H3", "[Der,Der] is abelian of dimension 2n, spanned by A and B",
               _dom_na(nonzero=True), _check_h3),
-        Claim("H4", "generic nilradical",
-              "Der is not nilpotent; the nilradical is <E,A,B> of dim 3n-1",
+        Claim("H4", "Der is not nilpotent; the nilradical is <E,A,B> of dim 3n-1",
               _dom_na(nonzero=True), _check_h4),
-        Claim("H5", "generic center of Der",
-              "Z(Der) is trivial", _dom_na(nonzero=True), _check_h5),
-        Claim("H6", "inner derivations of the Jordan-parameter family",
-              "dim Inn = 2n off a = +-1 and 2n-1 at a = +-1, with the "
+        Claim("H5", "Z(Der) is trivial", _dom_na(nonzero=True), _check_h5),
+        Claim("H6", "dim Inn = 2n off a = +-1 and 2n-1 at a = +-1, with the "
               "stated generator pattern and left-multiplication formulas",
               _dom_na(nonzero=True), _check_h6),
-        Claim("H7", "almost inner derivations of the Jordan-parameter family",
-              "AIDer = <A,B> of dimension 2n for every tested a",
+        Claim("H7", "AIDer = <A,B> of dimension 2n for every tested a",
               _dom_na(), _check_h7),
-        Claim("H8", "derivation algebra containments",
-              "Der(heisenberg-lie) contains Der(J_0) contains Der(J_a)",
+        Claim("H8", "Der(heisenberg-lie) contains Der(J_0) contains Der(J_a)",
               _dom_na(nonzero=True), _check_h8),
-        Claim("Z1", "zero-parameter dimension, n even",
-              "dim Der = 4n+1", _dom_n("even"), _check_z1),
-        Claim("Z2", "zero-parameter dimension, n odd",
-              "dim Der = 4n+2", _dom_n("odd"), _check_z2),
-        Claim("Z3", "zero-parameter solvability, n even",
-              "Der is solvable of class n/2+1 with the stated nilradical",
+        Claim("Z1", "dim Der = 4n+1", _dom_n("even"),
+              _dim_der(_j0, lambda n: 4 * n + 1, "dim Der = 4n+1 = %d (n even)")),
+        Claim("Z2", "dim Der = 4n+2", _dom_n("odd"),
+              _dim_der(_j0, lambda n: 4 * n + 2, "dim Der = 4n+2 = %d (n odd)")),
+        Claim("Z3", "Der is solvable of class n/2+1 with the stated nilradical",
               _dom_n("even"), _check_z3),
-        Claim("Z4", "zero-parameter structure, n odd",
-              "Der is not solvable; <x-y, c_(n+1), b_(n+1)> is a Levi "
+        Claim("Z4", "Der is not solvable; <x-y, c_(n+1), b_(n+1)> is a Levi "
               "complement and the stated radical/nilradical hold",
               _dom_n("odd"), _check_z4, typo_flagged=True),
-        Claim("Z5", "zero-parameter inner derivations",
-              "Inn is abelian of dimension 2n", _dom_n(), _check_z5),
-        Claim("R1", "realified family, nonzero real part",
-              "dim Der = 7 with generators <x,y,E,A,B>; Inn = nilradical = <A,B>",
+        Claim("Z5", "Inn is abelian of dimension 2n", _dom_n(), _check_z5),
+        Claim("R1", "dim Der = 7 with generators <x,y,E,A,B>; Inn = nilradical = <A,B>",
               _dom_r1, _check_r1),
-        Claim("R2", "realified family, zero real part",
-              "dim Der = 9; radical <x+y,E,A,B>, Levi <x-y,F,G>, nilradical "
+        Claim("R2", "dim Der = 9; radical <x+y,E,A,B>, Levi <x-y,F,G>, nilradical "
               "<A,B> abelian of dim 4", _dom_fixed({"n": 1}), _check_r2),
-        Claim("R3", "realified derivations of the complex algebra",
-              "the realification of a complex derivation lies in the real "
+        Claim("R3", "the realification of a complex derivation lies in the real "
               "derivation algebra iff alpha = beta real; the family matches "
               "the corner-2a matrices", _dom_fixed({"n": 1}), _check_r3),
-        Claim("K1", "Kronecker dimension, n odd",
-              "dim Der = 4n", _dom_n("odd"), _check_k1),
-        Claim("K2", "Kronecker dimension, n even",
-              "dim Der = 4n+1 (count of the listed basis)",
+        Claim("K1", "dim Der = 4n", _dom_n("odd"),
+              _dim_der(_kron, lambda n: 4 * n, "dim Der = 4n = %d (n odd)")),
+        Claim("K2", "dim Der = 4n+1 (count of the listed basis)",
               _dom_n("even"), _check_k2),
-        Claim("K3", "Kronecker Levi complement, n even",
-              "<x-y, c_(n+1), b_(n+1)> is a verified Levi complement",
+        Claim("K3", "<x-y, c_(n+1), b_(n+1)> is a verified Levi complement",
               _dom_n("even"), _check_k3),
-        Claim("K4", "Kronecker solvability, n odd",
-              "solvable of class (n+1)/2+1 with the stated nilradical",
+        Claim("K4", "solvable of class (n+1)/2+1 with the stated nilradical",
               _dom_n("odd"), _check_k4),
-        Claim("K5", "Kronecker inner derivations",
-              "Inn = <A,B> of dimension 2n via the left multiplications",
+        Claim("K5", "Inn = <A,B> of dimension 2n via the left multiplications",
               _dom_n(), _check_k5),
-        Claim("K6", "derivation-algebra intersection",
-              "Der(J_0) meet Der(kronecker) equals Der(J_a)",
+        Claim("K6", "Der(J_0) meet Der(kronecker) equals Der(J_a)",
               _dom_na(nonzero=True), _check_k6),
-        Claim("D1", "Dieudonne derivation dimension and basis",
-              "dim Der = 3n+3 with the stated basis and bracket table",
+        Claim("D1", "dim Der = 3n+3 with the stated basis and bracket table",
               _dom_n(), _check_d1, typo_flagged=True),
-        Claim("D2", "Dieudonne solvability",
-              "three-step solvable with derived dims (3n+3, 3n+1, n, 0)",
+        Claim("D2", "three-step solvable with derived dims (3n+3, 3n+1, n, 0)",
               _dom_n(), _check_d2),
-        Claim("D3", "Dieudonne nilradical",
-              "the nilradical coincides with the commutator ideal",
+        Claim("D3", "the nilradical coincides with the commutator ideal",
               _dom_n(), _check_d3),
-        Claim("D4", "Dieudonne inner derivations",
-              "dim Inn = 2n with the zero-sum constraint; the mu_(n+1) unit "
+        Claim("D4", "dim Inn = 2n with the zero-sum constraint; the mu_(n+1) unit "
               "is almost inner but not inner", _dom_n(), _check_d4),
-        Claim("D5", "Dieudonne worked examples",
-              "the n = 1, 2, 3 worked examples match (the n = 3 stated "
+        Claim("D5", "the n = 1, 2, 3 worked examples match (the n = 3 stated "
               "dimension is a flagged misprint)",
               _dom_n(cap=3), _check_d5, typo_flagged=True),
-        Claim("P1", "almost inner = inner off the exceptional families",
-              "AIDer = Inn for genus-1 members other than a = +-1 and the "
+        Claim("P1", "AIDer = Inn for genus-1 members other than a = +-1 and the "
               "Dieudonne family", _dom_p1, _check_p1),
-        Claim("P2", "strict almost inner inclusions",
-              "AIDer strictly contains Inn with codimension 1 at a = +-1 "
+        Claim("P2", "AIDer strictly contains Inn with codimension 1 at a = +-1 "
               "and for the Dieudonne family", _dom_p2, _check_p2),
     )

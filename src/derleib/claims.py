@@ -34,7 +34,6 @@ SKIPPED = "skipped"
 
 class Claim(NamedTuple):
     id: str
-    title: str
     statement: str
     domain: Callable
     check: Callable

@@ -31,6 +31,7 @@ from .exactlin import (
     QI,
     InternalInvariantError,
     Subspace,
+    format_rows,
     format_scalar,
     parse_scalar,
 )
@@ -78,20 +79,6 @@ def _check_algebra_args(args, parser):
         parser.error("--family requires --n")
 
 
-def _dense_texts(sub: Subspace) -> list:
-    """Each canonical row of ``sub`` as the texts of its ambient-length dense
-    vector, made from the sparse row: "0" except at the row's columns, and
-    each distinct value formatted once."""
-    texts = {}
-    lines = []
-    for row in sub.rows:
-        line = ["0"] * sub.ambient_dim
-        for c, v in row:
-            line[c] = texts.get(v) or texts.setdefault(v, format_scalar(v))
-        lines.append(line)
-    return lines
-
-
 def _matrix_text(cells: list, d: int) -> str:
     """The d x d matrix whose row-major entry texts are ``cells``: one
     bracketed line per row, each column right-justified to its widest text."""
@@ -103,7 +90,7 @@ def _matrix_text(cells: list, d: int) -> str:
 
 def _print_subspace(title: str, sub: Subspace, out):
     out.write("%s (dim %d):\n" % (title, sub.dim))
-    for line in _dense_texts(sub):
+    for line in format_rows(sub):
         out.write("  [%s]\n" % ", ".join(line))
 
 
@@ -146,7 +133,7 @@ def cmd_derive(args, out) -> int:
             "der_dim": der.dim,
             "inn_dim": inn.dim if inn else None,
             "aider_dim": aid.dim if aid else None,
-            "der_basis": _dense_texts(der.subspace),
+            "der_basis": format_rows(der.subspace),
         }
         report = Report(version=__version__, input=name, analyses=(analysis,))
         out.write(dsl.report_json(report))
@@ -166,7 +153,7 @@ def cmd_derive(args, out) -> int:
         if mla is None:
             continue
         out.write("%s basis matrices:\n" % label)
-        for cells in _dense_texts(mla.subspace):
+        for cells in format_rows(mla.subspace):
             out.write(_matrix_text(cells, alg.dim) + "\n\n")
     if args.table:
         out.write("induced bracket table on the canonical Der basis:\n")

@@ -244,10 +244,6 @@ def format_scalar(x: Scalar) -> str:
     return "%s%s%si" % (re, sign, abs(im))
 
 
-def format_vector(v) -> str:
-    return "[" + ", ".join(format_scalar(x) for x in v) + "]"
-
-
 SparseVec = dict  # column index -> nonzero scalar
 
 
@@ -574,7 +570,8 @@ class Subspace(Frozen):
 
     @cached_property
     def basis(self) -> tuple:
-        """Dense view: one ambient-length tuple per row, in pivot order."""
+        """Dense view: one ambient-length tuple per row, in pivot order.  The
+        benchmark's traced kernel counter reads it (``perfbench/spans.py``)."""
         zero = scalar_zero(self.field)
         return tuple(tuple(row.get(c, zero) for c in range(self.ambient_dim))
                      for row in map(dict, self.rows))
@@ -666,3 +663,17 @@ class Subspace(Frozen):
             zero = scalar_zero(self.field)
             return tuple(v.get(p, zero) for p in self.pivots)
         return tuple(v[p] for p in self.pivots)
+
+
+def format_rows(sub: Subspace) -> list:
+    """Each canonical row of ``sub`` as the texts of its ambient-length dense
+    vector, made from the sparse row: "0" except at the row's columns, and
+    each distinct value formatted once."""
+    texts = {}
+    lines = []
+    for row in sub.rows:
+        line = ["0"] * sub.ambient_dim
+        for c, v in row:
+            line[c] = texts.get(v) or texts.setdefault(v, format_scalar(v))
+        lines.append(line)
+    return lines

@@ -123,6 +123,25 @@ def test_dimension_claims_build_no_structure(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("cid,params,expected,actual", [
+    ("H1", {"n": 4, "a": F(2)}, "dim Der = 3n+1 = 13", "dim Der: expected 13, actual 12"),
+    ("Z1", {"n": 2}, "dim Der = 4n+1 = 9 (n even)", "dim Der: expected 9, actual 8"),
+    ("Z2", {"n": 3}, "dim Der = 4n+2 = 14 (n odd)", "dim Der: expected 14, actual 13"),
+    ("K1", {"n": 3}, "dim Der = 4n = 12 (n odd)", "dim Der: expected 12, actual 11"),
+])
+def test_dimension_claims_print_a_wrong_dimension(monkeypatch, cid, params,
+                                                  expected, actual):
+    # a Der one dimension short refutes each dimension formula with its text
+    real = checkers.der_algebra
+
+    class Short:
+        def __init__(self, alg):
+            self.dim = real(alg).dim - 1
+    monkeypatch.setattr(checkers, "der_algebra", Short)
+    r = run_claim(REG[cid], params)
+    assert (r.status, r.expected, r.actual) == (REFUTED, expected, actual)
+
+
 def test_report_id_is_the_sha256_prefix():
     # the built-in SHA-256 gives hashlib's bytes, so no recorded id moves
     for nmax, a_values, seed in ((1, (F(2),), 0), (2, (F(1, 2), F(-3)), 5),
@@ -163,7 +182,7 @@ class TestRegistry:
 
     def test_every_claim_has_statement(self):
         for c in registry():
-            assert c.title and c.statement
+            assert c.statement
 
     def test_flagged_set(self):
         flagged = {c.id for c in registry() if c.typo_flagged}

@@ -67,6 +67,10 @@ GOLDEN = [
      "7ddbf743b4bc866821f236b6ccc497b04670b492a5dce19f0f34f3556cdff92f"),
     (("derive", "--family", "kronecker", "--n", "20", "--json"), 0,
      "3c851d85e5b444e7f1e8a2fb5c598da21cfd9d48cf8a7832b1868f06ccf76b04"),
+    (("verify-paper", "--nmax", "10", "--json"), 1,
+     "a88b8d85759ebd362627615f3aa264b413ff520d75773959cf719ac02df37fab"),
+    (("verify-paper", "--nmax", "4"), 1,
+     "ee7b4f02d765c8b23302bca5d9d8e9bd0a41b3142af84c763eea8d77f9175fdd"),
 ]
 
 

@@ -109,6 +109,16 @@ def test_no_dead_public_api():
     assert not dead, "public API that nothing reads: %s" % ", ".join(dead)
 
 
+def test_src_lines_fit():
+    """No line of the package is longer than 92 characters, so its line
+    count measures the design and not how tightly the lines are packed."""
+    long = ["%s:%d" % (path.name, k)
+            for path in sorted(SRC.glob("*.py"))
+            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 92]
+    assert long == []
+
+
 def test_mat_only_at_the_edge():
     """The dense ``Mat`` is named, in code, comments or docstrings, only
     where it is defined, by the span recorder's shims in ``derivations`` and
