@@ -41,23 +41,14 @@ class Claim(NamedTuple):
 
 
 class ClaimResult(NamedTuple):
-    claim_id: str
+    """One claim instance; its fields are the keys of its report entry, in
+    report order."""
+    id: str
     params: dict
     status: str
     expected: str
     actual: str
     elapsed: float
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.claim_id,
-            "params": {k: (v if isinstance(v, (int, str)) else format_scalar(v))
-                       for k, v in sorted(self.params.items())},
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "elapsed": self.elapsed,
-        }
 
 
 def _claim_seed(master: int, claim_id: str, params: dict) -> int:
@@ -103,20 +94,19 @@ def run_all(nmax: int = 4, a_values=DEFAULT_A, seed: int = 0,
     if unknown:
         raise ValueError("unknown claim id(s): %s" % ", ".join(sorted(unknown)))
     a_values = tuple(a_values)
-    results = []
+    entries = []
     for claim in reg:
         if only and claim.id not in only:
             continue
         domain = claim.domain(nmax, a_values)
-        if not domain:
-            results.append(ClaimResult(claim.id, {}, SKIPPED, claim.statement,
-                                       "no applicable parameters at nmax=%d"
-                                       % nmax, 0.0))
-            continue
-        for params in domain:
-            results.append(run_claim(claim, params, seed))
+        results = [run_claim(claim, params, seed) for params in domain] or [
+            ClaimResult(claim.id, {}, SKIPPED, claim.statement,
+                        "no applicable parameters at nmax=%d" % nmax, 0.0)]
+        for r in results:
+            params = {k: v if isinstance(v, (int, str)) else format_scalar(v)
+                      for k, v in sorted(r.params.items())}
+            entries.append(r._replace(params=params)._asdict())
     digest = "nmax=%d;a=%s;seed=%d" % (
         nmax, ",".join(format_scalar(a) for a in a_values), seed)
     return Report(version=__version__, input=_report_id(digest),
-                  analyses=(),
-                  claims=tuple(r.as_dict() for r in results))
+                  analyses=(), claims=tuple(entries))

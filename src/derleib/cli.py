@@ -41,15 +41,10 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
 
-def _parse_a(text: str):
-    s = parse_scalar(text, QI)
-    return s.re if not s.im else s
-
-
 def _family_spec(args) -> FamilySpec:
     return FamilySpec(family=args.family, n=args.n,
-                      a=_parse_a(args.a) if args.a is not None else None,
-                      b=_parse_a(args.b) if args.b is not None else None,
+                      a=parse_scalar(args.a, QI) if args.a is not None else None,
+                      b=parse_scalar(args.b, QI) if args.b is not None else None,
                       order=args.order)
 
 
@@ -194,7 +189,8 @@ def cmd_analyze(args, out) -> int:
         return 0
     rad, nil = radical(alg), nilradical(alg)
     levi = verify_levi(alg, candidate) if candidate is not None else None
-    out.write("Killing rank: %d\n" % killing(alg).rank)
+    out.write("Killing rank: %d\n"
+              % Subspace.span(killing(alg).values(), alg.dim, alg.field).dim)
     _print_subspace("radical", rad, out)
     _print_subspace("nilradical", nil, out)
     if levi is not None:
@@ -225,8 +221,8 @@ def cmd_verify(args, out) -> int:
         counts = {}
         for c in report.claims:
             counts[c["status"]] = counts.get(c["status"], 0) + 1
-            line = "%-9s %-4s %s" % (c["status"], c["id"],
-                                     _fmt_params(c["params"]))
+            line = "%-9s %-4s %s" % (c["status"], c["id"], " ".join(
+                "%s=%s" % (k, v) for k, v in sorted(c["params"].items())))
             if c["status"] in ("refuted", "discrepancy"):
                 line += "\n  expected: %s\n  actual:   %s" % (c["expected"],
                                                               c["actual"])
@@ -237,10 +233,6 @@ def cmd_verify(args, out) -> int:
     if args.strict:
         bad += [c for c in report.claims if c["status"] == "discrepancy"]
     return 1 if bad else 0
-
-
-def _fmt_params(params: dict) -> str:
-    return " ".join("%s=%s" % (k, v) for k, v in sorted(params.items()))
 
 
 def _derive_args(p):

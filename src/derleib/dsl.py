@@ -176,7 +176,7 @@ class Report(NamedTuple):
     version: str
     input: str  # digest or description of the inputs
     analyses: tuple = ()
-    claims: tuple = ()  # mappings with id/params/status/expected/actual/elapsed
+    claims: tuple = ()  # the ``_asdict()`` of each claims.ClaimResult
 
 
 def report_json(report: Report, timing: bool = False) -> str:
@@ -184,21 +184,9 @@ def report_json(report: Report, timing: bool = False) -> str:
     are emitted as milliseconds only when ``timing`` is set, so that equal
     runs produce byte-identical output by default."""
     import json  # deferred: only JSON output pays for it
-    claims = []
-    for c in report.claims:
-        entry = {
-            "id": c["id"],
-            "params": c["params"],
-            "status": c["status"],
-            "expected": c["expected"],
-            "actual": c["actual"],
-            "elapsed_ms": int(c["elapsed"] * 1000) if timing else None,
-        }
-        claims.append(entry)
-    doc = {
-        "version": report.version,
-        "input": report.input,
-        "analyses": list(report.analyses),
-        "claims": claims,
-    }
+    doc = report._asdict()
+    doc["claims"] = [dict(c) for c in report.claims]
+    for c in doc["claims"]:
+        ms = int(c.pop("elapsed") * 1000)
+        c["elapsed_ms"] = ms if timing else None
     return json.dumps(doc, indent=2) + "\n"

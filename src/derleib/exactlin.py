@@ -437,13 +437,6 @@ class Echelon:
                            for c in sorted({k >> 1 for k in row}))
                      for p, row in sorted(rows.items()) if not p & 1)
 
-    def canonical_rows(self) -> tuple:
-        """:meth:`erows` divided by their pivots: the canonical sparse basis."""
-        if self.field != Q:
-            return self.erows()
-        return tuple(tuple((c, Fraction(v, row[0][1])) for c, v in row)
-                     for row in self.erows())
-
 
 class Mat(Frozen):
     """Dense matrix, row-major, over a single scalar field: the storage of
@@ -565,8 +558,12 @@ class Subspace(Frozen):
 
     @cached_property
     def rows(self) -> tuple:
-        """The canonical reduced-echelon rows, pivot one."""
-        return self._ech.canonical_rows()
+        """The canonical reduced-echelon rows, pivot one: over Q the stored
+        rows divided by their pivots, over Q(i) the stored rows themselves."""
+        if self.field != Q:
+            return self.erows
+        return tuple(tuple((c, Fraction(v, row[0][1])) for c, v in row)
+                     for row in self.erows)
 
     @cached_property
     def basis(self) -> tuple:

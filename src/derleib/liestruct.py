@@ -42,22 +42,11 @@ def _require_lie(alg: Algebra):
         raise NotLie("not a Lie algebra")
 
 
-class KillingForm(NamedTuple):
-    """The Killing form of ``alg``.  ``rows`` is its Gram matrix as sparse
-    rows ``{s: {t: v}}`` summed on the int adjoints: c^2 times the true one
-    for c = ``alg.int_scale``, which changes neither its rank nor an
-    orthogonal, so nothing here divides."""
-    alg: Algebra
-    rows: dict
-
-    @property
-    def rank(self) -> int:
-        return Subspace.span(self.rows.values(), self.alg.dim, self.alg.field).dim
-
-
 def _gram(alg: Algebra) -> dict:
-    """Sparse rows of trace(ad_s ad_t) on the int adjoints, c^2 times the
-    Gram matrix (see :class:`KillingForm`); uncached."""
+    """Sparse rows ``{s: {t: v}}`` of trace(ad_s ad_t) on the int adjoints:
+    c^2 times the Gram matrix of the Killing form for c = ``alg.int_scale``,
+    which changes neither its rank nor an orthogonal, so nothing here
+    divides; uncached."""
     ads = alg.int_ops[0]
     return sparse_traces(ads, ads)
 
@@ -65,10 +54,10 @@ def _gram(alg: Algebra) -> dict:
 # each cache holds the smallest power of two above the entries `verify-paper
 # --nmax 16` stores in it, so that run evicts nothing
 @lru_cache(maxsize=128)
-def killing(alg: Algebra) -> KillingForm:
-    """The Killing form of a Lie algebra."""
+def killing(alg: Algebra) -> dict:
+    """The Killing form of a Lie algebra, as the sparse rows of :func:`_gram`."""
     _require_lie(alg)
-    return KillingForm(alg, _gram(alg))
+    return _gram(alg)
 
 
 def _orthogonal(sub: Subspace, gram: dict) -> Subspace:
@@ -87,7 +76,7 @@ def radical(alg: Algebra) -> Subspace:
     of a Lie algebra by an ideal is Lie, so the check reads the quotient's
     Gram matrix without classifying it again."""
     _require_lie(alg)
-    rad = _orthogonal(alg.commutator_ideal, killing(alg).rows)
+    rad = _orthogonal(alg.commutator_ideal, killing(alg))
     if rad.dim < alg.dim:
         try:
             q = alg.quotient(rad)
@@ -165,10 +154,10 @@ def verify_levi(alg: Algebra, s: Subspace) -> LeviResult:
     if not s.contains(alg.product_space(s, s)):
         return LeviResult(False, "not-subalgebra")
     rad = radical(alg)
-    if s.intersect(rad).dim != 0 or s.sum(rad).dim != alg.dim:
+    if s.dim + rad.dim != alg.dim or s.sum(rad).dim != alg.dim:
         return LeviResult(False, "not-complement")
     # the form is degenerate on s iff some nonzero x in s is orthogonal to s
-    if not s.intersect(_orthogonal(s, killing(alg).rows)).is_zero():
+    if not s.intersect(_orthogonal(s, killing(alg))).is_zero():
         return LeviResult(False, "degenerate")
     return LeviResult(True)
 

@@ -349,7 +349,7 @@ def solve(m: Mat, b) -> Optional[tuple]:
         if bv:
             row[bcol] = bv
         ech.insert(row)
-    rows = [dict(row) for row in ech.canonical_rows()]
+    rows = [dict(row) for row in Subspace(ech.ncols, ech.field, ech.erows()).rows]
     if any(min(row) == bcol for row in rows):
         return None
     z = scalar_zero(m.field)
@@ -377,7 +377,7 @@ def killing_gram(alg: Algebra) -> Mat:
     int rows divided by ``int_scale**2``, to compare with :func:`naive_gram`."""
     d, c2 = alg.dim, alg.int_scale ** 2
     dense = [[0] * d for _ in range(d)]
-    for s, row in killing(alg).rows.items():
+    for s, row in killing(alg).items():
         for t, v in row.items():
             dense[s][t] = Fraction(v, c2) if alg.field == Q else v
     return mat(dense, alg.field)
@@ -398,7 +398,7 @@ def naive_radical(alg: Algebra) -> Subspace:
 
 def is_semisimple(alg: Algebra) -> bool:
     """Cartan criterion: nondegenerate Killing form."""
-    return killing(alg).rank == alg.dim
+    return Subspace.span(killing(alg).values(), alg.dim, alg.field).dim == alg.dim
 
 
 def naive_nilradical(alg: Algebra) -> Subspace:

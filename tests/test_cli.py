@@ -30,6 +30,32 @@ end
 """
 
 
+# gl2 with [e,f] = h - c, whose radical is the centre <c>
+GL2_DOC = """algebra gl2 field %s
+basis h e f c
+[h,e] = 2 e
+[e,h] = -2 e
+[h,f] = -2 f
+[f,h] = 2 f
+[e,f] = h + -1 c
+[f,e] = -1 h + c
+end
+"""
+
+GL2_ANALYSIS = """algebra gl2: dim 4 over %s
+classify: left=yes right=yes symmetric=yes lie=yes
+lower central dims: (4, 3)
+derived dims: (4, 3)
+centers: left 1, right 1, two-sided 1
+Killing rank: 3
+radical (dim 1):
+  [0, 0, 0, 1]
+nilradical (dim 1):
+  [0, 0, 0, 1]
+Levi candidate: %s
+"""
+
+
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
@@ -230,6 +256,17 @@ class TestAnalyze:
                              "--levi", "0,0,1")
         assert code == 0
         assert "failed(not-complement)" in text
+
+    @pytest.mark.parametrize("field", [Q, QI])
+    @pytest.mark.parametrize("levi,verdict", [
+        ("1,0,0,-1;0,1,0,0;0,0,1,0", "verified"),
+        # <h, e, c> meets the radical, though the dimensions add up
+        ("1,0,0,0;0,1,0,0;0,0,0,1", "failed(not-complement)")])
+    def test_gl2_levi_candidates(self, tmp_path, field, levi, verdict):
+        path = tmp_path / "gl2.alg"
+        path.write_text(GL2_DOC % field)
+        assert run_cli("analyze", str(path), "--levi", levi) == (
+            0, GL2_ANALYSIS % (field, verdict))
 
     def test_levi_bad_length(self):
         code, _ = run_cli("analyze", "--family", "heisenberg-lie", "--n", "1",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from test_span_targets import _targets, after_cli_import
+from test_span_targets import SPANS_PY, _targets, after_cli_import
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "derleib"
 
@@ -91,22 +91,51 @@ def _public_defs(tree):
                     yield "%s.%s" % (node.name, sub.name), sub.name, sub.lineno
 
 
+def _attribute_reads(tree):
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _dead_public_api(trees, outside):
+    """``module:qualified name (line)`` of each public definition in
+    ``trees`` that nothing reads.  A function or class counts as read when
+    its name is read as a name or an attribute, or is listed in ``__all__``;
+    a method only when its name is read as an attribute, so a local
+    variable of the same name does not count.  ``outside`` holds the
+    attribute names read outside the package.  The check goes by name: a
+    method passes when any attribute read shares its name, even one that
+    resolves to another class."""
+    attrs = set(outside)
+    for tree in trees.values():
+        attrs |= _attribute_reads(tree)
+    names = attrs.union(*map(_used, trees.values()))
+    return ["%s:%s (line %d)" % (name, qual, line)
+            for name, tree in trees.items()
+            for qual, short, line in _public_defs(tree)
+            if short not in (attrs if "." in qual else names)]
+
+
 def test_no_dead_public_api():
     """Every public function, class and method of the package is read by
-    some module of it (as a name or an attribute), re-exported in
-    ``__all__``, or wrapped by the benchmark's span recorder.  The check
-    goes by name: a method passes when any read shares its name, even one
-    that resolves to another class."""
+    some module of it, or by the benchmark's span recorder: the names it
+    wraps, and the attributes ``perfbench/spans.py`` reads (parsed, not
+    run), such as ``result.basis`` on a kernel's result."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    read = {path.split(".")[-1] for _, path in _targets()}
-    for tree in trees.values():
-        read |= _used(tree)
-        read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
-    dead = ["%s:%s (line %d)" % (name, qual, line)
-            for name, tree in trees.items()
-            for qual, short, line in _public_defs(tree) if short not in read]
+    outside = {path.split(".")[-1] for _, path in _targets()}
+    outside |= _attribute_reads(ast.parse(Path(SPANS_PY).read_text(encoding="utf-8")))
+    dead = _dead_public_api(trees, outside)
     assert not dead, "public API that nothing reads: %s" % ", ".join(dead)
+
+
+def test_a_method_read_only_as_a_local_is_dead():
+    defs = ast.parse("class A:\n    def view(self):\n        return 1\n")
+    local = ast.parse("def _f():\n    view = A()\n    return view\n")
+    read = ast.parse("def _g():\n    return A().view\n")
+    assert _dead_public_api({"m.py": defs, "f.py": local}, set()) == [
+        "m.py:A.view (line 2)"]
+    assert _dead_public_api({"m.py": defs, "f.py": local}, {"view"}) == []
+    assert _dead_public_api({"m.py": defs, "g.py": read}, set()) == []
 
 
 def test_src_lines_fit():

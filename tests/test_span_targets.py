@@ -83,3 +83,31 @@ for name in sorted({recorder.names[span[0]] for span in recorder.spans}):
 def test_traced_verify_records_the_lazily_imported_checkers():
     recorded = after_cli_import(_TRACED_VERIFY, SPANS_PY).split()
     assert {"derivations.der", "claims.run_claim"} <= set(recorded)
+
+
+# ``analyze --der`` runs the Killing form, the radical and its quotient
+# check under the recorder; the kernel counter reads each result's dense
+# ``basis``, which is built from the canonical ``rows``
+_TRACED_ANALYZE = """
+import importlib.util, io
+sys.dont_write_bytecode = True
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+recorder = spans.Recorder()
+recorder.install()
+out = io.StringIO()
+argv = ["analyze", "--family", "heisenberg-lie", "--n", "3", "--der"]
+assert derleib.cli.main(argv, out=out) == 0
+assert "nilradical (dim" in out.getvalue()
+for name in sorted({recorder.names[span[0]] for span in recorder.spans}):
+    print(name)
+print(recorder.counters["kernel.max_bits"])
+"""
+
+
+def test_traced_analyze_records_the_killing_form_and_the_quotient():
+    *recorded, max_bits = after_cli_import(_TRACED_ANALYZE, SPANS_PY).split()
+    assert {"liestruct.killing", "liestruct.radical", "algebra.quotient",
+            "exactlin.kernel"} <= set(recorded)
+    assert int(max_bits) > 0
