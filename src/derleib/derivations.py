@@ -5,13 +5,13 @@ identity over all basis pairs, built from the sparse multiplication
 operators of ``Algebra.int_table``, so over Q on Python ints.  The result
 is wrapped as a :class:`MatrixLieAlgebra`: the canonical subspace of
 row-major flattened matrices and the induced abstract Lie algebra, built
-the first time it is read, together with the closure check on the
-subspace's sparse rows, since derivation matrices are mostly zero.  Der,
-Inn and AIDer are closed by theorem, so they leave both to that read;
-``from_subspace`` reads it at once, so any other span is checked when
-wrapped.  A matrix is passed to the subspace, or to ``coords_span``, by its
-row-major flattening, a dense tuple or a sparse dict; the CLI prints the
-canonical rows as matrices.
+the first time it is read, once per distinct subspace, together with the
+closure check on the subspace's sparse rows, since derivation matrices are
+mostly zero.  Der, Inn and AIDer are closed by theorem, so they leave both
+to that read; ``from_subspace`` reads it at once, so any other span is
+checked when wrapped.  A matrix is passed to the subspace, or to
+``coords_span``, by its row-major flattening, a dense tuple or a sparse
+dict; the CLI prints the canonical rows as matrices.
 """
 
 from __future__ import annotations
@@ -81,40 +81,9 @@ class MatrixLieAlgebra(Frozen):
 
     @cached_property
     def structure(self) -> Algebra:
-        """The induced structure constants on the subspace's rows, built on
-        first read, which is also when closure is checked.  A bracket of two
-        rows lies in the span, and its values at the pivots, divided by the
-        two rows' pivot values, are its coordinates, written straight into
-        the canonical table: k ascends with the pivots, (t, s) has the
-        negated coefficients of (s, t), made from the same ints, and the
-        keys are inserted in sorted order."""
-        sub, d = self.subspace, self.ambient_dim
-        q = sub.field == Q  # int rows over Q, pivot-one GaussRat rows over Q(i)
-        index = {p: k for k, p in enumerate(sub.pivots)}
-        ops = [sparse_rows(dict(row), d) for row in sub.erows]
-        table = {}
-        lower = [[] for _ in ops]  # lower[t]: ((t, s), terms) items, s ascending
-        coeffs = {}  # (value, pivot product) -> (coefficient, its negation)
-        for s in range(len(ops)):
-            table.update(lower[s])
-            for t in range(s + 1, len(ops)):
-                at = sub.take_coords(sparse_commutator(ops[s], ops[t], d))
-                if at is None:
-                    raise ClosureError("commutator of basis elements %d, %d "
-                                       "escapes the span" % (s, t))
-                if not at:
-                    continue
-                n = sub.erows[s][0][1] * sub.erows[t][0][1] if q else 1
-                pos, neg = [], []
-                for p, v in at:
-                    pair = coeffs.get((v, n)) or coeffs.setdefault(
-                        (v, n), (Fraction(v, n), Fraction(-v, n)) if q else (v, -v))
-                    pos.append((index[p], pair[0]))
-                    neg.append((index[p], pair[1]))
-                table[(s, t)] = tuple(pos)
-                lower[t].append(((t, s), tuple(neg)))
-        labels = tuple("m%d" % (k + 1) for k in range(sub.dim))
-        return Algebra(sub.field, labels, table)
+        """The induced structure constants, closure-checked on first read
+        and shared by equal subspaces: :func:`_structure`."""
+        return _structure(self.subspace, self.ambient_dim)
 
     # kept for the benchmark's span recorder, which wraps it by name
     @classmethod
@@ -147,6 +116,45 @@ class MatrixLieAlgebra(Frozen):
 
 # each cache holds the smallest power of two above the entries `verify-paper
 # --nmax 16` stores in it, so that run evicts nothing
+@lru_cache(maxsize=128)
+def _structure(sub: Subspace, d: int) -> Algebra:
+    """The closure-checked structure constants induced on the rows of
+    ``sub``, a subspace of flattened d x d matrices, cached by value, so
+    matrix algebras with equal subspaces share one (Der of the Jordan
+    members at every nonzero parameter is one subspace).  A bracket of two
+    rows lies in the span, and its values at the pivots, divided by the
+    two rows' pivot values, are its coordinates, written straight into
+    the canonical table: k ascends with the pivots, (t, s) has the
+    negated coefficients of (s, t), made from the same ints, and the
+    keys are inserted in sorted order."""
+    q = sub.field == Q  # int rows over Q, pivot-one GaussRat rows over Q(i)
+    index = {p: k for k, p in enumerate(sub.pivots)}
+    ops = [sparse_rows(dict(row), d) for row in sub.erows]
+    table = {}
+    lower = [[] for _ in ops]  # lower[t]: ((t, s), terms) items, s ascending
+    coeffs = {}  # (value, pivot product) -> (coefficient, its negation)
+    for s in range(len(ops)):
+        table.update(lower[s])
+        for t in range(s + 1, len(ops)):
+            at = sub.take_coords(sparse_commutator(ops[s], ops[t], d))
+            if at is None:
+                raise ClosureError("commutator of basis elements %d, %d "
+                                   "escapes the span" % (s, t))
+            if not at:
+                continue
+            n = sub.erows[s][0][1] * sub.erows[t][0][1] if q else 1
+            pos, neg = [], []
+            for p, v in at:
+                pair = coeffs.get((v, n)) or coeffs.setdefault(
+                    (v, n), (Fraction(v, n), Fraction(-v, n)) if q else (v, -v))
+                pos.append((index[p], pair[0]))
+                neg.append((index[p], pair[1]))
+            table[(s, t)] = tuple(pos)
+            lower[t].append(((t, s), tuple(neg)))
+    labels = tuple("m%d" % (k + 1) for k in range(sub.dim))
+    return Algebra(sub.field, labels, table)
+
+
 @lru_cache(maxsize=256)
 def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
     """Der(L) as the nullspace over the d^2 matrix unknowns (row-major).

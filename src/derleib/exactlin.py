@@ -379,7 +379,10 @@ class Echelon:
 
     def _reduce(self, out: SparseVec) -> SparseVec:
         """Clear the pivots of the int row ``out``, lowest first, in place or
-        in a scaled copy, which is returned: clearing p adds only columns > p."""
+        in a scaled copy, which is returned: clearing p adds only columns > p.
+        Each clearing subtracts its multiple of the pivot's row inline, not
+        through :func:`axpy`, to save a call per pivot in the package's
+        hottest loop; a pivot value 1 divides any entry, so it needs no gcd."""
         rows = self.rows
         hits = out.keys() & rows.keys()
         if not hits:
@@ -390,13 +393,24 @@ class Echelon:
             b = out.get(p)
             if b:  # else a lower row cancelled it
                 row = rows[p]
-                g = gcd(row[p], b)
-                if g != row[p]:
-                    out = {c: row[p] // g * v for c, v in out.items()}
-                for c in row:
-                    if c not in out and c in rows:
-                        heappush(hits, c)
-                axpy(out, -(b // g), row.items())
+                a = row[p]
+                if a != 1:
+                    g = gcd(a, b)
+                    if g != a:
+                        out = {c: a // g * v for c, v in out.items()}
+                    b //= g
+                for c, v in row.items():
+                    cur = out.get(c)
+                    if cur is None:
+                        out[c] = -b * v
+                        if c in rows:
+                            heappush(hits, c)
+                    else:
+                        cur -= b * v
+                        if cur:
+                            out[c] = cur
+                        else:
+                            del out[c]
         return out
 
     def insert(self, vec) -> bool:
@@ -417,10 +431,15 @@ class Echelon:
 
     def _reduced(self) -> dict:
         """The back pass, highest pivot first: each row is reduced against
-        the rows above it; a row already reduced stays the same dict."""
-        for p in sorted(self.rows, reverse=True):
-            self.rows[p] = _primitive(self._reduce(self.rows.pop(p)), p)
-        return self.rows
+        the rows above it.  A row that meets no other pivot is kept as it is
+        stored, already coprime with a positive pivot, so a row already
+        reduced stays the same dict."""
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            row = rows.pop(p)
+            rows[p] = row if rows.keys().isdisjoint(row) else _primitive(
+                self._reduce(row), p)
+        return rows
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)

@@ -8,11 +8,12 @@ from functools import cached_property
 
 import pytest
 
-from derleib import catalog, checkers
+from derleib import catalog, checkers, derivations
 from derleib.checkers import dieu_gens, j0_gens, kron_gens, registry
 from derleib.claims import DEFAULT_A, REFUTED, run_all, run_claim
 from derleib.catalog import GROUPED, FamilySpec, dieudonne
-from derleib.derivations import MatrixLieAlgebra, der_algebra
+from derleib.derivations import (
+    MatrixLieAlgebra, almost_inner_genus1, der_algebra, inner_derivations)
 from derleib.dsl import report_json
 from derleib.exactlin import GaussRat, Subspace
 
@@ -93,6 +94,40 @@ def test_a_run_builds_no_member_twice(monkeypatch):
     run_all(3)
     assert calls
     assert {c: k for c, k in Counter(calls).items() if k > 1} == {}
+
+
+def test_equal_der_subspaces_share_one_structure():
+    # H2: the members at a=2 and a=1/2 are different algebras with one Der
+    # subspace, so they read one induced structure
+    a, b = (FamilySpec("heisenberg", 2, a).build() for a in (F(2), F(1, 2)))
+    assert a != b
+    assert der_algebra(a).subspace == der_algebra(b).subspace
+    assert der_algebra(a).structure is der_algebra(b).structure
+
+
+def test_a_run_builds_no_structure_twice(monkeypatch):
+    # every structure read is counted by its key, every build by the Algebra
+    # it makes, from empty caches, so no MatrixLieAlgebra holds one already
+    reads, builds = [], []
+    lazy = MatrixLieAlgebra.__dict__["structure"]
+
+    def counted(mla):
+        reads.append((mla.subspace, mla.ambient_dim))
+        return lazy.func(mla)
+    prop = cached_property(counted)
+    prop.__set_name__(MatrixLieAlgebra, "structure")
+    monkeypatch.setattr(MatrixLieAlgebra, "structure", prop)
+    plain = derivations.Algebra
+
+    def built(*args):
+        builds.append(args)
+        return plain(*args)
+    monkeypatch.setattr(derivations, "Algebra", built)
+    for cache in (FamilySpec.build, der_algebra, inner_derivations,
+                  almost_inner_genus1, derivations._structure):
+        cache.cache_clear()
+    run_all(3)
+    assert len(reads) > len(set(reads)) == len(builds) == 16
 
 
 def test_r3_reports_a_family_member_without_a_real_form(monkeypatch):

@@ -170,7 +170,10 @@ class TestDerive:
         assert "more than %d basis labels" % MAX_DIM in capsys.readouterr().err
 
     def test_closure_failure_is_internal_error(self, tmp_path, monkeypatch):
-        # labels unique to this test, so no cached Der(L) bypasses the check
+        # labels unique to this test, so no cached Der(L) bypasses the check;
+        # the structure cache is keyed by subspace, and Der(h3) is the
+        # subspace of Der(J_0) at n=1, interleaved, so it is emptied too
+        derivations._structure.cache_clear()
         path = tmp_path / "h3.alg"
         path.write_text("algebra h3 field Q\nbasis p q r\n[p,q] = r\n"
                         "[q,p] = -1 r\nend\n")

@@ -412,17 +412,25 @@ def _assert_erows_projective(ech):
         field=ech.field, rows={row[0][0]: dict(row) for row in ech.erows()}))
 
 
+def _assert_stored_rows(ech):
+    """The internal rows as any step leaves them, over both fields: each is
+    a coprime int vector that starts at its pivot with a positive entry, so
+    the back pass may keep a row that meets no other pivot as it is."""
+    for p, row in ech.rows.items():
+        assert min(row) == p and row[p] > 0
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
+
+
 def _assert_int_rows(ech):
-    """The internal rows after a read, over both fields: each is a coprime
-    int vector with a positive pivot, starts at its pivot and is zero at
-    every other pivot, inside the real columns, 2 * ncols of them over
-    Q(i), where the pivots come in pairs 2p, 2p+1."""
+    """The internal rows after a read: :func:`_assert_stored_rows`, and each
+    is zero at every other pivot, inside the real columns, 2 * ncols of
+    them over Q(i), where the pivots come in pairs 2p, 2p+1."""
+    _assert_stored_rows(ech)
     width = ech.ncols if ech.field == Q else 2 * ech.ncols
     for p, row in ech.rows.items():
-        assert min(row) == p and max(row) < width
+        assert max(row) < width
         assert not any(c != p and c in ech.rows for c in row)
-        assert all(type(v) is int and v for v in row.values())
-        assert row[p] > 0 and gcd(*row.values()) == 1
         if ech.field != Q:
             assert p ^ 1 in ech.rows
 
@@ -574,7 +582,9 @@ class TestEchelonProperty:
     of 1 + 2i, over both fields with numerators above 2**64, and with small
     int entries, where a pivot value divides the entries it clears.  In the
     scripts that read the rows only at the end, every probe meets the rows
-    as inserts leave them, forward-reduced and not yet back-substituted."""
+    as inserts leave them, forward-reduced and not yet back-substituted.
+    After every step the stored rows are coprime with a positive pivot, and
+    after every read each is also zero at the other stored pivots."""
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(_echelon_scripts())
@@ -599,9 +609,12 @@ class TestEchelonProperty:
             if dependent and inserted and op == "contains":
                 assert ech.contains(arg)
             assert ech.rank == ref.rank
+            _assert_stored_rows(ech)
             if not reads_at_end:
                 _assert_reads(ech, ref, inserted)
+                _assert_int_rows(ech)
         _assert_reads(ech, ref, inserted)
+        _assert_int_rows(ech)
         assert kernel_from_rows(inserted, ncols, field).rows == \
             fraction_kernel(inserted, ncols, field)
         u = Subspace.span(inserted, ncols, field)

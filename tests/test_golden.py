@@ -71,6 +71,14 @@ GOLDEN = [
      "a88b8d85759ebd362627615f3aa264b413ff520d75773959cf719ac02df37fab"),
     (("verify-paper", "--nmax", "4"), 1,
      "ee7b4f02d765c8b23302bca5d9d8e9bd0a41b3142af84c763eea8d77f9175fdd"),
+    # the elimination loop at sizes the smaller members do not reach
+    (("derive", "--family", "heisenberg", "--n", "20", "--a", "2", "--json"), 0,
+     "a6207301470a65db6db7fde9bbbb6711335271fccf282f28643a6fe962246e7b"),
+    (("derive", "--family", "heisenberg", "--n", "20", "--a", "1+2i", "--json"), 0,
+     "7c51ac6f759e189ea83a740afc84bacae276f446fd176823a093f0d7e2cdb9be"),
+    (("derive", "--family", "realify-heisenberg", "--n", "10", "--a", "1",
+      "--b", "2", "--json"), 0,
+     "028ecfc6135e3de93b51be94c54ed46567f7bdbf5adf86abc51c6efb2690d956"),
 ]
 
 
