@@ -263,7 +263,9 @@ def _catalog_args(p):
 def _verify_args(p):
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--a", help="comma-separated parameter list")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the report's input id only; every "
+                        "claim is decided exactly")
     p.add_argument("--claim", action="append", help="claim id filter")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true",

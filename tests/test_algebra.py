@@ -9,7 +9,7 @@ from derleib.algebra import Algebra, AlgebraKind, NotAnIdeal
 from derleib.catalog import dieudonne, heisenberg_leibniz, heisenberg_lie, \
     jordan, kronecker
 from derleib.derivations import der_algebra
-from derleib.exactlin import Echelon, GaussRat, Q, QI, Subspace
+from derleib.exactlin import Echelon, GaussRat, Q, QI, ShapeMismatch, Subspace
 
 from helpers import abelian, adjoint, basis_vector, is_zero, leib_ideal, \
     lincomb, mat, mat_row, naive_bracket, naive_is_derivation, naive_kind, \
@@ -77,6 +77,10 @@ class TestClassify:
         assert left_only.kind.left_leibniz and not left_only.kind.right_leibniz
         right_only = Algebra.from_brackets(Q, ["x", "y"], {(1, 0): [(1, 1)]})
         assert right_only.kind.right_leibniz and not right_only.kind.left_leibniz
+
+    def test_bracket_key_outside_the_basis(self):
+        with pytest.raises(ShapeMismatch, match="bracket index out of range"):
+            Algebra.from_brackets(Q, ["x"], {(0, 1): [(0, 1)]})
 
 
 def _table_algebra(dim, entries):

@@ -203,6 +203,11 @@ class TestRealify:
         assert doubled.dim == 6 and doubled.field == Q
         assert doubled.kind == l3.kind
 
+    def test_realification_needs_a_q_i_input(self):
+        real = heisenberg_leibniz(1, jordan(GaussRat(2), 1))
+        with pytest.raises(ValueError, match="input must live over Qi"):
+            realify_algebra(real)
+
     def test_realify_derivation_form(self):
         alpha, beta = GaussRat(1, 2), GaussRat(F(1, 2), -1)
         d3 = mat([[alpha, 0, 0], [0, beta, 0],
@@ -327,7 +332,8 @@ class TestFamilySpec:
                         == (alg.table, alg.labels, alg.field, hash(alg))
 
     @pytest.mark.parametrize("spec", [FamilySpec("kronecker", 2, a=2),
-                                      FamilySpec("heisenberg", 0, a=2)])
+                                      FamilySpec("heisenberg", 0, a=2),
+                                      FamilySpec("kronecker", 2, order="bogus")])
     def test_a_rejected_spec_raises_on_every_call(self, spec):
         for _ in range(2):
             with pytest.raises(ValueError):

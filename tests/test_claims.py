@@ -5,12 +5,14 @@ import sys
 from collections import Counter
 from fractions import Fraction as F
 from functools import cached_property
+from unittest.mock import ANY
 
 import pytest
 
 from derleib import catalog, checkers, derivations
 from derleib.checkers import dieu_gens, j0_gens, kron_gens, registry
-from derleib.claims import DEFAULT_A, REFUTED, run_all, run_claim
+from derleib.claims import (
+    DEFAULT_A, DISCREPANCY, REFUTED, Claim, run_all, run_claim)
 from derleib.catalog import GROUPED, FamilySpec, dieudonne
 from derleib.derivations import (
     MatrixLieAlgebra, almost_inner_genus1, der_algebra, inner_derivations)
@@ -139,6 +141,16 @@ def test_r3_reports_a_family_member_without_a_real_form(monkeypatch):
     result = run_claim(REG["R3"], {"n": 1})
     assert result.status == REFUTED
     assert "family realifies" in result.actual.split("; ")
+
+
+def test_an_unflagged_discrepancy_is_refuted():
+    # only a claim flagged as a suspected misprint may report a discrepancy
+    # (D5 at n=3 does); the engine is ground truth for every other claim
+    stub = Claim("X1", "stub", lambda nmax, a_values: [],
+                 lambda params: (DISCREPANCY, "stated", "computed"),
+                 typo_flagged=False)
+    assert run_claim(stub, {"n": 1}) == (
+        "X1", {"n": 1}, REFUTED, "stated", "computed", ANY)
 
 
 def test_dimension_claims_build_no_structure(monkeypatch):
@@ -340,9 +352,24 @@ class TestIndividualClaims:
         assert entries(j0_gens(2)) == {"c2": {(1, 2): 1}, "b4": {(4, 3): 1}}
 
     def test_r3_deterministic_given_seed(self):
-        a = run_claim(REG["R3"], {"n": 1}, master_seed=7)
-        b = run_claim(REG["R3"], {"n": 1}, master_seed=7)
-        assert a.status == b.status == "confirmed"
+        # R3 is decided exactly, so the seed changes only the report's id
+        a, b = (run_all(1, seed=seed, only={"R3"}) for seed in (0, 7))
+        assert a.input != b.input
+        assert json.loads(report_json(a))["claims"] == \
+            json.loads(report_json(b))["claims"]
+        assert [c["status"] for c in a.claims] == ["confirmed"]
+
+    def test_r3_refutes_one_extra_member_entering_der(self, monkeypatch):
+        # only alpha = i, beta = -i realifies into Der: no finite sample of
+        # the family need meet it, but the dimension of the preimage moves
+        real = checkers.realify_derivation
+        inside = checkers.l5r_gens()["E"]
+        monkeypatch.setattr(checkers, "realify_derivation", lambda flat, d: (
+            inside if flat == {0: GaussRat(0, 1), 4: GaussRat(0, -1)}
+            else real(flat, d)))
+        r = run_claim(REG["R3"], {"n": 1})
+        assert (r.status, r.actual) == (
+            REFUTED, "dim of the realified family inside Der: expected 5, actual 6")
 
 
 class TestRunAll:

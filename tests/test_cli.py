@@ -139,6 +139,23 @@ class TestDerive:
         assert code == 2 and text == ""
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,err", [
+        (("--a", "1+2i"),
+         "parameter must be real here; the imaginary part has its own slot"),
+        (("--a", "1", "--b", "0"), "parameter must have a nonzero imaginary part"),
+    ])
+    def test_realified_parameter_error_names_the_rule(self, argv, err, capsys):
+        code, text = run_cli("derive", "--family", "realify-heisenberg", "--n",
+                             "1", *argv)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: %s\n" % err
+
+    def test_family_without_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("derive", "--family", "heisenberg")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: --family requires --n\n")
+
     @pytest.mark.parametrize("argv,extra", [
         (("--family", "kronecker", "--n", "1", "--a", "5", "--b", "7"), "a, b"),
         (("--family", "heisenberg", "--n", "1", "--b", "7"), "b"),

@@ -81,6 +81,7 @@ class TestParseErrors:
         ("algebra a field R\nbasis x\nend", "field"),
         ("algebra a field Q\nbasis x x\nend", "duplicate basis label"),
         ("algebra a field Q\nbasis x\n[x,y] = x\nend", "undeclared"),
+        ("algebra a field Q\nbasis x y\n[x,y] = w\nend", "undeclared label 'w'"),
         ("algebra a field Q\nbasis x\n[x,x] = x\n[x,x] = x\nend", "duplicate entry"),
         ("algebra a field Q\nbasis x\n[x,x] = 1/ x\nend", "malformed scalar"),
         ("algebra a field Q\nbasis x\n[x,x] = x", "unexpected end"),
@@ -105,6 +106,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("text,line,col", [
         ("algebra a field Qi\nbasis e f z\n[e,f] = 1/0 z\nend", 3, 9),
         ("algebra a field Q\nbasis x\n[x,y] = x\nend", 3, 4),
+        ("algebra a field Q\nbasis x y\n[x,y] = w\nend", 3, 9),
         ("algebra a field Q\nbasis x\n  [x, x]=  x + 2 q\nend", 3, 18),
     ])
     def test_error_column_is_exact(self, text, line, col):

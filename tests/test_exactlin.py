@@ -17,6 +17,7 @@ from derleib.exactlin import (
     QI,
     ShapeMismatch,
     Subspace,
+    coerce_scalar,
     format_scalar,
     kernel_from_rows,
     parse_scalar,
@@ -285,6 +286,14 @@ class TestSubspace:
         b = identity(2, QI)
         with pytest.raises(FieldMismatch):
             a * b
+
+    @pytest.mark.parametrize("mixed", [
+        lambda: coerce_scalar(GaussRat(0, 1), Q),
+        lambda: Subspace.full(2, Q).sum(Subspace.full(2, QI)),
+    ])
+    def test_a_q_context_refuses_q_i(self, mixed):
+        with pytest.raises(FieldMismatch):
+            mixed()
 
 
 class TestMatShape:

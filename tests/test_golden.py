@@ -4,6 +4,10 @@ and JSON, not just agree with themselves between two runs."""
 
 import hashlib
 import io
+import os
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,9 @@ GOLDEN = [
      "a88b8d85759ebd362627615f3aa264b413ff520d75773959cf719ac02df37fab"),
     (("verify-paper", "--nmax", "4"), 1,
      "ee7b4f02d765c8b23302bca5d9d8e9bd0a41b3142af84c763eea8d77f9175fdd"),
+    # the benchmark's invocation form, and the only pin with a nonzero seed
+    (("verify-paper", "--nmax", "3", "--json", "--seed", "7"), 1,
+     "55ed3aadc0b3782a494c70d87b74ed0fd72c022e9342c2f6084b017033af6547"),
     # the elimination loop at sizes the smaller members do not reach
     (("derive", "--family", "heisenberg", "--n", "20", "--a", "2", "--json"), 0,
      "a6207301470a65db6db7fde9bbbb6711335271fccf282f28643a6fe962246e7b"),
@@ -88,3 +95,24 @@ def test_output_bytes_match_reference(argv, code, digest):
     out = io.StringIO()
     assert main(list(argv), out=out) == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_other_interpreters_print_the_same_bytes(version):
+    # the report id reads CPython's built-in SHA-256, which moved from
+    # _sha256 to _sha2 in 3.12
+    exe = shutil.which("python" + version)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    if exe is None or subprocess.run([exe, "-c", ""], env=env,
+                                     capture_output=True).returncode:
+        pytest.skip("python%s is not installed" % version)
+    argv = ["verify-paper", "--nmax", "1", "--json"]
+    out = io.StringIO()
+    code = main(argv, out=out)
+    run = subprocess.run(
+        [exe, "-c", "import sys; from derleib.cli import main; "
+                    "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, timeout=60)
+    assert (run.returncode, run.stdout) == (code, out.getvalue().encode())
