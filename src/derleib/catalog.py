@@ -9,7 +9,6 @@ reordering, and the complex-to-real constructions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import MAX_DIM, Algebra
@@ -19,6 +18,7 @@ from .exactlin import (
     QI,
     ShapeMismatch,
     SparseVec,
+    cached,
     coerce_scalar,
     format_scalar,
     scalar_parts,
@@ -272,9 +272,7 @@ class FamilySpec(NamedTuple):
             parts.append(self.order)
         return " ".join(parts)
 
-    # the one member cache; 256 is the smallest power of two above the 183
-    # specs `verify-paper --nmax 16` stores, so that run evicts nothing
-    @lru_cache(maxsize=256)
+    @cached
     def build(self) -> Algebra:
         """The algebra; a parameter the family does not take is an error."""
         f = self.family

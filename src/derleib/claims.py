@@ -8,19 +8,23 @@ is ground truth: a claim pre-flagged as a suspected misprint reports a
 mismatch as ``discrepancy``; everything else reports ``refuted``.
 
 The claims themselves are in :mod:`derleib.checkers`, which :func:`run_all`
-imports when it runs, so the other commands never compile them.
+imports when it runs, so the other commands never compile them.  A checker
+records its comparisons in the :class:`Checks` that :func:`run_claim`
+passes it, and :func:`run_claim` alone decides the status.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .algebra import MAX_DIM
+from .derivations import MatrixLieAlgebra
 from .dsl import Report
-from .exactlin import format_scalar
+from .exactlin import SparseVec, Subspace, format_rows, format_scalar
+from .liestruct import verify_levi
 
 DEFAULT_A = (Fraction(2), Fraction(1, 2), Fraction(-3),
              Fraction(1), Fraction(-1), Fraction(0))
@@ -35,7 +39,7 @@ class Claim(NamedTuple):
     id: str
     statement: str
     domain: Callable
-    check: Callable
+    check: Callable  # check(ck, params) records into ck, returns the summary
     typo_flagged: bool = False
 
 
@@ -50,11 +54,84 @@ class ClaimResult(NamedTuple):
     elapsed: float
 
 
+class Checks:
+    """The expected-vs-actual comparisons of one claim instance, which its
+    checker records and :func:`run_claim` judges."""
+
+    def __init__(self):
+        self.problems = []
+        self.flagged = None  # (stated, computed) texts of a flagged mismatch
+
+    def eq(self, label: str, expected, actual):
+        if expected != actual:
+            self.problems.append("%s: expected %s, actual %s"
+                                 % (label, expected, actual))
+
+    def flat_eq(self, label: str, d: int, expected: SparseVec, actual: SparseVec):
+        """:meth:`eq` on two flattened d x d matrices, printed by :func:`_fmt_flat`."""
+        if expected != actual:
+            self.eq(label, _fmt_flat(expected, d), _fmt_flat(actual, d))
+
+    def true(self, label: str, cond: bool, detail: str = ""):
+        if not cond:
+            self.problems.append(label + ((": " + detail) if detail else ""))
+
+    def spans_equal(self, label: str, expected: Optional[Subspace],
+                    actual: Subspace):
+        if expected is None:
+            self.problems.append("%s: a stated generator is not in the "
+                                 "computed algebra" % label)
+        elif expected != actual:
+            self.problems.append("%s: stated span %s != computed span %s"
+                                 % (label, _fmt_sub(expected), _fmt_sub(actual)))
+
+    def spans_algebra(self, label: str, mla: MatrixLieAlgebra, mats):
+        """The flattened matrices ``mats`` span ``mla``: Der, Inn or AIDer,
+        compared in its basis coordinates."""
+        self.spans_equal(label, mla.coords_span(mats),
+                         Subspace.full(mla.dim, mla.field))
+
+    def levi(self, label: str, der: MatrixLieAlgebra, mats):
+        """The span of ``mats`` is a verified Levi complement of ``der``."""
+        span = der.coords_span(mats)
+        if span is None:
+            self.true("Levi generators lie in Der", False)
+        else:
+            res = verify_levi(der.structure, span)
+            self.true(label, res.verified, str(res))
+
+    def flag(self, expected: str, actual: str) -> str:
+        """Record a mismatch with a statement that may be a misprint; returns
+        the stated text, the checker's summary."""
+        self.flagged = (expected, actual)
+        return expected
+
+
+def _fmt_flat(flat: SparseVec, d: int) -> str:
+    """Sorted 1-based ``(row, col): value`` pairs, the convention of the
+    checkers' matrix units."""
+    return "{%s}" % ", ".join("(%d, %d): %s" % (i // d + 1, i % d + 1, format_scalar(v))
+                              for i, v in sorted(flat.items()))
+
+
+def _fmt_sub(s: Subspace) -> str:
+    return "{%s}" % "; ".join("[%s]" % ", ".join(cells) for cells in format_rows(s))
+
+
 def run_claim(claim: Claim, params: dict) -> ClaimResult:
+    """Run ``claim.check(ck, params)``, which returns its summary, and judge
+    the comparisons it recorded: a flagged mismatch is a discrepancy for a
+    flagged claim and a refutation otherwise, and any problem refutes."""
     t0 = time.perf_counter()
-    status, expected, actual = claim.check(params)
-    if status == DISCREPANCY and not claim.typo_flagged:
-        status = REFUTED
+    ck = Checks()
+    expected = actual = claim.check(ck, params)
+    if ck.flagged:
+        status = DISCREPANCY if claim.typo_flagged else REFUTED
+        expected, actual = ck.flagged
+    elif ck.problems:
+        status, actual = REFUTED, "; ".join(ck.problems)
+    else:
+        status = CONFIRMED
     return ClaimResult(claim.id, params, status, expected, actual,
                        time.perf_counter() - t0)
 

@@ -223,16 +223,14 @@ def cmd_verify(args, out) -> int:
             counts[c["status"]] = counts.get(c["status"], 0) + 1
             line = "%-9s %-4s %s" % (c["status"], c["id"], " ".join(
                 "%s=%s" % (k, v) for k, v in sorted(c["params"].items())))
-            if c["status"] in ("refuted", "discrepancy"):
+            if c["status"] in (claims.REFUTED, claims.DISCREPANCY):
                 line += "\n  expected: %s\n  actual:   %s" % (c["expected"],
                                                               c["actual"])
             out.write(line + "\n")
         out.write("totals: %s\n" % ", ".join(
             "%s %d" % (k, counts[k]) for k in sorted(counts)))
-    bad = [c for c in report.claims if c["status"] == "refuted"]
-    if args.strict:
-        bad += [c for c in report.claims if c["status"] == "discrepancy"]
-    return 1 if bad else 0
+    bad = {claims.REFUTED, claims.DISCREPANCY} if args.strict else {claims.REFUTED}
+    return 1 if any(c["status"] in bad for c in report.claims) else 0
 
 
 def _derive_args(p):

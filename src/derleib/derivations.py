@@ -17,7 +17,7 @@ dict; the CLI prints the canonical rows as matrices.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .algebra import Algebra
@@ -30,6 +30,7 @@ from .exactlin import (
     ShapeMismatch,
     Subspace,
     axpy,
+    cached,
     kernel_from_rows,
     sparse_commutator,
     sparse_flat,
@@ -114,9 +115,7 @@ class MatrixLieAlgebra(Frozen):
         return Subspace.span(vs, self.dim, self.field)
 
 
-# each cache holds the smallest power of two above the entries `verify-paper
-# --nmax 16` stores in it, so that run evicts nothing
-@lru_cache(maxsize=128)
+@cached
 def _structure(sub: Subspace, d: int) -> Algebra:
     """The closure-checked structure constants induced on the rows of
     ``sub``, a subspace of flattened d x d matrices, cached by value, so
@@ -155,7 +154,7 @@ def _structure(sub: Subspace, d: int) -> Algebra:
     return Algebra(sub.field, labels, table)
 
 
-@lru_cache(maxsize=256)
+@cached
 def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
     """Der(L) as the nullspace over the d^2 matrix unknowns (row-major).
 
@@ -188,7 +187,7 @@ def der_algebra(alg: Algebra) -> MatrixLieAlgebra:
     return MatrixLieAlgebra(d, kernel_from_rows(rows.values(), d * d, alg.field))
 
 
-@lru_cache(maxsize=256)
+@cached
 def inner_derivations(alg: Algebra) -> MatrixLieAlgebra:
     """Span of the left multiplication maps; requires a left Leibniz
     algebra.  Those of ``Algebra.int_table`` are one common multiple of
@@ -204,7 +203,7 @@ class GenusError(ValueError):
     """Raised when an exact genus-1 computation is applied off-domain."""
 
 
-@lru_cache(maxsize=256)
+@cached
 def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     """Almost inner derivations of an algebra with dim [L,L] = 1, exactly.
 

@@ -20,13 +20,17 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 Q = "Q"
 QI = "Qi"
+
+# the engine's result caches, keyed by value; `verify-paper --nmax 16` stores
+# at most 183 entries in any of them, so that run evicts nothing
+cached = lru_cache(maxsize=256)
 
 _F0 = Fraction(0)
 

@@ -16,7 +16,6 @@ algebras; a regression test pins a five-dimensional counterexample.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .algebra import Algebra, NotAnIdeal
@@ -24,6 +23,7 @@ from .exactlin import (
     Echelon,
     InternalInvariantError,
     Subspace,
+    cached,
     kernel_from_rows,
     sparse_combine,
     sparse_flat,
@@ -51,9 +51,7 @@ def _gram(alg: Algebra) -> dict:
     return sparse_traces(ads, ads)
 
 
-# each cache holds the smallest power of two above the entries `verify-paper
-# --nmax 16` stores in it, so that run evicts nothing
-@lru_cache(maxsize=128)
+@cached
 def killing(alg: Algebra) -> dict:
     """The Killing form of a Lie algebra, as the sparse rows of :func:`_gram`."""
     _require_lie(alg)
@@ -69,7 +67,7 @@ def _orthogonal(sub: Subspace, gram: dict) -> Subspace:
     return kernel_from_rows(sparse_mul(x, gram).values(), sub.ambient_dim, sub.field)
 
 
-@lru_cache(maxsize=128)
+@cached
 def radical(alg: Algebra) -> Subspace:
     """Killing-orthogonal of the derived algebra (char-0 radical); checked by
     requiring the same computation to give zero on the quotient.  A quotient
@@ -88,7 +86,7 @@ def radical(alg: Algebra) -> Subspace:
     return rad
 
 
-@lru_cache(maxsize=64)
+@cached
 def nilradical(alg: Algebra) -> Subspace:
     """Largest nilpotent ideal: the x in the radical with trace(ad_x b) = 0
     for every b in the associative envelope of the adjoints of the radical's

@@ -356,6 +356,13 @@ class TestProductSpaceAndSeries:
             comm = dn.product_space(dn.full_space(), dn.full_space())
             assert comm == Subspace.span([vec(dn, z=1)], dn.dim)
 
+    def test_operands_of_another_dimension_are_rejected(self):
+        h3 = heisenberg_lie(1)
+        for u, v in ((Subspace.full(4), h3.full_space()),
+                     (h3.full_space(), Subspace.zero(2))):
+            with pytest.raises(ShapeMismatch, match="subspace ambient"):
+                h3.product_space(u, v)
+
     def test_product_space_matches_naive_brackets(self):
         """Every pair of series terms of 140 algebras (100 random draws and
         the Der of the first 40): the sparse product equals the span of the
@@ -536,6 +543,11 @@ class TestQuotient:
         q = d1.quotient(Subspace.span([vec(d1, z=1)], 4))
         assert q.dim == 3
         assert q.table == {}
+
+    def test_ideal_of_another_dimension_is_rejected(self):
+        h3 = heisenberg_lie(1)
+        with pytest.raises(ShapeMismatch, match="ideal ambient"):
+            h3.quotient(Subspace.zero(4))
 
     def test_not_an_ideal(self):
         h3 = heisenberg_lie(1)

@@ -12,7 +12,7 @@ import pytest
 from derleib import catalog, checkers, derivations
 from derleib.checkers import dieu_gens, j0_gens, kron_gens, registry
 from derleib.claims import (
-    DEFAULT_A, DISCREPANCY, REFUTED, Claim, run_all, run_claim)
+    DEFAULT_A, DISCREPANCY, REFUTED, Checks, Claim, run_all, run_claim)
 from derleib.catalog import GROUPED, FamilySpec, dieudonne
 from derleib.derivations import (
     MatrixLieAlgebra, almost_inner_genus1, der_algebra, inner_derivations)
@@ -147,7 +147,7 @@ def test_an_unflagged_discrepancy_is_refuted():
     # only a claim flagged as a suspected misprint may report a discrepancy
     # (D5 at n=3 does); the engine is ground truth for every other claim
     stub = Claim("X1", "stub", lambda nmax, a_values: [],
-                 lambda params: (DISCREPANCY, "stated", "computed"),
+                 lambda ck, params: ck.flag("stated", "computed"),
                  typo_flagged=False)
     assert run_claim(stub, {"n": 1}) == (
         "X1", {"n": 1}, REFUTED, "stated", "computed", ANY)
@@ -207,7 +207,7 @@ def test_commutator_table_check():
     gens = {"h": h.sparse(), "x": x.sparse(), "y": y.sparse()}
 
     def problems(expected):
-        ck = checkers._Checks()
+        ck = Checks()
         checkers._comm_table_ok(ck, 2, gens, expected)
         return ck.problems
     good = {("x", "y"): h.sparse(), ("h", "x"): lincomb((2, x)).sparse(),
@@ -340,6 +340,53 @@ class TestIndividualClaims:
         r = run_claim(REG["Z4"], {"n": 1})
         assert r.status == "discrepancy"
         assert r.actual == "[B1,b2] computes to the opposite sign"
+
+    # D1 and D5 confirm or report their flagged discrepancy on every shipped
+    # output, so only a changed Der or basis reaches their other verdicts.
+
+    def test_d1_returns_before_the_table_on_a_short_der(self, monkeypatch):
+        # Der without A_3 is one dimension short: the basis checks refute
+        # D1 before its flagged table is read
+        gens = dieu_gens(1)
+        monkeypatch.setattr(checkers, "der_algebra", lambda alg: MatrixLieAlgebra(
+            4, Subspace.span([m for nm, m in gens.items() if nm != "A3"], 16, "Q")))
+        r = run_claim(REG["D1"], {"n": 1})
+        assert (r.status, r.expected, r.actual) == (
+            REFUTED, "dim Der = 3n+3 = 6 with the stated basis",
+            "dim Der: expected 6, actual 5; A3 is a derivation; named basis "
+            "spans Der: a stated generator is not in the computed algebra")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_d1_flags_a_table_read_from_a_non_unit_row(self, monkeypatch, n):
+        # 2 E_1 spans what E_1 spans, but its rows are not +-1 units, so no
+        # [A_i, E_1] entry is stated and the flagged table differs there
+        named = checkers.dieu_gens
+        monkeypatch.setattr(checkers, "dieu_gens", lambda n: {
+            **named(n), "E1": checkers._comb((2, named(n)["E1"]))})
+        r = run_claim(REG["D1"], {"n": n})
+        assert (r.status, r.expected, r.actual) == (
+            DISCREPANCY, "bracket table with [x,E_i] = [E_i,y] = E_i",
+            "[A1,E1] differs from the stated table")
+
+    def test_d5_at_n3_returns_before_the_dimension_probe(self, monkeypatch):
+        named = checkers.dieu_gens
+        monkeypatch.setattr(checkers, "dieu_gens", lambda n: {
+            **named(n), "X": checkers._unit(2 * n + 2, 1, 1)})
+        r = run_claim(REG["D5"], {"n": 3})
+        assert (r.status, r.expected, r.actual) == (
+            REFUTED, "worked example at n=3",
+            "worked basis spans Der: a stated generator is not in the "
+            "computed algebra")
+
+    def test_d5_at_n3_confirms_a_consistent_nine_dimensional_der(self, monkeypatch):
+        # the n = 2 Der with its own basis has the stated dimension 9
+        named, real = checkers.dieu_gens, checkers.der_algebra
+        monkeypatch.setattr(checkers, "dieu_gens", lambda n: named(2))
+        monkeypatch.setattr(checkers, "der_algebra", lambda alg: real(
+            FamilySpec("dieudonne", 2).build()))
+        r = run_claim(REG["D5"], {"n": 3})
+        assert (r.status, r.expected, r.actual) == (
+            "confirmed", "worked example at n=3", "worked example at n=3")
 
     def test_mixing_generators_written_out_at_n2(self):
         """The c_h / b_h entries at n = 2 by hand, 1-based (row, col): the

@@ -97,6 +97,28 @@ def test_output_bytes_match_reference(argv, code, digest):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+def _runs(exe, env) -> bool:
+    return subprocess.run([exe, "-c", ""], env=env, capture_output=True).returncode == 0
+
+
+def _interpreter_env(exe, version, env):
+    """``env`` if ``exe`` runs under it, else ``env`` with ``PYENV_VERSION``
+    naming the first installed ``version.*`` that the pyenv shim ``exe``
+    runs; None if none runs."""
+    if _runs(exe, env):
+        return env
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return None
+    root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout
+    installed = Path(root.strip(), "versions").glob(version + ".*")
+    for path in sorted(installed):
+        pinned = {**env, "PYENV_VERSION": path.name}
+        if _runs(exe, pinned):
+            return pinned
+    return None
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
 def test_other_interpreters_print_the_same_bytes(version):
     # the report id reads CPython's built-in SHA-256, which moved from
@@ -105,8 +127,8 @@ def test_other_interpreters_print_the_same_bytes(version):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    if exe is None or subprocess.run([exe, "-c", ""], env=env,
-                                     capture_output=True).returncode:
+    env = exe and _interpreter_env(exe, version, env)
+    if not env:
         pytest.skip("python%s is not installed" % version)
     argv = ["verify-paper", "--nmax", "1", "--json"]
     out = io.StringIO()
