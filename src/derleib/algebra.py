@@ -203,17 +203,25 @@ class Algebra(Frozen):
         nonzero = sum(1 for t in terms if not t.is_zero())
         return (terms[-1].is_zero(), nonzero)
 
+    @cached_property
+    def center(self) -> Subspace:
+        """The two-sided center {x : [x,L] = [L,x] = 0}: the kernel of both
+        sides' operator rows of :attr:`int_table`, of one side's for an
+        :attr:`antisymmetric` table."""
+        lrows, rrows = ([row for m in ops for row in m.values()] for ops in self.int_ops)
+        return kernel_from_rows(rrows if self.antisymmetric else rrows + lrows,
+                                self.dim, self.field)
+
     def centers(self) -> tuple[Subspace, Subspace, Subspace]:
         """Left center {x : [x,L]=0}, right center {x : [L,x]=0}, and their
-        meet; kernels of the operator rows of :attr:`int_table`, the meet
-        that of both sides' rows.  For an :attr:`antisymmetric` table the
-        three are one kernel."""
-        lrows, rrows = ([row for m in ops for row in m.values()] for ops in self.int_ops)
-        left = kernel_from_rows(rrows, self.dim, self.field)
+        meet, :attr:`center`; kernels of the operator rows of
+        :attr:`int_table`.  For an :attr:`antisymmetric` table the three are
+        one kernel."""
         if self.antisymmetric:
-            return left, left, left
-        return (left, kernel_from_rows(lrows, self.dim, self.field),
-                kernel_from_rows(rrows + lrows, self.dim, self.field))
+            return self.center, self.center, self.center
+        lrows, rrows = ([row for m in ops for row in m.values()] for ops in self.int_ops)
+        return (kernel_from_rows(rrows, self.dim, self.field),
+                kernel_from_rows(lrows, self.dim, self.field), self.center)
 
     def quotient(self, ideal: Subspace) -> "Algebra":
         """Algebra induced on the non-pivot coordinates of the ideal's basis.

@@ -279,7 +279,7 @@ def _check_h4(ck, params):
 
 def _check_h5(ck, params):
     der = der_algebra(_heis(params).build())
-    ck.eq("dim Z(Der)", 0, der.structure.centers()[2].dim)
+    ck.eq("dim Z(Der)", 0, der.structure.center.dim)
     return "Z(Der) = 0"
 
 
@@ -394,7 +394,7 @@ def _check_r1(ck, params):
     ck.spans_algebra("Inn = <A,B>", inn, ab)
     nil = nilradical(der.structure)
     ck.spans_equal("nilradical = <A,B>", der.coords_span(ab), nil)
-    ck.eq("dim Z(Der)", 0, der.structure.centers()[2].dim)
+    ck.eq("dim Z(Der)", 0, der.structure.center.dim)
     return "dim Der = 7; Inn = nilradical = <A,B>"
 
 

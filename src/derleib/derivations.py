@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .algebra import Algebra
+from .algebra import Algebra, AlgebraKind
 from .exactlin import (
     FieldMismatch,
     Frozen,
@@ -32,6 +32,7 @@ from .exactlin import (
     axpy,
     cached,
     kernel_from_rows,
+    sparse_combine,
     sparse_commutator,
     sparse_flat,
     sparse_rows,
@@ -125,17 +126,33 @@ def _structure(sub: Subspace, d: int) -> Algebra:
     two rows' pivot values, are its coordinates, written straight into
     the canonical table: k ascends with the pivots, (t, s) has the
     negated coefficients of (s, t), made from the same ints, and the
-    keys are inserted in sorted order."""
+    keys are inserted in sorted order.  [s, t] = st - ts is zero unless a
+    column of one row is a row index of the other, so only those pairs
+    are bracketed."""
     q = sub.field == Q  # int rows over Q, pivot-one GaussRat rows over Q(i)
     index = {p: k for k, p in enumerate(sub.pivots)}
     ops = [sparse_rows(dict(row), d) for row in sub.erows]
+    # bit s of at_row[r] (at_col[c]) is set when ops[s] has an entry in row r
+    # (column c)
+    at_row, at_col = [0] * d, [0] * d
+    for s, row in enumerate(sub.erows):
+        for f, _ in row:
+            at_row[f // d] |= 1 << s
+            at_col[f % d] |= 1 << s
     table = {}
     lower = [[] for _ in ops]  # lower[t]: ((t, s), terms) items, s ascending
     coeffs = {}  # (value, pivot product) -> (coefficient, its negation)
-    for s in range(len(ops)):
+    for s, op in enumerate(ops):
         table.update(lower[s])
-        for t in range(s + 1, len(ops)):
-            at = sub.take_coords(sparse_commutator(ops[s], ops[t], d))
+        partners, t = 0, s
+        for f, _ in sub.erows[s]:
+            partners |= at_col[f // d] | at_row[f % d]
+        partners >>= s + 1
+        while partners:  # the set bits, ascending: t > s
+            step = (partners & -partners).bit_length()
+            partners >>= step
+            t += step
+            at = sub.take_coords(sparse_commutator(op, ops[t], d))
             if at is None:
                 raise ClosureError("commutator of basis elements %d, %d "
                                    "escapes the span" % (s, t))
@@ -150,8 +167,12 @@ def _structure(sub: Subspace, d: int) -> Algebra:
                 neg.append((index[p], pair[1]))
             table[(s, t)] = tuple(pos)
             lower[t].append(((t, s), tuple(neg)))
-    labels = tuple("m%d" % (k + 1) for k in range(sub.dim))
-    return Algebra(sub.field, labels, table)
+    alg = Algebra(sub.field, tuple("m%d" % (k + 1) for k in range(sub.dim)), table)
+    # the table is antisymmetric as built, and a commutator-closed span of
+    # matrices is a Lie subalgebra of gl(d), so Jacobi holds (de Graaf, *Lie
+    # Algebras: Theory and Algorithms*, 2000): no identity walk is needed
+    alg.__dict__.update(antisymmetric=True, kind=AlgebraKind(True, True, True, True))
+    return alg
 
 
 @cached
@@ -209,16 +230,27 @@ def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
 
     For such an algebra the bracket span of any element is either zero or
     the whole commutator line w, so a derivation D is almost inner iff
-    D(x) = phi(x) w for a linear form phi vanishing on the center: AIDer is
-    Der intersected with the span of the rank-one maps w (x) phi.
+    D(x) = phi(x) w for a linear form phi vanishing on the center
+    (Burde, Dekimpe and Verbeke, *J. Algebra Appl.* 17, 2018): its columns
+    lie on w, w_p D[r][c] = w_r D[p][c] for the pivot p of w and r != p,
+    and then D(z) = 0 iff D(z)_p = 0 for each center basis vector z.  One
+    kernel solves both in the coordinates of Der's rows.
     """
     der = der_algebra(alg)
     comm = alg.commutator_ideal
     if comm.dim != 1:
         raise GenusError("commutator ideal has dimension %d, need 1" % comm.dim)
-    w, = comm.erows
-    d = alg.dim
-    ann = kernel_from_rows(map(dict, alg.centers()[2].erows), d, alg.field)
-    rank1 = Subspace.span(({r * d + c: x * y for r, x in w for c, y in phi}
-                           for phi in ann.erows), d * d, alg.field)
-    return MatrixLieAlgebra(d, der.subspace.intersect(rank1))
+    d, w, p = alg.dim, dict(comm.erows[0]), comm.pivots[0]
+    entry = {}  # (r, c) -> D[r][c] as a linear form on Der's rows
+    for i, row in enumerate(der.subspace.erows):
+        for f, v in row:
+            entry.setdefault(divmod(f, d), {})[i] = v
+    top = [entry.get((p, c), {}).items() for c in range(d)]  # row p of D
+    conds = [sparse_combine(top, z) for z in alg.center.erows]
+    keys = entry.keys() | {(r, c) for r in w for c in range(d) if top[c]}
+    conds += (axpy(axpy({}, w[p], entry.get((r, c), {}).items()), -w.get(r, 0), top[c])
+              for r, c in keys if r != p)
+    coords = kernel_from_rows(conds, der.dim, alg.field)
+    return MatrixLieAlgebra(d, Subspace.span(
+        (sparse_combine(der.subspace.erows, row) for row in coords.erows),
+        d * d, alg.field))

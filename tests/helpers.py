@@ -6,7 +6,7 @@ from random import Random
 from typing import Optional
 
 from derleib import checkers
-from derleib.algebra import Algebra, AlgebraKind
+from derleib.algebra import Algebra, AlgebraKind, _leibniz
 from derleib.catalog import GROUPED, interleave_perm, permute_basis
 from derleib.exactlin import (
     Echelon,
@@ -735,6 +735,15 @@ def naive_structure(mla) -> Algebra:
             brackets[(s, t)] = list(enumerate(cs))
     return Algebra.from_brackets(mla.field, ["m%d" % (k + 1) for k in range(mla.dim)],
                                  brackets)
+
+
+def assert_kind_by_construction(alg: Algebra):
+    """A Der structure carries its Lie kind and antisymmetry from
+    construction, unwalked; both must equal fresh walks of its table."""
+    assert {"kind", "antisymmetric"} <= vars(alg).keys()
+    lie = _leibniz(alg.int_table, alg.dim, True)
+    assert alg.kind == AlgebraKind(lie, lie, lie, lie)
+    assert alg.antisymmetric == Algebra.antisymmetric.func(alg)
 
 
 def naive_kind(alg: Algebra) -> AlgebraKind:

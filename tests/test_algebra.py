@@ -320,6 +320,7 @@ class TestSparsePathsOracle:
             assert sparse_mat(left[i], d, Q) == lincomb((c, lads[i]))
             assert sparse_mat(right[i], d, Q) == lincomb((c, rads[i]))
         assert alg.centers() == _dense_centers(alg)
+        assert alg.center == alg.centers()[2]
 
     def test_centers_off_antisymmetric_tables(self):
         """``centers`` runs one kernel for an antisymmetric table; every

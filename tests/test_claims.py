@@ -19,7 +19,8 @@ from derleib.derivations import (
 from derleib.dsl import report_json
 from derleib.exactlin import GaussRat, Subspace
 
-from helpers import identity, lincomb, mat, naive_is_derivation, to_mat
+from helpers import (
+    assert_kind_by_construction, identity, lincomb, mat, naive_is_derivation, to_mat)
 
 REG = {c.id: c for c in registry()}
 
@@ -130,6 +131,24 @@ def test_a_run_builds_no_structure_twice(monkeypatch):
         cache.cache_clear()
     run_all(3)
     assert len(reads) > len(set(reads)) == len(builds) == 16
+
+
+def test_der_structures_of_a_run_carry_their_kind(monkeypatch):
+    # every structure built by a run, from empty caches, is Lie as built
+    builds = []
+    plain = derivations.Algebra
+
+    def built(*args):
+        builds.append(plain(*args))
+        return builds[-1]
+    monkeypatch.setattr(derivations, "Algebra", built)
+    for cache in (FamilySpec.build, der_algebra, inner_derivations,
+                  almost_inner_genus1, derivations._structure):
+        cache.cache_clear()
+    run_all(3)
+    assert len(builds) == 16
+    for alg in builds:
+        assert_kind_by_construction(alg)
 
 
 def test_r3_reports_a_family_member_without_a_real_form(monkeypatch):

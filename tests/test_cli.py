@@ -313,6 +313,19 @@ class TestAnalyze:
             "internal invariant violation: radical self-check failed: "
             "subspace is not a two-sided ideal\n")
 
+    def test_nilradical_self_check_failure_is_internal_error(self, monkeypatch,
+                                                             capsys):
+        # a nilradical candidate outside the radical is the engine's fault;
+        # nilradical is memoized, so no cached answer may skip the check
+        liestruct.nilradical.cache_clear()
+        monkeypatch.setattr(liestruct, "Subspace", type("Stub", (), {
+            "span": staticmethod(lambda vecs, d, field: Subspace.full(d, field))}))
+        code, _ = run_cli("analyze", "--family", "heisenberg-lie", "--n", "1",
+                          "--der")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "internal invariant violation: nilradical escapes the radical\n")
+
     def test_der_flag_analyzes_the_derivation_algebra(self):
         code, text = run_cli("analyze", "--family", "kronecker", "--n", "2",
                              "--der")

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derleib import derivations
 from derleib.algebra import Algebra
 from derleib.catalog import (
     FAMILIES,
@@ -53,6 +54,7 @@ from helpers import (
     abelian,
     adjoint,
     almost_inner_sample,
+    assert_kind_by_construction,
     basis_vector,
     dense_basis,
     dense_jordan,
@@ -385,6 +387,15 @@ def test_almost_inner_genus1_against_naive_predicate(idx):
         combos.append(acc)
     for d in der_basis + aid_basis + tuple(combos):
         assert aid.subspace.contains(d.flatten()) == _naive_almost_inner(d, alg)
+
+
+@pytest.mark.parametrize("idx", range(len(AIDER_ORACLE_ALGEBRAS)))
+def test_der_structure_carries_its_kind(idx):
+    alg = AIDER_ORACLE_ALGEBRAS[idx]
+    der = der_algebra(alg)
+    # a structure built here, whose kind no reader can have walked
+    fresh = derivations._structure.__wrapped__(der.subspace, alg.dim)
+    assert_kind_by_construction(fresh)
 
 
 def _catalog_upto_3():

@@ -86,6 +86,9 @@ GOLDEN = [
     (("derive", "--family", "realify-heisenberg", "--n", "10", "--a", "1",
       "--b", "2", "--json"), 0,
      "028ecfc6135e3de93b51be94c54ed46567f7bdbf5adf86abc51c6efb2690d956"),
+    # a wide induced table: Der dim 153, most basis pairs commute
+    (("derive", "--family", "heisenberg-lie", "--n", "8", "--table"), 0,
+     "ca2538ad6f7d2865900e425458f3c4858f338214114a70bd927e75924d389d07"),
 ]
 
 

@@ -363,6 +363,49 @@ class TestNilradicalEdges:
         assert nilradical(g) == expected == naive_nilradical(g)
 
 
+def _t_x_c():
+    # [t, x] = x plus a central c: radical everything, nilradical <x, c>
+    return Algebra.from_brackets(Q, ["t", "x", "c"],
+                                 {(0, 1): [(1, 1)], (1, 0): [(1, -1)]})
+
+
+class TestNilradicalInvariants:
+    """Each self-check of :func:`nilradical` raises when an engine step it
+    relies on is broken; the raise is the engine's fault, not the input's."""
+
+    def test_envelope_that_never_stabilizes(self, monkeypatch):
+        class Growing(liestruct.Echelon):
+            def insert(self, vec):  # every product reads as new
+                super().insert(vec)
+                return True
+
+        monkeypatch.setattr(liestruct, "Echelon", Growing)
+        with pytest.raises(InternalInvariantError,
+                           match="^envelope closure did not stabilize$"):
+            nilradical.__wrapped__(_t_x_c())
+
+    @pytest.mark.parametrize("alg,candidate,message", [
+        # sl2 + <c>: the radical <c> does not hold the whole space
+        (lambda: Algebra.from_brackets(Q, _sl2_triple().labels + ("c",),
+                                       _sl2_triple().table),
+         lambda d: Subspace.full(d), "nilradical escapes the radical"),
+        # [L, t] = <x> leaves <t>
+        (_t_x_c, lambda d: Subspace.span([{0: 1}], d),
+         "nilradical candidate is not an ideal"),
+        # [L, L] = <x> = [L, <x>]: the whole algebra is not nilpotent
+        (_t_x_c, lambda d: Subspace.full(d),
+         "nilradical candidate is not nilpotent"),
+    ], ids=["escapes", "not-ideal", "not-nilpotent"])
+    def test_wrong_candidate_is_caught(self, alg, candidate, message,
+                                       monkeypatch):
+        g = alg()
+        wrong = candidate(g.dim)
+        monkeypatch.setattr(liestruct, "Subspace", type("Stub", (), {
+            "span": staticmethod(lambda vecs, d, field: wrong)}))
+        with pytest.raises(InternalInvariantError, match="^%s$" % message):
+            nilradical.__wrapped__(g)
+
+
 def test_radical_self_check_still_runs(monkeypatch):
     """The quotient check no longer classifies the quotient, but still
     reads its Gram matrix: a zero Gram matrix there must be caught."""
