@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 refuted claims (or invalid algebra for check),
 2 usage errors, 3 internal errors: an invariant violation or any other
-unexpected exception.  Identical invocations produce byte-identical output.
+unexpected exception, 141 (128 + SIGPIPE) when the reader closes stdout.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import os
 import sys
 
 from . import __version__, claims, dsl
@@ -316,7 +318,12 @@ def main(argv=None, out=None) -> int:
     try:
         if args.command in ("check", "derive", "analyze"):
             _check_algebra_args(args, parser)
-        return _COMMANDS[args.command][2](args, out)
+        code = _COMMANDS[args.command][2](args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:  # the reader left; what stdout still buffers goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13  # as if killed by SIGPIPE
     except InternalInvariantError as exc:
         sys.stderr.write("internal invariant violation: %s\n" % exc)
         return INTERNAL_ERROR

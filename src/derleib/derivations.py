@@ -32,7 +32,6 @@ from .exactlin import (
     axpy,
     cached,
     kernel_from_rows,
-    sparse_combine,
     sparse_commutator,
     sparse_flat,
     sparse_rows,
@@ -227,30 +226,30 @@ class GenusError(ValueError):
 @cached
 def almost_inner_genus1(alg: Algebra) -> MatrixLieAlgebra:
     """Almost inner derivations of an algebra with dim [L,L] = 1, exactly.
-
-    For such an algebra the bracket span of any element is either zero or
-    the whole commutator line w, so a derivation D is almost inner iff
-    D(x) = phi(x) w for a linear form phi vanishing on the center
-    (Burde, Dekimpe and Verbeke, *J. Algebra Appl.* 17, 2018): its columns
-    lie on w, w_p D[r][c] = w_r D[p][c] for the pivot p of w and r != p,
-    and then D(z) = 0 iff D(z)_p = 0 for each center basis vector z.  One
-    kernel solves both in the coordinates of Der's rows.
-    """
-    der = der_algebra(alg)
+    Each bracket span [x, L] + [L, x] is zero or the commutator line w, so
+    they are the derivations D(x) = phi(x) w with phi zero on the center
+    (Burde, Dekimpe and Verbeke, *J. Algebra Appl.* 17, 2018).  At the
+    pivot p of w, ``Algebra.int_table`` gives the forms b(i, j) = [b_i,
+    b_j]_p, r_j = sum_i w_i b(i, j) of [w, y] and s_i = sum_j w_j b(i, j) of
+    [x, w]; D is a derivation iff b(i, j) phi(w) = r_j phi_i + s_i phi_j on
+    every basis pair: one kernel in the d unknowns phi, and no Der solve."""
     comm = alg.commutator_ideal
     if comm.dim != 1:
         raise GenusError("commutator ideal has dimension %d, need 1" % comm.dim)
     d, w, p = alg.dim, dict(comm.erows[0]), comm.pivots[0]
-    entry = {}  # (r, c) -> D[r][c] as a linear form on Der's rows
-    for i, row in enumerate(der.subspace.erows):
-        for f, v in row:
-            entry.setdefault(divmod(f, d), {})[i] = v
-    top = [entry.get((p, c), {}).items() for c in range(d)]  # row p of D
-    conds = [sparse_combine(top, z) for z in alg.center.erows]
-    keys = entry.keys() | {(r, c) for r in w for c in range(d) if top[c]}
-    conds += (axpy(axpy({}, w[p], entry.get((r, c), {}).items()), -w.get(r, 0), top[c])
-              for r, c in keys if r != p)
-    coords = kernel_from_rows(conds, der.dim, alg.field)
+    lops, rops = alg.int_ops  # lops[i][p][j] = rops[j][p][i] = b(i, j)
+    r, s = {}, {}
+    for q, wq in w.items():
+        axpy(r, wq, lops[q].get(p, {}).items())
+        axpy(s, wq, rops[q].get(p, {}).items())
+    rows = [dict(z) for z in alg.center.erows]  # phi(z) = 0
+    for i in range(d):
+        bi = lops[i].get(p, {})
+        # the row of (i, j) is zero unless b(i, j), r_j or s_i is nonzero
+        for j in (range(d) if i in s else bi.keys() | r.keys()):
+            row = axpy({}, -1, ((i, r.get(j, 0)), (j, s.get(i, 0))))
+            if axpy(row, bi.get(j, 0), w.items()):
+                rows.append(row)
     return MatrixLieAlgebra(d, Subspace.span(
-        (sparse_combine(der.subspace.erows, row) for row in coords.erows),
-        d * d, alg.field))
+        ({q * d + c: wq * v for q, wq in w.items() for c, v in phi}
+         for phi in kernel_from_rows(rows, d, alg.field).erows), d * d, alg.field))

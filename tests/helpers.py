@@ -8,6 +8,7 @@ from typing import Optional
 from derleib import checkers
 from derleib.algebra import Algebra, AlgebraKind, _leibniz
 from derleib.catalog import GROUPED, interleave_perm, permute_basis
+from derleib.derivations import der_algebra
 from derleib.exactlin import (
     Echelon,
     FieldMismatch,
@@ -25,6 +26,7 @@ from derleib.exactlin import (
     kernel_from_rows,
     scalar_parts,
     scalar_zero,
+    sparse_combine,
     sparse_flat,
     sparse_mul,
     sparse_rows,
@@ -693,6 +695,28 @@ def naive_series(alg: Algebra, kind: str) -> list:
         if not rows:
             return terms
         term = [tuple(dict(row).get(c, zero) for c in range(alg.dim)) for row in rows]
+
+
+def aider_in_der_coords(alg: Algebra) -> Subspace:
+    """AIDer of a genus-1 algebra as one kernel in Der's coordinates: the
+    derivations whose columns lie on the commutator line w, so w_p D[r][c]
+    = w_r D[p][c] for the pivot p of w and r != p, and that kill the
+    center, D(z)_p = 0 for each center basis vector z."""
+    der, comm = der_algebra(alg), alg.commutator_ideal
+    assert comm.dim == 1
+    d, w, p = alg.dim, dict(comm.erows[0]), comm.pivots[0]
+    entry = {}  # (r, c) -> D[r][c] as a linear form on Der's rows
+    for i, row in enumerate(der.subspace.erows):
+        for f, v in row:
+            entry.setdefault(divmod(f, d), {})[i] = v
+    top = [entry.get((p, c), {}).items() for c in range(d)]  # row p of D
+    conds = [sparse_combine(top, z) for z in alg.center.erows]
+    keys = entry.keys() | {(r, c) for r in w for c in range(d) if top[c]}
+    conds += (axpy(axpy({}, w[p], entry.get((r, c), {}).items()), -w.get(r, 0), top[c])
+              for r, c in keys if r != p)
+    coords = kernel_from_rows(conds, der.dim, alg.field)
+    return Subspace.span((sparse_combine(der.subspace.erows, row) for row in coords.erows),
+                         d * d, alg.field)
 
 
 def naive_is_derivation(d: Mat, alg: Algebra) -> bool:

@@ -572,11 +572,11 @@ class TestParser:
         assert cli.build_parser(["--help"]).parse_args(derive).json
 
 
-def _fresh_python(*args):
+def _fresh_python(*args, stdout=subprocess.PIPE, **env):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 class TestShutdown:
@@ -603,3 +603,20 @@ class TestShutdown:
                     for _ in range(2)])
             """)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 0\nfrozen\n", b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["derive", "--family", "heisenberg", "--a", "2", "--n", "3"],
+        ["verify-paper", "--nmax", "2", "--json"]], ids=lambda argv: argv[0])
+    def test_closed_stdout_exits_141_quietly(self, argv, unbuffered):
+        """A reader that closes the pipe early, as ``| head -1`` does: exit
+        128 + SIGPIPE with nothing on stderr, whether each write flushes or
+        the buffer flushes at exit."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:  # an empty PYTHONUNBUFFERED counts as unset
+            proc = _fresh_python("-m", "derleib.cli", *argv, stdout=write_end,
+                                 PYTHONUNBUFFERED="1" if unbuffered else "")
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")

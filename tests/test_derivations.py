@@ -53,6 +53,7 @@ from derleib.exactlin import (
 from helpers import (
     abelian,
     adjoint,
+    aider_in_der_coords,
     almost_inner_sample,
     assert_kind_by_construction,
     basis_vector,
@@ -328,13 +329,25 @@ class TestAlmostInner:
             almost_inner_genus1(abelian(2))
 
     def test_inclusion_chain(self):
-        for alg in (kronecker(2), dieudonne(2),
-                    heisenberg_leibniz(2, jordan(F(-1), 2))):
-            der = der_algebra(alg)
+        """AIDer is solved without reading Der, so AIDer inside Der is a
+        cross-check of the two solves; Inn lies inside AIDer wherever the
+        algebra is left Leibniz."""
+        specs = _family_members_upto_3()
+        for alg in AIDER_ORACLE_ALGEBRAS + [spec.build() for spec in specs]:
             aid = almost_inner_genus1(alg)
-            inn = inner_derivations(alg)
-            assert der.subspace.contains(aid.subspace)
-            assert aid.subspace.contains(inn.subspace)
+            assert der_algebra(alg).subspace.contains(aid.subspace)
+            if alg.kind.left_leibniz:
+                assert aid.subspace.contains(inner_derivations(alg).subspace)
+
+    def test_solves_no_der(self):
+        # labels unique to this test, so neither cache holds this algebra
+        alg = Algebra(Q, ("aider_x", "aider_y", "aider_w"),
+                      {(0, 1): ((2, F(1)),), (1, 1): ((2, F(2)),)})
+        before = der_algebra.cache_info()
+        aid = almost_inner_genus1(alg)
+        after = der_algebra.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert aid.dim == 2 and der_algebra(alg).subspace.contains(aid.subspace)
 
 
 def _naive_almost_inner(d: Mat, alg: Algebra) -> bool:
@@ -387,6 +400,17 @@ def test_almost_inner_genus1_against_naive_predicate(idx):
         combos.append(acc)
     for d in der_basis + aid_basis + tuple(combos):
         assert aid.subspace.contains(d.flatten()) == _naive_almost_inner(d, alg)
+
+
+def test_almost_inner_genus1_against_der_coordinates():
+    """The same AIDer as one kernel in Der's own coordinates, on every
+    genus-1 draw of seeds 0-499, over Q and over Q(i)."""
+    algs = [random_small_algebra(Random(seed)) for seed in range(500)]
+    algs = [alg for alg in algs if alg.commutator_ideal.dim == 1]
+    algs += [Algebra.from_brackets(QI, alg.labels, alg.table) for alg in algs]
+    assert len(algs) == 452
+    for alg in algs:
+        assert almost_inner_genus1(alg).subspace == aider_in_der_coords(alg)
 
 
 @pytest.mark.parametrize("idx", range(len(AIDER_ORACLE_ALGEBRAS)))
